@@ -35,7 +35,9 @@ from repro.plan.spec import OpSpec, PlanError
 #: v4: specialized backend (compiled straight-line kernels of
 #: :mod:`repro.plan.codegen`) joins resolution for mul/div/mod; the
 #: fingerprint grew the specialize crossover.
-PLAN_SCHEMA_VERSION = 4
+#: v5: ``auto`` mul resolves among host kernels only; ``device`` is
+#: reached by explicit request alone.
+PLAN_SCHEMA_VERSION = 5
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -249,8 +251,6 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
                 % (max(spec.bits_a, spec.bits_b),
                    mpapca.MONOLITHIC_MAX_BITS))
         if spec.backend == "auto":
-            if fits:
-                return "device"
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
             if _select.specialize("mul", min_limbs, thresholds):

@@ -26,9 +26,8 @@ PLAN_OPS = (
     "add", "sub", "shift", "cmp",
 )
 
-#: Requested execution backends.  ``auto`` resolves during lowering:
-#: device when the operation fits the monolithic hardware multiplier,
-#: otherwise packed (the block-packed kernels of
+#: Requested execution backends.  ``auto`` resolves during lowering
+#: among host kernels only: packed (the block-packed kernels of
 #: :mod:`repro.mpn.packed`) or library by the tuned packed crossover;
 #: powmod resolves to rns (the residue-number-system kernels of
 #: :mod:`repro.mpn.rns`) at the tuned ``rns_powmod_limbs`` crossover;
@@ -36,7 +35,9 @@ PLAN_OPS = (
 #: kernels of :mod:`repro.plan.codegen`) at the tuned
 #: ``specialize_limbs`` crossover.  ``packed`` may be requested
 #: explicitly for mul/div/mod, ``rns`` for mul/powmod, ``specialized``
-#: for mul/div/mod.
+#: for mul/div/mod.  ``device`` (the PE simulator, for validation and
+#: the paper figures) is reached only by explicit request, for muls
+#: within the monolithic hardware multiplier.
 BACKENDS = ("auto", "library", "device", "packed", "rns", "specialized")
 
 

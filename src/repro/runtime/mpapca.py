@@ -223,10 +223,16 @@ def multiply_seconds(bits: int) -> float:
 @lru_cache(maxsize=4096)
 def _mul_plan(bits_a: int, bits_b: int, use_device: bool):
     """The lowered multiply Plan for one width pair (cached: the
-    runtime calls this on every ``mul``)."""
+    runtime calls this on every ``mul``).
+
+    A device runtime asks for ``device`` explicitly while the product
+    fits the monolithic multiplier: ``auto`` picks among host kernels
+    only, and the paper figures need the simulator.
+    """
     from repro.plan import OpSpec
     from repro.plan.lowering import lower
-    backend = "auto" if use_device else "library"
+    fits = max(bits_a, bits_b) <= MONOLITHIC_MAX_BITS
+    backend = "device" if use_device and fits else "library"
     return lower(OpSpec("mul", bits_a, bits_b, backend), MPAPCA_POLICY)
 
 

@@ -7,20 +7,13 @@ key (``Job.compat_key()`` — op + lowered backend) into one batch until
 either ``max_batch`` is reached or the ``batch_ms`` latency window
 expires, then dispatches the batch on a worker thread:
 
-* jobs whose plan lowered to the ``device`` backend (muls within the
-  monolithic hardware limit) run through :class:`~repro.runtime.
-  scheduler.BatchingDriver` — operands land in the shared LLC, each
-  plan's instruction stream is submitted incrementally via
-  ``submit_plan``, and the partial batch is forced out with the
-  driver's ``flush()`` (one pipelined device pass instead of per-job
-  fills);
 * jobs whose plan lowered to the ``rns`` backend (powmods past the
   tuned ``rns_powmod_limbs`` crossover, explicit rns muls) fan out as
   one carry-free residue-channel batch through
   :func:`repro.plan.execute.run_rns_batch` — the amortized regime
   where batch items parallelize with no carry-chain serialization;
-* everything else (library-backend plans: big muls, ``div``,
-  ``powmod``, ``pi_digits``) runs the direct library call via
+* everything else (host-kernel plans: ``mul``, ``div``, ``powmod``,
+  ``pi_digits``) runs the direct library call via
   :class:`~repro.parallel.ParallelExecutor`, with the executor's
   ``timeout=`` bounding a batch by the tightest member deadline;
 * ``model_cycles`` and ``pi_digits`` results memoize in a small LRU —
@@ -39,18 +32,11 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.accelerator import CambriconP
-from repro.core.model import DEFAULT_CONFIG
-from repro.mpn import nat_from_int, nat_to_int
 from repro.parallel import ExecutorTimeout, ParallelExecutor
-from repro.runtime.scheduler import BatchingDriver
 from repro.serve import trace as tracing
 from repro.serve.jobs import Job, evaluate
 from repro.serve.metrics import (BATCH_SIZE_BOUNDS, MetricsRegistry)
 from repro.serve.queue import AdmissionQueue
-
-#: LLC address block for batch destinations (far above operand allocs).
-_DEST_BASE = 1 << 30
 
 
 class DynamicBatcher:
@@ -61,7 +47,6 @@ class DynamicBatcher:
                  max_batch: int = 16, batch_ms: float = 5.0,
                  workers: Optional[int] = None,
                  exec_timeout_s: Optional[float] = None,
-                 config=DEFAULT_CONFIG,
                  cache_size: int = 512) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -74,8 +59,6 @@ class DynamicBatcher:
         self.batch_ms = batch_ms
         self.exec_timeout_s = exec_timeout_s
         self.executor = ParallelExecutor(workers)
-        self.config = config
-        self._device: Optional[CambriconP] = None
         self._cache: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self._cache_size = cache_size
         self.batches_dispatched = 0
@@ -85,13 +68,6 @@ class DynamicBatcher:
 
     def close(self) -> None:
         self.executor.close()
-
-    @property
-    def device(self) -> CambriconP:
-        """The shared functional simulator (built on first mul batch)."""
-        if self._device is None:
-            self._device = CambriconP(self.config)
-        return self._device
 
     # -- main loop ------------------------------------------------------------
 
@@ -234,12 +210,8 @@ class DynamicBatcher:
             todo = [jobs[index] for index in pending]
             # Coalescing already keys on the plan's compat_key, so a
             # batch is homogeneous: either every plan lowered to the
-            # device backend or none did.
-            if op == "mul" and all(
-                    job.plan is not None
-                    and job.plan.backend == "device" for job in todo):
-                payloads = self._run_mul_batch(todo)
-            elif op in ("mul", "powmod") and all(
+            # rns backend or none did.
+            if op in ("mul", "powmod") and all(
                     job.plan is not None
                     and job.plan.backend == "rns" for job in todo):
                 payloads = self._run_rns_batch(op, todo)
@@ -256,31 +228,6 @@ class DynamicBatcher:
                         self._cache.popitem(last=False)
                 results[index] = (payload, False)
         return [entry for entry in results if entry is not None]
-
-    def _run_mul_batch(self, jobs: List[Job]) -> List[Dict[str, Any]]:
-        """Device-backed mul batch through the BatchingDriver.
-
-        Operands land in the shared LLC; each job's lowered plan
-        streams its instructions through ``submit_plan`` (the
-        ``max_pending`` guard matches the batch bound) and the partial
-        batch is forced out with ``flush()`` — products read back in
-        request order are exact, so the payload is bit-identical to
-        the library multiply.
-        """
-        driver = BatchingDriver(
-            self.device,
-            executor=self.executor if self.executor.workers > 1
-            else None,
-            max_pending=self.max_batch)
-        for index, job in enumerate(jobs):
-            driver.submit_plan(job.plan,
-                               [nat_from_int(job.params["a"]),
-                                nat_from_int(job.params["b"])],
-                               _DEST_BASE + index)
-        driver.flush()
-        return [{"product": hex(nat_to_int(
-            driver.result(_DEST_BASE + index)))}
-            for index in range(len(jobs))]
 
     def _run_rns_batch(self, op: str,
                        jobs: List[Job]) -> List[Dict[str, Any]]:

@@ -9,7 +9,8 @@ oracle (:func:`repro.serve.jobs.evaluate`), and reports honest
 latency/throughput numbers — exact sorted-sample percentiles, not the
 server's interpolated histogram — plus the machine context (CPU
 count, worker count) the numbers were measured under.  The report also
-tallies, per op, which backend (library/device/packed/rns) the plan
+tallies, per op, which backend (library/packed/specialized/rns —
+never device, which only an explicit request reaches) the plan
 lowering resolved for each verified job — the same
 :func:`~repro.plan.execute.plan_for_job` the server's admission path
 runs — so a serve benchmark records the rns-vs-packed-vs-limb split of

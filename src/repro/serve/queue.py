@@ -231,10 +231,10 @@ class AdmissionQueue:
         compatibility key (``Job.compat_key()`` — op + plan backend),
         in priority order — the batcher's coalescing primitive.
 
-        Keying on the plan rather than the op name keeps device-backed
-        muls and oversized library-path muls in separate batches, so a
-        big multiply never forces a whole device batch onto the
-        library path."""
+        Keying on the plan rather than the op name keeps jobs on
+        different backends in separate batches, so a batch bound for
+        the rns fan-out route never carries a packed or library
+        job."""
         if limit <= 0:
             return []
         matching = sorted(

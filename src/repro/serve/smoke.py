@@ -8,7 +8,9 @@ sequence:
    router plus N supervised shard workers — as a subprocess and parse
    the announced ephemeral port;
 2. drive ~200 mixed requests through :func:`repro.serve.client.
-   run_load` with bit-identical verification against the oracle;
+   run_load` with bit-identical verification against the oracle, and
+   require every mul to lower to a host kernel, never the device
+   simulator;
 3. scrape ``/metrics`` and require the core series to be present and
    consistent with the load generator's own counts (the sharded scrape
    must carry both the merged ``repro_serve_*`` shard series and the
@@ -101,6 +103,10 @@ def main(requests: int = 200, concurrency: int = 8,
                          % (requests - answered, requests))
         if report["ok"] == 0:
             return _fail("no request succeeded")
+        mul_backends = report["plan_backends"].get("mul", {})
+        if "device" in mul_backends:
+            return _fail("served muls lowered to the device simulator: "
+                         "%r" % mul_backends)
 
         text = client.metrics_text()
         if "repro_serve_requests_total" not in text:

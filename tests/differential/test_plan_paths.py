@@ -6,8 +6,8 @@ every operator, at sizes straddling every algorithm-crossover boundary,
 executing the lowered plan yields exactly the bytes the pre-refactor
 direct dispatch (and Python's bigints) produce — including when the
 plan came out of the version-salted plan cache rather than a fresh
-lowering, and when it runs on the device stream rather than the
-library kernels.
+lowering, and when an explicit device request runs the ISA stream
+rather than the library kernels.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class TestMulAcrossCrossovers:
     def test_device_plan_matches_library(self):
         from repro.core.accelerator import CambriconP
         a, b = _operand(12, 3), _operand(9, 4)
-        plan = lower(OpSpec.for_mul(a.bit_length(), b.bit_length()))
+        plan = lower(OpSpec.for_mul(a.bit_length(), b.bit_length(),
+                                    backend="device"))
         assert plan.backend == "device"
         payload = run(plan, {"a": a, "b": b}, device=CambriconP())
         assert payload["product"] == a * b
@@ -62,16 +63,16 @@ class TestMulAcrossCrossovers:
 
         from repro.plan import select
 
-        # Pin the host-side crossovers off so the past-the-limit side
-        # resolves to the library backend regardless of host tuning.
+        # Pin the host-side crossovers off so both sides resolve to
+        # the library backend regardless of host tuning: the
+        # monolithic limit bounds explicit device requests only, never
+        # what auto picks.
         host_free = dataclasses.replace(
             select.active(), packed_mul_limbs=0, specialize_limbs=0)
         for bits in (MONOLITHIC_MAX_BITS, MONOLITHIC_MAX_BITS + 1):
             plan = lower(OpSpec.for_mul(bits, 64), host_free,
                          use_cache=False)
-            expected = "device" if bits <= MONOLITHIC_MAX_BITS \
-                else "library"
-            assert plan.backend == expected
+            assert plan.backend == "library"
 
     def test_auto_past_limit_prefers_specialized(self):
         import dataclasses

@@ -3,19 +3,22 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import DEFAULT_CONFIG
 from repro.plan import OpSpec, PlanError
 from repro.plan.lowering import (PLAN_SCHEMA_VERSION, Plan, lower,
                                  plan_cache)
 from repro.plan import select
+from repro.plan.execute import run
 from repro.runtime import mpapca
 from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
 
 
 class TestBackendResolution:
     def test_small_mul_lowers_to_device(self):
-        plan = lower(OpSpec.for_mul(4096, 4096))
+        plan = lower(OpSpec.for_mul(4096, 4096, backend="device"))
         assert plan.backend == "device"
         assert plan.algorithm == "monolithic"
 
@@ -78,6 +81,34 @@ class TestBackendResolution:
             lower(OpSpec("div", 4096, 64, backend="device"))
 
 
+#: Mul widths ``auto`` must serve from host kernels: one-limb, limb
+#: boundaries, anything up to the monolithic limit, and the limit ±1.
+_AUTO_MUL_BITS = st.one_of(
+    st.sampled_from((1, 31, 32, 33, MONOLITHIC_MAX_BITS - 1,
+                     MONOLITHIC_MAX_BITS, MONOLITHIC_MAX_BITS + 1)),
+    st.integers(min_value=1, max_value=MONOLITHIC_MAX_BITS))
+
+
+@st.composite
+def _auto_mul_operand(draw):
+    bits = draw(_AUTO_MUL_BITS)
+    if draw(st.booleans()):
+        return (1 << bits) - 1                      # all ones
+    return draw(st.integers(min_value=1 << (bits - 1),
+                            max_value=(1 << bits) - 1))
+
+
+class TestAutoMulIsHostOnly:
+    @settings(max_examples=40, deadline=None)
+    @given(a=_auto_mul_operand(), b=_auto_mul_operand())
+    def test_auto_never_resolves_to_device(self, a, b):
+        plan = lower(OpSpec.for_mul(a.bit_length(), b.bit_length()))
+        assert plan.backend != "device"
+        assert plan.cost() == mpapca.mul_cycles(a.bit_length(),
+                                                b.bit_length())
+        assert run(plan, {"a": a, "b": b})["product"] == a * b
+
+
 class TestCost:
     def test_mul_cost_is_the_one_model(self):
         plan = lower(OpSpec.for_mul(4096, 4096))
@@ -100,7 +131,7 @@ class TestCost:
 
 class TestKeys:
     def test_compat_key_separates_backends(self):
-        device = lower(OpSpec.for_mul(4096, 4096))
+        device = lower(OpSpec.for_mul(4096, 4096, backend="device"))
         library = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
                                        MONOLITHIC_MAX_BITS + 1,
                                        backend="library"))

@@ -15,7 +15,8 @@ def checks(plan, operands=None):
 
 class TestCleanPlans:
     def test_device_mul_plan_is_clean(self):
-        assert checks(lower(OpSpec.for_mul(4096, 4096))) == set()
+        assert checks(lower(OpSpec.for_mul(4096, 4096,
+                                           backend="device"))) == set()
 
     def test_library_mul_plan_is_clean(self):
         assert checks(lower(OpSpec.for_mul(1 << 20, 1 << 20))) == set()
@@ -36,7 +37,7 @@ class TestCleanPlans:
             assert checks(lower(spec)) == set(), spec
 
     def test_device_plan_with_operands_verifies_stream(self):
-        plan = lower(OpSpec.for_mul(200, 150))
+        plan = lower(OpSpec.for_mul(200, 150, backend="device"))
         operands = [nat_from_int(3 ** 120), nat_from_int(7 ** 50)]
         assert checks(plan, operands) == set()
 
@@ -48,12 +49,13 @@ class TestSeededHazards:
         assert "PV-COST" in checks(plan)
 
     def test_wrong_algorithm_fires_pv_algo(self):
-        plan = dataclasses.replace(lower(OpSpec.for_mul(4096, 4096)),
-                                   algorithm="karatsuba")
+        plan = dataclasses.replace(
+            lower(OpSpec.for_mul(4096, 4096, backend="device")),
+            algorithm="karatsuba")
         assert "PV-ALGO" in checks(plan)
 
     def test_oversized_device_plan_fires_pv_backend(self):
-        base = lower(OpSpec.for_mul(64, 64))
+        base = lower(OpSpec.for_mul(64, 64, backend="device"))
         spec = OpSpec.for_mul(MONOLITHIC_MAX_BITS + 32,
                               MONOLITHIC_MAX_BITS + 32)
         plan = dataclasses.replace(base, spec=spec)
@@ -70,7 +72,7 @@ class TestSeededHazards:
         assert "PV-STEPS" in checks(plan)
 
     def test_mismatched_operand_bits_surface_stream_hazards(self):
-        plan = lower(OpSpec.for_mul(200, 150))
+        plan = lower(OpSpec.for_mul(200, 150, backend="device"))
         # One operand only: the stream builder must refuse.
         violations = verify_plan(plan, [nat_from_int(3 ** 120)])
         assert {v.check for v in violations} == {"PV-STREAM"}

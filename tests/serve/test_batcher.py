@@ -50,7 +50,8 @@ class TestBatching:
             assert body["id"] == "m%d" % index
             expected = evaluate(("mul", job.params))
             assert body["result"] == expected
-        # All six coalesced into few device batches.
+        # All six lowered to one host compat key and coalesced into few
+        # batches.
         assert batcher.batches_dispatched < 6
         assert registry.counter_total("batches_total") == \
             batcher.batches_dispatched

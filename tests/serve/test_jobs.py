@@ -165,10 +165,14 @@ class TestPlanKeys:
         small = make_job({"op": "mul", "params": {"a": 3, "b": 5}})
         big = make_job({"op": "mul",
                         "params": {"a": 1 << 40000, "b": 1 << 40000}})
-        assert small.compat_key() == ("mul", "device")
-        # Over-monolithic muls now resolve to the compiled
-        # specialization of the committed schedule.
+        # auto picks among host kernels only: a one-limb product runs
+        # below every host crossover, never on the device simulator.
+        assert small.compat_key() == ("mul", small.plan.backend)
+        assert small.plan.backend in ("library", "packed")
+        # Over-monolithic muls resolve to the compiled specialization
+        # of the committed schedule.
         assert big.compat_key() == ("mul", "specialized")
+        assert small.compat_key() != big.compat_key()
 
     def test_cache_key_carries_plan_memo_key(self):
         job = make_job({"op": "model_cycles",

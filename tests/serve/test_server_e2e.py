@@ -215,6 +215,38 @@ class TestShutdownDrain:
         assert ok >= 1                       # the drain answered work
 
 
+class TestHostKernelMul:
+    def test_served_mul_is_exact_and_lowers_to_a_host_kernel(
+            self, tmp_path, monkeypatch):
+        """A served mul never touches the device simulator: the trace
+        stamps the server's own lowering with a host backend."""
+        from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
+        monkeypatch.setenv("REPRO_TRACE_FILE",
+                           str(tmp_path / "drain.jsonl"))
+        config = ServeConfig(port=0, queue_capacity=16, max_batch=4,
+                             batch_ms=1.0, max_wait_ms=60_000.0)
+        hosted = ServerThread(config, tracer=Tracer(enabled=True))
+        hosted.start()
+        try:
+            client = ServeClient(hosted.host, hosted.port)
+            for bits in (1, 64, 1024, MONOLITHIC_MAX_BITS):
+                a, b = (1 << bits) - 1, 3 ** (bits // 2) + 1
+                status, body = client.request(
+                    {"op": "mul", "id": "m%d" % bits,
+                     "params": {"a": hex(a), "b": hex(b)}})
+                assert status == 200 and body["ok"], body
+                assert body["result"] == {"product": hex(a * b)}
+            status, raw = client.raw("GET", "/traces")
+            assert status == 200
+            backends = {trace["id"]: trace["meta"]["backend"]
+                        for trace in json.loads(raw)["traces"]}
+        finally:
+            hosted.stop()
+        assert len(backends) == 4
+        assert set(backends.values()) <= {"library", "packed",
+                                          "specialized", "rns"}
+
+
 class TestTracing:
     def test_traces_collected_when_enabled(self, tmp_path, monkeypatch):
         # The server dumps buffered traces on drain; keep that file

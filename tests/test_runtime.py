@@ -107,6 +107,34 @@ class TestRuntimeFunctional:
         a, b = (1 << 900) - 5, (1 << 800) + 9
         assert from_nat(runtime.mul(to_nat(a), to_nat(b))) == a * b
 
+    @pytest.mark.parametrize("bits, backend, algorithm, steps, cycles", [
+        (64, "device", "monolithic",
+         ("stream:monolithic (one MUL instruction, 64x64 bits)",), 142.0),
+        (4096, "device", "monolithic",
+         ("stream:monolithic (one MUL instruction, 4096x4096 bits)",),
+         142.0),
+        (MONOLITHIC_MAX_BITS, "device", "monolithic",
+         ("stream:monolithic (one MUL instruction, 35904x35904 bits)",),
+         1390.0),
+        (MONOLITHIC_MAX_BITS + 1, "library", "karatsuba",
+         ("kernel:karatsuba (1123 limbs)", "kernel:basecase (563 limbs)"),
+         2206.76171875),
+        (300000, "library", "toom4",
+         ("kernel:toom4 (9375 limbs)", "kernel:karatsuba (2345 limbs)",
+          "kernel:karatsuba (1174 limbs)", "kernel:basecase (588 limbs)"),
+         72229.984375),
+    ])
+    def test_device_runtime_plans_stay_on_the_simulator(
+            self, bits, backend, algorithm, steps, cycles):
+        # The paper figures run MPApca(use_device=True): its muls keep
+        # the simulator up to the monolithic limit, where ``auto``
+        # would pick a host kernel.
+        plan = mpapca._mul_plan(bits, bits, True)
+        assert plan.backend == backend
+        assert plan.algorithm == algorithm
+        assert tuple(step.describe() for step in plan.steps) == steps
+        assert plan.cost_cycles == cycles == mul_cycles(bits, bits)
+
     def test_large_multiply_falls_back_to_fast_algorithms(self):
         runtime = MPApca(use_device=True)
         a = (1 << (MONOLITHIC_MAX_BITS + 5000)) - 3
