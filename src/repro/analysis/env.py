@@ -179,14 +179,6 @@ RNS = declare(
     "differential-triage aid).",
     "plan")
 
-CODEGEN = declare(
-    "REPRO_CODEGEN", "on", "killswitch",
-    "Set to 0 to disable plan-guided kernel specialization (auto "
-    "selection never resolves to the compiled straight-line kernels; "
-    "explicit backend=\"specialized\" falls back to the generic "
-    "recursion; differential-triage aid).",
-    "plan")
-
 COST = declare(
     "REPRO_COST", "on", "killswitch",
     "Set to 0 to disable the learned ns cost model everywhere (plan "
@@ -220,7 +212,8 @@ SERVE_BATCH = declare(
 SERVE_BATCH_MS = declare(
     "REPRO_SERVE_BATCH_MS", "5", "float",
     "Latency window (milliseconds) the batcher waits to coalesce "
-    "compatible jobs.",
+    "compatible jobs into a batch that runs in parallel (rns fan-out "
+    "or a worker pool); serial batches dispatch at once.",
     "serve")
 
 SERVE_TIMEOUT_S = declare(

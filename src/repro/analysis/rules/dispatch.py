@@ -42,9 +42,9 @@ KERNEL_ENTRYPOINTS = frozenset({
 
 #: Recursion internals of the mul/div descent.  Since the schedule
 #: refactor the recursion structure is committed once
-#: (:mod:`repro.plan.schedule`) and walked/compiled from there; any
-#: other call site re-decides algorithm structure ad hoc, invisibly to
-#: the committed schedule, PV-SCHED verification, and codegen.
+#: (:mod:`repro.plan.schedule`) and walked from there; any other call
+#: site re-decides algorithm structure ad hoc, invisibly to the
+#: committed schedule.
 RECURSION_INTERNALS = frozenset({
     "mul_karatsuba", "sqr_karatsuba", "mul_toom", "mul_ssa",
     "divmod_newton", "divmod_bz",
@@ -105,12 +105,11 @@ class ScheduleBypass(Rule):
     code = "RPR013"
     rationale = ("The recursion structure is committed once per "
                  "(op, limbs) as a Schedule (repro.plan.schedule) and "
-                 "then walked by the dispatchers or compiled by "
-                 "codegen; calling a recursion internal "
-                 "(mul_karatsuba, mul_toom, divmod_newton, ...) from "
-                 "anywhere else re-decides the descent ad hoc, "
-                 "invisible to the schedule, PV-SCHED verification, "
-                 "and the specialized kernels.")
+                 "then walked by the mpn dispatchers; calling a "
+                 "recursion internal (mul_karatsuba, mul_toom, "
+                 "divmod_newton, ...) from anywhere else re-decides "
+                 "the descent ad hoc, invisible to the schedule that "
+                 "`repro plan` prints and prices.")
 
     def applies(self, ctx: FileContext) -> bool:
         # RPR012 already polices everything above mpn/plan; this rule
@@ -132,5 +131,5 @@ class ScheduleBypass(Rule):
                     node, "direct call to recursion internal %s() "
                     "bypasses the committed schedule; derive a "
                     "Schedule (repro.plan.schedule) and walk it via "
-                    "the mpn dispatchers or codegen instead" % name))
+                    "the mpn dispatchers instead" % name))
         return found

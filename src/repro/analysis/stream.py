@@ -235,70 +235,6 @@ def _check_plan(index: int, instruction: Instruction,
                % (limbs[0], limbs[1]))
 
 
-def _plan_thresholds(plan):
-    """The selection-relevant thresholds view recorded in a plan.
-
-    Reconstructed from the fingerprint tuple (slot order fixed by
-    :func:`repro.plan.select.fingerprint`), so re-derivation checks run
-    against what the plan *claims* it was selected under — not against
-    the host's current tuning, which may have moved since.
-    """
-    from types import SimpleNamespace
-    tuning = list(plan.tuning) + [0] * 13
-    return SimpleNamespace(
-        karatsuba_limbs=tuning[1], toom3_limbs=tuning[2],
-        toom4_limbs=tuning[3], toom6_limbs=tuning[4],
-        ssa_limbs=tuning[5], bz_limbs=tuning[6],
-        barrett_limbs=tuning[7], packed_mul_limbs=tuning[8],
-        packed_div_limbs=tuning[9], rns_mul_limbs=tuning[10],
-        rns_powmod_limbs=tuning[11], specialize_limbs=tuning[12])
-
-
-def _verify_schedule(plan, provenance: str) -> List[StreamViolation]:
-    """The PV-SCHED checks for one specialized plan.
-
-    Re-derives the committed schedule under the plan's own recorded
-    fingerprint, validates its structure
-    (:func:`repro.plan.schedule.validate_schedule`: split coverage,
-    legal leaf below the threshold floor, non-increasing descent
-    floors), and confirms the generated kernel source still compiles —
-    so a corrupted or stale cached kernel is rejected before anything
-    executes it.
-    """
-    from repro.mpn.nat import LIMB_BITS
-    from repro.plan import codegen
-    from repro.plan.schedule import (ScheduleError, derive_schedule,
-                                     validate_schedule)
-
-    violations: List[StreamViolation] = []
-
-    def report(message: str) -> None:
-        violations.append(StreamViolation(-1, "PV-SCHED", message,
-                                          provenance))
-
-    thresholds = _plan_thresholds(plan)
-    if plan.spec.op == "mul":
-        limbs = -(-min(max(plan.spec.bits_a, 1),
-                       max(plan.spec.bits_b, 1)) // LIMB_BITS)
-        op = "mul"
-    else:
-        limbs = -(-max(plan.spec.bits_b, 1) // LIMB_BITS)
-        op = "div"
-    try:
-        schedule = derive_schedule(op, limbs, thresholds)
-    except ScheduleError as error:
-        report("schedule derivation failed: %s" % error)
-        return violations
-    for problem in validate_schedule(schedule, thresholds):
-        report(problem)
-    try:
-        source = codegen.emit_source(schedule)
-        compile(source, "<pv-sched>", "exec")
-    except (ScheduleError, SyntaxError) as error:
-        report("generated kernel source does not compile: %s" % error)
-    return violations
-
-
 def verify_plan(plan, operands: Optional[Sequence] = None,
                 config: CambriconPConfig = DEFAULT_CONFIG
                 ) -> List[StreamViolation]:
@@ -309,18 +245,11 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
     * **PV-COST** — the cycle estimate is finite and non-negative;
     * **PV-BACKEND** — the resolved backend is legal for the op
       (``device`` only for muls within the monolithic limit,
-      ``packed`` only for mul/div/mod, ``rns`` only for mul/powmod,
-      ``specialized`` only for mul/div/mod);
+      ``packed`` only for mul/div/mod, ``rns`` only for mul/powmod);
     * **PV-ALGO** — for muls, re-deriving selection from the plan's
       recorded thresholds fingerprint reproduces the recorded
       algorithm (a mismatch means the plan was built under different
       tuning than it claims, so its memo key is a lie);
-    * **PV-SCHED** — for specialized plans, the committed schedule
-      re-derived from the plan's fingerprint is structurally sound
-      (split levels cover the operand, the recursion terminates in a
-      legal leaf below the threshold floor, descent floors never
-      increase) and the generated kernel source compiles — a corrupted
-      cached kernel is rejected here, never executed;
     * **PV-STEPS** — the step chain is non-empty and device plans
       carry a stream step.
 
@@ -347,18 +276,12 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
         report("PV-COST", "cost estimate %r is not a finite "
                "non-negative cycle count" % (cost,))
 
-    if plan.backend not in ("library", "device", "packed", "rns",
-                            "specialized"):
+    if plan.backend not in ("library", "device", "packed", "rns"):
         report("PV-BACKEND", "unresolved backend %r" % (plan.backend,))
     elif plan.backend == "packed":
         if plan.spec.op not in ("mul", "div", "mod"):
             report("PV-BACKEND", "the packed backend executes only "
                    "mul/div/mod; %r cannot run packed"
-                   % (plan.spec.op,))
-    elif plan.backend == "specialized":
-        if plan.spec.op not in ("mul", "div", "mod"):
-            report("PV-BACKEND", "the specialized backend executes "
-                   "only mul/div/mod; %r cannot run specialized"
                    % (plan.spec.op,))
     elif plan.backend == "rns":
         if plan.spec.op not in ("mul", "powmod"):
@@ -377,8 +300,7 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
                       config.monolithic_max_bits))
 
     if plan.spec.op == "mul" \
-            and plan.backend in ("library", "device", "packed", "rns",
-                                 "specialized"):
+            and plan.backend in ("library", "device", "packed", "rns"):
         from repro.mpn.nat import LIMB_BITS
         min_limbs = -(-min(max(plan.spec.bits_a, 1),
                            max(plan.spec.bits_b, 1)) // LIMB_BITS)
@@ -388,10 +310,6 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
             expected = select.packed_chain(min_limbs)[0][0]
         elif plan.backend == "rns":
             expected = "rns-crt"
-        elif plan.backend == "specialized":
-            from repro.plan.schedule import derive_schedule
-            expected = "specialized-" + derive_schedule(
-                "mul", min_limbs, _plan_thresholds(plan)).algorithm
         else:
             expected = select.mul_algorithm(min_limbs, plan.policy())
         if plan.algorithm != expected:
@@ -399,10 +317,6 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
                    "plan records algorithm %r but selection under its "
                    "own thresholds fingerprint yields %r"
                    % (plan.algorithm, expected))
-
-    if plan.backend == "specialized" \
-            and plan.spec.op in ("mul", "div", "mod"):
-        violations.extend(_verify_schedule(plan, provenance))
 
     if not plan.steps:
         report("PV-STEPS", "plan has no execution steps")

@@ -9,12 +9,7 @@ backend pinned explicitly, so what is timed is exactly what a lowered
 * ``packed`` — the block-packed backend (:mod:`repro.mpn.packed`);
 * ``rns`` — the residue-number-system backend (:mod:`repro.mpn.rns`):
   carry-free channel mul for mul/sqr, dual-base RNS Montgomery for
-  powmod;
-* ``specialized`` — the compiled straight-line kernels
-  (:mod:`repro.plan.codegen`): the committed schedule unrolled into
-  one generated module per (op, limbs) key.  Measured only when
-  ``REPRO_CODEGEN`` is live, so a killswitched run never reports a
-  silent fallback as a specialization timing.
+  powmod.
 
 Timings are best-of-N ``perf_counter_ns`` (the same discipline as
 :mod:`repro.mpn.tune`).  Every measured point asserts that *all*
@@ -49,12 +44,13 @@ from repro.mpn.tune import _random_operand, tuned_policy
 #: v2: per-backend ``ns``/``speedup`` maps replaced the limb/packed
 #: pair columns; powmod joined the op set; every point checks all
 #: available backends against a bigint oracle.
-#: v3: the ``specialized`` backend (compiled schedule kernels) joined
-#: mul/sqr/div, measured and oracle-checked like the rest.
+#: v3: a compiled-kernel backend joined mul/sqr/div, measured and
+#: oracle-checked like the rest.
 #: v4: ``predicted_ns``/``predicted_err`` columns compare each point
 #: against the learned cost model (:mod:`repro.cost`) when a fitted
 #: model is live; absent otherwise.
-BENCH_SCHEMA_VERSION = 4
+#: v5: the v3 compiled-kernel column, hotspot and gate are gone.
+BENCH_SCHEMA_VERSION = 5
 
 #: Figure-11-style bit-width ladder (the paper sweeps multiply sizes in
 #: this range; 64k bits is the headline point).
@@ -71,13 +67,11 @@ POWMOD_FULL_LADDER = (1024, 4096)
 POWMOD_QUICK_LADDER = (1024, 2048)
 POWMOD_EXPONENT_LIMBS = 2
 
-#: Backends each op can execute (always measured, always checked;
-#: ``specialized`` drops out when ``REPRO_CODEGEN=0`` — its dispatcher
-#: path would silently time the generic fallback).
+#: Backends each op can execute (always measured, always checked).
 OP_BACKENDS = {
-    "mul": ("limb", "packed", "rns", "specialized"),
-    "sqr": ("limb", "packed", "rns", "specialized"),
-    "div": ("limb", "packed", "specialized"),
+    "mul": ("limb", "packed", "rns"),
+    "sqr": ("limb", "packed", "rns"),
+    "div": ("limb", "packed"),
     "powmod": ("limb", "rns"),
 }
 
@@ -90,15 +84,6 @@ CHECK_MIN_SPEEDUP = 0.9
 #: measured modulus (the dual-base pipeline wins ~2-7x on measured
 #: hosts; 1.2 is the noise-tolerant floor).
 CHECK_RNS_POWMOD_MIN_SPEEDUP = 1.2
-
-#: Minimum specialized/limb mul ratio --check demands at the largest
-#: measured size (>= 4096 bits on every ladder).  This is the
-#: acceptance gate of the schedule/codegen refactor: the compiled
-#: straight-line kernel must beat the generic recursive path by a real
-#: margin (measured hosts put it far above; 1.15 is the honest floor).
-#: sqr/div specializations are recorded but not gated — their top
-#: ladder points are noisier in CI.
-CHECK_SPECIALIZED_MIN_SPEEDUP = 1.15
 
 #: Maximum rns-vs-packed slowdown --check tolerates for serial mul/sqr
 #: at the top size.  The rns mul exists for *batch* fan-out, not serial
@@ -142,14 +127,9 @@ def _runners(op: str, a: Nat, b: Nat, policy,
 
     All go through the public dispatchers with the backend pinned, so
     RPR012 dispatch discipline holds and the timings match what plans
-    execute.  The ``specialized`` runner is dropped when codegen is
-    killswitched: the dispatcher would silently fall back to the
-    generic path and the "specialized" column would be a lie.
+    execute.
     """
-    from repro.plan import codegen
     backends = OP_BACKENDS[op]
-    if not codegen.enabled():
-        backends = tuple(bk for bk in backends if bk != "specialized")
     if op == "mul":
         return {backend: (lambda bk=backend: mul(a, b, policy,
                                                  backend=bk))
@@ -161,13 +141,9 @@ def _runners(op: str, a: Nat, b: Nat, policy,
     if op == "div":
         def limb_mul(x: Nat, y: Nat) -> Nat:
             return mul(x, y, policy, backend="limb")
-        runners = {"limb": lambda: divmod_nat(a, b, limb_mul,
-                                              backend="limb"),
-                   "packed": lambda: divmod_nat(a, b, backend="packed")}
-        if "specialized" in backends:
-            runners["specialized"] = lambda: divmod_nat(
-                a, b, backend="specialized")
-        return runners
+        return {"limb": lambda: divmod_nat(a, b, limb_mul,
+                                           backend="limb"),
+                "packed": lambda: divmod_nat(a, b, backend="packed")}
     if op == "powmod":
         exponent = _random_operand(POWMOD_EXPONENT_LIMBS, seed + 13)
         return {backend: (lambda bk=backend: mpn_powmod(a, exponent, b,
@@ -307,9 +283,6 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
                 runners["packed"]),
             "rns_mul_%d_bits" % top_bits: _hotspots(runners["rns"]),
         }
-        if "specialized" in runners:
-            hotspots["specialized_mul_%d_bits" % top_bits] = _hotspots(
-                runners["specialized"])
 
     return {
         "schema": BENCH_SCHEMA_VERSION,
@@ -330,9 +303,6 @@ def check_report(report: Dict) -> List[str]:
 
     * packed must not lose to limb (mul/sqr/div,
       :data:`CHECK_MIN_SPEEDUP`);
-    * the specialized mul kernel must beat the generic recursive path
-      (:data:`CHECK_SPECIALIZED_MIN_SPEEDUP`); sqr/div specializations
-      are recorded, not gated;
     * rns powmod must beat limb Montgomery
       (:data:`CHECK_RNS_POWMOD_MIN_SPEEDUP`);
     * serial rns mul/sqr must stay within
@@ -356,13 +326,6 @@ def check_report(report: Dict) -> List[str]:
                 "(< %.2fx tolerance)"
                 % (op, entry["bits"], speedup["packed"],
                    CHECK_MIN_SPEEDUP))
-        if op == "mul" and "specialized" in speedup \
-                and speedup["specialized"] < CHECK_SPECIALIZED_MIN_SPEEDUP:
-            failures.append(
-                "mul at %d bits: specialized is %.2fx the generic "
-                "limb path (< %.2fx gate)"
-                % (entry["bits"], speedup["specialized"],
-                   CHECK_SPECIALIZED_MIN_SPEEDUP))
         if op == "powmod" and "rns" in speedup \
                 and speedup["rns"] < CHECK_RNS_POWMOD_MIN_SPEEDUP:
             failures.append(
@@ -391,7 +354,7 @@ def render_report(report: Dict) -> str:
                                  "per-backend ms (speedup vs limb)")]
     for entry in report["entries"]:
         cells = ["limb=%.3f" % (entry["ns"]["limb"] / 1e6)]
-        for backend in ("packed", "rns", "specialized"):
+        for backend in ("packed", "rns"):
             if backend in entry["ns"]:
                 cells.append("%s=%.3f (%.2fx)"
                              % (backend, entry["ns"][backend] / 1e6,

@@ -184,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="skip the packed-backend crossovers")
     tune_parser.add_argument("--no-rns", action="store_true",
                              help="skip the rns-backend crossovers")
-    tune_parser.add_argument("--no-codegen", action="store_true",
-                             help="skip the generic-vs-specialized "
-                                  "crossover (keeps the default)")
     tune_parser.add_argument("--no-dataset", action="store_true",
                              help="discard the raw timing probes "
                                   "instead of appending them to the "
@@ -225,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or clear the persistent caches")
     cache_parser.add_argument("--clear", action="store_true",
                               help="delete every on-disk cache file")
-    cache_parser.add_argument("--codegen", action="store_true",
-                              help="operate on the specialized-kernel "
-                                   "store only: print compile/reject "
-                                   "stats, or with --clear drop every "
-                                   "resident and persisted kernel")
     cache_parser.set_defaults(handler=_cmd_cache)
 
     report = commands.add_parser(
@@ -263,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="pi_digits: decimal digits requested")
     plan_parser.add_argument("--backend",
                              choices=["auto", "library", "device",
-                                      "packed", "rns", "specialized"],
+                                      "packed", "rns"],
                              default="auto",
                              help="force the execution backend")
     plan_parser.add_argument("--verify", action="store_true",
@@ -360,18 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_kernels = commands.add_parser(
         "bench-kernels",
-        help="time the limb vs block-packed vs rns vs specialized mpn "
-             "backends and record per-backend numbers")
+        help="time the limb vs block-packed vs rns mpn backends and "
+             "record per-backend numbers")
     bench_kernels.add_argument("--quick", action="store_true",
                                help="reduced ladder for CI smoke runs")
     bench_kernels.add_argument("--check", action="store_true",
                                help="exit 1 if packed regresses below "
-                                    "0.9x limb, specialized mul below "
-                                    "1.15x the generic limb path, rns "
-                                    "powmod below 1.2x limb, or serial "
-                                    "rns mul past the packed-baseline "
-                                    "canary bound, at the largest "
-                                    "measured size")
+                                    "0.9x limb, rns powmod below 1.2x "
+                                    "limb, or serial rns mul past the "
+                                    "packed-baseline canary bound, at "
+                                    "the largest measured size")
     bench_kernels.add_argument("--repeats", type=int, default=5,
                                help="best-of-N timing repetitions")
     bench_kernels.add_argument("--seed", type=int, default=2022)
@@ -407,8 +397,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     result = tune(max_limbs=args.max_limbs, repeats=args.repeats,
                   measure_division=not args.no_division,
                   measure_packed=not args.no_packed,
-                  measure_rns=not args.no_rns,
-                  measure_codegen=not args.no_codegen)
+                  measure_rns=not args.no_rns)
     print(result.report())
     print("tuned policy:", result.policy)
     if not args.dry_run and not args.no_dataset and result.raw_points:
@@ -523,15 +512,6 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.parallel import cache_root, clear_disk_caches
     root = cache_root()
-    if args.codegen:
-        from repro.plan import codegen
-        if args.clear:
-            removed = codegen.clear()
-            print("cleared %d specialized kernel(s)" % removed)
-            return 0
-        for key, value in sorted(codegen.stats().items()):
-            print("  %-18s %s" % (key, value))
-        return 0
     if args.clear:
         removed = clear_disk_caches()
         print("cleared %d cache file(s) under %s" % (len(removed), root))
@@ -581,7 +561,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(plan.describe())
     if args.op in ("mul", "div", "mod"):
         from repro.mpn.nat import LIMB_BITS
-        from repro.plan import codegen
         from repro.plan.schedule import derive_schedule
         if args.op == "mul":
             sched_op = "mul"
@@ -592,18 +571,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         schedule = derive_schedule(sched_op, limbs)
         print("schedule:")
         print(schedule.render("  "))
-        status = codegen.specialization_status(sched_op, limbs)
-        if not status["enabled"]:
-            print("specialization: disabled (REPRO_CODEGEN=0)")
-        elif status["compiled"]:
-            print("specialization: hit (compiled, sha %s)"
-                  % (status["sha256"] or "-"))
-        elif status["persisted"]:
-            print("specialization: hit (persisted source, sha %s)"
-                  % status["sha256"])
-        else:
-            print("specialization: miss (no persisted kernel; "
-                  "compiled on first specialized run)")
     if args.verify:
         violations = verify_plan(plan)
         for violation in violations:
@@ -925,11 +892,10 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         if failures:
             return 1
         print("check: every backend matches the bigint oracle at every "
-              "point; packed >= %.1fx limb, specialized mul >= %.2fx "
-              "limb, rns powmod >= %.1fx limb, serial rns mul within "
-              "the packed canary bound at the largest sizes"
+              "point; packed >= %.1fx limb, rns powmod >= %.1fx limb, "
+              "serial rns mul within the packed canary bound at the "
+              "largest sizes"
               % (_ck.CHECK_MIN_SPEEDUP,
-                 _ck.CHECK_SPECIALIZED_MIN_SPEEDUP,
                  _ck.CHECK_RNS_POWMOD_MIN_SPEEDUP),
               file=sys.stderr)
     return 0

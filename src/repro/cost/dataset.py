@@ -260,8 +260,7 @@ def record_point(op: str, backend: Optional[str], limbs: int,
     """Record one measured point if a recorder is active (else no-op).
 
     ``backend=None`` means the measured side has no single backend
-    (e.g. the generic auto-dispatch arm of the specialize bisection)
-    and is skipped."""
+    (e.g. a mixed auto-dispatch arm) and is skipped."""
     if _RECORDER is None or backend is None:
         return
     row = make_row(op, backend, limbs, ns, source)

@@ -20,7 +20,8 @@ agreement:
 
 Backend names are canonicalized to the bench vocabulary: the plan
 layer's ``"library"`` is the bench's ``"limb"``; everything else
-(``packed``/``rns``/``specialized``/``device``) passes through.
+(``packed``/``rns``/``device``) passes through; rows naming any
+other backend are skipped on load.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Tuple
 MODELED_OPS = ("mul", "sqr", "div", "powmod")
 
 #: Backend vocabulary of the dataset (the bench-kernels names).
-MODELED_BACKENDS = ("limb", "packed", "rns", "specialized", "device")
+MODELED_BACKENDS = ("limb", "packed", "rns", "device")
 
 
 def canonical_op(op: str) -> Optional[str]:

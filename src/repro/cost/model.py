@@ -4,7 +4,7 @@ The analytic :meth:`Plan.cost` prices work in accelerator *cycles* and
 — because the MPApca pricer sees only operand bits — charges every
 backend of one shape identically, while measured nanoseconds on this
 Python runtime differ by 15–90x between the limb recursion and the
-packed/specialized kernels.  This module fits the obvious correction:
+packed kernels.  This module fits the obvious correction:
 for every (op, backend) group with enough measurements, an ordinary
 least-squares line in log-log space::
 

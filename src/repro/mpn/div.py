@@ -24,11 +24,8 @@ from repro.plan import select as _select
 MulFn = Callable[[Nat, Nat], Nat]
 
 #: Backends the division dispatcher understands (mirrors
-#: :data:`repro.mpn.mul.MUL_BACKENDS`).  ``specialized`` runs the
-#: compiled straight-line kernel of :mod:`repro.plan.codegen` for the
-#: host-tuned schedule, falling back to the generic ``auto`` path when
-#: specialization is disabled (``REPRO_CODEGEN=0``).
-DIV_BACKENDS = ("auto", "limb", "packed", "specialized")
+#: :data:`repro.mpn.mul.MUL_BACKENDS`).
+DIV_BACKENDS = ("auto", "limb", "packed")
 
 #: Below this divisor size (bits) Newton division falls back to Algorithm D.
 #: Read at call time and passed to :func:`repro.plan.select.div_algorithm`
@@ -188,12 +185,6 @@ def divmod_nat(a: Nat, b: Nat,
     elif backend not in DIV_BACKENDS:
         raise MpnError("unknown div backend %r (expected one of %s)"
                        % (backend, ", ".join(DIV_BACKENDS)))
-    if backend == "specialized" and not nat.is_zero(b):
-        from repro.plan import codegen
-        kernel = codegen.kernel_for("div", len(b))
-        if kernel is not None:
-            return kernel(a, b)
-        backend = _select.div_backend(len(b))
     if backend == "packed" and not nat.is_zero(b):
         return divmod_packed(a, b)
     algorithm = _select.div_algorithm(nat.bit_length(b),

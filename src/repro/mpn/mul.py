@@ -32,11 +32,9 @@ from repro.mpn.nat import MpnError, Nat
 #: :func:`repro.plan.select.mul_backend` against the tuned packed
 #: crossover; ``limb`` forces the per-limb algorithm ladder (what
 #: explicit-policy callers and differential tests exercise); ``packed``
-#: forces the block-packed kernels of :mod:`repro.mpn.packed`;
-#: ``specialized`` runs the compiled straight-line kernel of
-#: :mod:`repro.plan.codegen` (host-tuned schedule; falls back to the
-#: generic ``auto`` path under ``REPRO_CODEGEN=0``).
-MUL_BACKENDS = ("auto", "limb", "packed", "rns", "specialized")
+#: forces the block-packed kernels of :mod:`repro.mpn.packed`; ``rns``
+#: the residue-number-system kernels of :mod:`repro.mpn.rns`.
+MUL_BACKENDS = ("auto", "limb", "packed", "rns")
 
 
 @dataclass(frozen=True)
@@ -170,12 +168,6 @@ def _walk_sqr(node, a: Nat) -> Nat:
     return _walk_mul(node, a, a)
 
 
-def _specialized_kernel(op: str, min_limbs: int):
-    """The compiled kernel for this request, or None (killswitch/off)."""
-    from repro.plan import codegen
-    return codegen.kernel_for(op, min_limbs)
-
-
 def mul(a: Nat, b: Nat, policy: MulPolicy = GMP_POLICY,
         backend: str = "auto") -> Nat:
     """Product of two naturals under the given selection policy.
@@ -187,20 +179,11 @@ def mul(a: Nat, b: Nat, policy: MulPolicy = GMP_POLICY,
     ladder below only runs for the limb backend.  The limb ladder is a
     *committed schedule*: the full recursion structure is derived once
     per (size, policy) and walked without further threshold lookups.
-    ``backend="specialized"`` runs the compiled straight-line kernel
-    for the host-tuned schedule (``policy`` does not apply, exactly as
-    it does not apply to the packed backend); when specialization is
-    disabled it falls back to the generic ``auto`` path.
     """
     if not a or not b:
         return []
     min_limbs = min(len(a), len(b))
     resolved = _resolve_backend(backend, min_limbs)
-    if resolved == "specialized":
-        kernel = _specialized_kernel("mul", min_limbs)
-        if kernel is not None:
-            return kernel(a, b)
-        resolved = _resolve_backend("auto", min_limbs)
     if resolved == "packed":
         return mul_packed(a, b)
     if resolved == "rns":
@@ -218,11 +201,6 @@ def sqr(a: Nat, policy: MulPolicy = GMP_POLICY,
     if not a:
         return []
     resolved = _resolve_backend(backend, len(a))
-    if resolved == "specialized":
-        kernel = _specialized_kernel("sqr", len(a))
-        if kernel is not None:
-            return kernel(a)
-        resolved = _resolve_backend("auto", len(a))
     if resolved == "packed":
         return sqr_packed(a)
     if resolved == "rns":

@@ -50,7 +50,8 @@ THRESHOLDS_ENV = "REPRO_THRESHOLDS"
 
 #: Schema version of the persisted thresholds file; loaders reject
 #: other versions (the invalidation rule: retune after upgrading).
-THRESHOLDS_VERSION = 1
+#: v2: the compiled-kernel crossover left the record.
+THRESHOLDS_VERSION = 2
 
 #: Default best-of-N repetition count for every timing measurement.
 DEFAULT_REPEATS = 3
@@ -174,10 +175,6 @@ class Thresholds:
     #: Modulus limbs where the dual-base RNS Montgomery exponentiation
     #: beats the limb CIOS kernel; 0 disables the rns powmod path.
     rns_powmod_limbs: int = 5
-    #: Operand limbs where a compiled straight-line specialization
-    #: (:mod:`repro.plan.codegen`) takes over ``auto`` selection from
-    #: the generic recursion; 0 disables the specialized backend.
-    specialize_limbs: int = 16
     repeats: int = DEFAULT_REPEATS
     max_limbs: int = 0
     version: int = THRESHOLDS_VERSION
@@ -229,9 +226,6 @@ class Thresholds:
         if self.rns_mul_limbs < 0 or self.rns_powmod_limbs < 0:
             raise ValueError("rns thresholds must be >= 0 "
                              "(0 disables the rns backend)")
-        if self.specialize_limbs < 0:
-            raise ValueError("specialize threshold must be >= 0 "
-                             "(0 disables the specialized backend)")
 
 
 def thresholds_path() -> Path:
@@ -526,48 +520,11 @@ def find_rns_powmod_crossover(max_limbs: int, seed: int = 1,
     return low
 
 
-def find_specialize_crossover(thresholds: Thresholds,
-                              max_limbs: int, seed: int = 1,
-                              repeats: int = DEFAULT_REPEATS) -> int:
-    """Operand limbs where the compiled specialized kernel beats the
-    generic ``auto`` dispatch path it replaces.
-
-    Both sides end in the same leaf kernels under ``thresholds``; the
-    delta is pure dispatch overhead (threshold lookups, closure
-    construction, backend resolution), so the crossover is small and
-    bounded by the search range.  Kernels are warmed first — the serve
-    warm-start amortizes compilation exactly as a reduction loop
-    amortizes a Barrett reciprocal.
-    """
-    from repro.plan import codegen
-
-    policy = thresholds.policy()
-
-    def generic(a: Nat, b: Nat) -> Nat:
-        return mul(a, b, policy, backend="auto")
-
-    def specialized(a: Nat, b: Nat) -> Nat:
-        kernel = codegen.kernel_for("mul", min(len(a), len(b)),
-                                    thresholds)
-        if kernel is None:
-            return generic(a, b)
-        return kernel(a, b)
-
-    high = max(8, max_limbs)
-    for limbs in (2, high // 2, high):
-        codegen.kernel_for("mul", limbs, thresholds)
-    # The generic arm mixes backends (whatever auto dispatch picks), so
-    # only the specialized side is a recordable training point.
-    return find_crossover(generic, specialized, 2, high, seed, repeats,
-                          labels=("mul", None, "specialized"))
-
-
 def tune(max_limbs: int = 512, seed: int = 1,
          repeats: int = DEFAULT_REPEATS,
          measure_division: bool = True,
          measure_packed: bool = True,
-         measure_rns: bool = True,
-         measure_codegen: bool = True) -> TuneResult:
+         measure_rns: bool = True) -> TuneResult:
     """Measure the crossovers this host actually exhibits.
 
     Multiplication: schoolbook/Karatsuba and Karatsuba/Toom-3 are
@@ -585,15 +542,14 @@ def tune(max_limbs: int = 512, seed: int = 1,
     with _dataset.recording() as raw_points:
         result = _tune_measured(max_limbs, seed, repeats,
                                 measure_division, measure_packed,
-                                measure_rns, measure_codegen)
+                                measure_rns)
     result.raw_points = raw_points
     return result
 
 
 def _tune_measured(max_limbs: int, seed: int, repeats: int,
                    measure_division: bool, measure_packed: bool,
-                   measure_rns: bool,
-                   measure_codegen: bool) -> TuneResult:
+                   measure_rns: bool) -> TuneResult:
     def karatsuba_once(a: Nat, b: Nat) -> Nat:
         return mul_karatsuba(a, b, mul_schoolbook)
 
@@ -681,12 +637,5 @@ def _tune_measured(max_limbs: int, seed: int, repeats: int,
         repeats=repeats,
         max_limbs=max_limbs,
     )
-    if measure_codegen:
-        # Decided last: the specialized kernels commit to the schedule
-        # the just-measured crossovers imply.
-        thresholds.specialize_limbs = find_specialize_crossover(
-            thresholds, min(64, max(8, max_limbs)), seed, repeats)
-        measurements.append(("generic->specialized",
-                             thresholds.specialize_limbs))
     return TuneResult(karatsuba_limbs, toom3_limbs, policy,
                       measurements, thresholds)

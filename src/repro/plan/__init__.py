@@ -12,8 +12,6 @@ One request, one lowering, one answer::
   version-salted plan cache on the shared memo-cache machinery;
 * :mod:`repro.plan.schedule` — :class:`Schedule`, the reified
   recursion structure the kernels commit to once per request shape;
-* :mod:`repro.plan.codegen` — compiled straight-line specializations
-  of hot schedules (the ``specialized`` backend);
 * :mod:`repro.plan.streams` — device ISA-stream construction;
 * :mod:`repro.plan.execute` — run a plan on concrete operands.
 

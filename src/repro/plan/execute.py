@@ -22,11 +22,10 @@ def _plan_backend(plan) -> str:
     """The mpn-dispatcher backend a plan's kernels must run on.
 
     A ``library`` plan priced the limb ladder, a ``packed`` plan the
-    block kernels, a ``specialized`` plan the compiled straight-line
-    kernels; execution pins the matching backend so what runs is
+    block kernels; execution pins the matching backend so what runs is
     exactly what the plan's memo key describes.
     """
-    if plan.backend in ("packed", "specialized"):
+    if plan.backend == "packed":
         return plan.backend
     return "limb"
 

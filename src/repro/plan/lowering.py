@@ -32,12 +32,13 @@ from repro.plan.spec import OpSpec, PlanError
 #: thresholds fingerprint grew the packed crossovers.
 #: v3: rns backend (residue-number-system mpn kernels) joins
 #: resolution for mul/powmod; the fingerprint grew the rns crossovers.
-#: v4: specialized backend (compiled straight-line kernels of
-#: :mod:`repro.plan.codegen`) joins resolution for mul/div/mod; the
-#: fingerprint grew the specialize crossover.
+#: v4: a compiled straight-line kernel backend joins resolution for
+#: mul/div/mod; the fingerprint grew its crossover.
 #: v5: ``auto`` mul resolves among host kernels only; ``device`` is
 #: reached by explicit request alone.
-PLAN_SCHEMA_VERSION = 5
+#: v6: the v4 compiled-kernel backend is gone; ``auto`` mul/div resolve
+#: to packed or library, and the fingerprint dropped its crossover.
+PLAN_SCHEMA_VERSION = 6
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -69,7 +70,7 @@ class Plan:
     """The lowered form of one operation request."""
 
     spec: OpSpec
-    backend: str    # resolved: library | device | packed | rns | specialized
+    backend: str    # resolved: library | device | packed | rns
     algorithm: str
     steps: Tuple[PlanStep, ...]
     cost_cycles: float
@@ -182,11 +183,11 @@ def _tuning_for(thresholds) -> Tuple[Tuple[int, ...], str]:
     if hasattr(thresholds, "barrett_limbs"):       # Thresholds record
         return select.fingerprint(thresholds), "tuned"
     # A bare MulPolicy (e.g. the MPApca hardware policy): no division,
-    # Barrett, packed, rns, or specialize crossovers; version slot 0
-    # marks it as ad hoc.
+    # Barrett, packed, or rns crossovers; version slot 0 marks it as
+    # ad hoc.
     return ((0, thresholds.karatsuba_limbs, thresholds.toom3_limbs,
              thresholds.toom4_limbs, thresholds.toom6_limbs,
-             thresholds.ssa_limbs, 0, 0, 0, 0, 0, 0, 0), thresholds.name)
+             thresholds.ssa_limbs, 0, 0, 0, 0, 0, 0), thresholds.name)
 
 
 def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
@@ -223,9 +224,6 @@ _PACKED_OPS = ("mul", "div", "mod")
 #: Ops the residue-number-system backend can execute.
 _RNS_OPS = ("mul", "powmod")
 
-#: Ops the compiled-specialization backend can execute.
-_SPECIALIZED_OPS = ("mul", "div", "mod")
-
 
 def _resolve_backend(spec: OpSpec, thresholds) -> str:
     from repro.mpn.nat import LIMB_BITS
@@ -237,11 +235,6 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
     if spec.backend == "rns" and spec.op not in _RNS_OPS:
         raise PlanError("backend=rns supports only %s; %r lowers to "
                         "the library" % ("/".join(_RNS_OPS), spec.op))
-    if spec.backend == "specialized" \
-            and spec.op not in _SPECIALIZED_OPS:
-        raise PlanError("backend=specialized supports only %s; %r "
-                        "lowers to the library"
-                        % ("/".join(_SPECIALIZED_OPS), spec.op))
     if spec.op == "mul":
         fits = max(spec.bits_a, spec.bits_b) <= mpapca.MONOLITHIC_MAX_BITS
         if spec.backend == "device" and not fits:
@@ -253,12 +246,8 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
         if spec.backend == "auto":
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
-            if _select.specialize("mul", min_limbs, thresholds):
-                analytic = "specialized"
-            elif _select.mul_backend(min_limbs, thresholds) == "packed":
-                analytic = "packed"
-            else:
-                analytic = "library"
+            analytic = "packed" if _select.mul_backend(
+                min_limbs, thresholds) == "packed" else "library"
             return _select.cost_refined("mul", min_limbs, analytic,
                                         thresholds)
         return spec.backend
@@ -268,13 +257,8 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
     if spec.op in ("div", "mod"):
         if spec.backend == "auto":
             divisor_limbs = -(-max(spec.bits_b, 1) // LIMB_BITS)
-            if _select.specialize("div", divisor_limbs, thresholds):
-                analytic = "specialized"
-            elif _select.div_backend(divisor_limbs,
-                                     thresholds) == "packed":
-                analytic = "packed"
-            else:
-                analytic = "library"
+            analytic = "packed" if _select.div_backend(
+                divisor_limbs, thresholds) == "packed" else "library"
             return _select.cost_refined(spec.op, divisor_limbs,
                                         analytic, thresholds)
         return spec.backend
@@ -325,17 +309,6 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
             steps = [PlanStep("kernel", "rns-crt",
                               "%d carry-free %d-bit channels + CRT "
                               "gather" % (channels, MODULUS_BITS))]
-        elif backend == "specialized":
-            from repro.plan.schedule import derive_schedule
-            min_limbs = -(-min(max(spec.bits_a, 1),
-                               max(spec.bits_b, 1)) // LIMB_BITS)
-            schedule = derive_schedule("mul", min_limbs, thresholds)
-            algorithm = "specialized-" + schedule.algorithm
-            steps = [PlanStep("kernel",
-                              "specialized-" + node.algorithm,
-                              "%d limbs, compiled straight-line"
-                              % node.limbs)
-                     for node in schedule.levels()]
         else:
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
@@ -347,20 +320,6 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
             algorithm = "packed-schoolbook"
             steps = [PlanStep("kernel", "packed-schoolbook",
                               "block Knuth Algorithm D")]
-        elif backend == "specialized":
-            from repro.plan.schedule import derive_schedule
-            divisor_limbs = -(-max(spec.bits_b, 1) // LIMB_BITS)
-            schedule = derive_schedule("div", divisor_limbs, thresholds)
-            algorithm = "specialized-" + schedule.algorithm
-            steps = [PlanStep("kernel", algorithm,
-                              "%d divisor limbs, compiled "
-                              "straight-line" % divisor_limbs)]
-            if schedule.sub is not None:
-                steps.extend(
-                    PlanStep("kernel",
-                             "specialized-" + node.algorithm,
-                             "%d limbs, reciprocal muls" % node.limbs)
-                    for node in schedule.sub.levels())
         else:
             algorithm = select.div_algorithm(spec.bits_b)
             if algorithm == "newton":

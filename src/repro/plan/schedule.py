@@ -16,13 +16,10 @@ algorithm was selected at.  Leaves are basecases (schoolbook) or a
 backend commitment (the block-packed kernels).  Division nodes carry
 the multiplication sub-schedule their Newton reciprocal runs on.
 
-Two consumers:
-
-* the generic mpn dispatchers derive a schedule per (op, limbs,
-  policy) — memoized — and *walk* it instead of re-querying thresholds
-  at every recursion level (:mod:`repro.mpn.mul`);
-* :mod:`repro.plan.codegen` walks the same tree and emits a
-  straight-line specialized kernel for hot (op, bits) keys.
+The generic mpn dispatchers derive a schedule per (op, limbs, policy)
+— memoized — and *walk* it instead of re-querying thresholds at every
+recursion level (:mod:`repro.mpn.mul`); ``repro plan`` prints the same
+tree.
 
 Derivation reads only :mod:`repro.plan.select`, so a schedule, the
 plan that prices it, and the kernels that execute it can never
@@ -154,9 +151,9 @@ def derive_schedule(op: str, limbs: int, thresholds=None,
 
     ``backend="auto"`` commits the backend decision too (the schedule
     roots in a ``packed`` leaf when the tuned crossover says the block
-    kernels win — a specialized kernel must run what auto dispatch
-    would have run); ``backend="limb"`` derives the pure limb ladder
-    (what the generic dispatchers walk).  ``thresholds`` accepts a
+    kernels win, as auto dispatch would); ``backend="limb"`` derives
+    the pure limb ladder (what the generic dispatchers walk).
+    ``thresholds`` accepts a
     :class:`~repro.mpn.tune.Thresholds`, a bare
     :class:`~repro.mpn.mul.MulPolicy` (no backend crossovers), or
     ``None`` for the host's active tuning.
@@ -197,8 +194,7 @@ def derive_schedule(op: str, limbs: int, thresholds=None,
 def validate_schedule(schedule: Schedule, thresholds=None) -> List[str]:
     """Structural checks; returns human-readable problems (empty = ok).
 
-    The PV-SCHED contract (:func:`repro.analysis.stream.verify_plan`
-    reports these as violations):
+    The contract the dispatchers' descent relies on:
 
     * every split level covers its operand — ``split`` children of
       ``child.limbs`` limbs must sum to at least the level's own

@@ -36,12 +36,6 @@ PACKED_ENV = _env.PACKED.name
 #: requests still run; differential triage aid).
 RNS_ENV = _env.RNS.name
 
-#: Kill switch: ``REPRO_CODEGEN=0`` removes the compiled specialized
-#: kernels from every ``auto`` selection (explicit
-#: ``backend="specialized"`` requests fall back to the generic
-#: recursion; differential triage aid).
-CODEGEN_ENV = _env.CODEGEN.name
-
 #: Fast-multiplication regimes, fastest-threshold last.  Selection walks
 #: from the top: the highest regime whose threshold the smaller operand
 #: reaches wins ("basecase" when none do).
@@ -97,29 +91,6 @@ def _packed_enabled() -> bool:
 
 def _rns_enabled() -> bool:
     return _env.enabled(_env.RNS)
-
-
-def _codegen_enabled() -> bool:
-    return _env.enabled(_env.CODEGEN)
-
-
-def specialize(op: str, min_limbs: int, thresholds=None) -> bool:
-    """Whether ``auto`` selection commits this request to a compiled
-    specialized kernel (:mod:`repro.plan.codegen`).
-
-    True once the smaller operand reaches the tuned
-    ``specialize_limbs`` crossover — the point where compile+dispatch
-    amortization beats the generic recursion's per-call interpreter
-    overhead.  0 disables the path, as does the ``REPRO_CODEGEN=0``
-    kill switch.  Only mul/sqr/div specialize (powmod's hot loop is
-    already one kernel).
-    """
-    if op not in ("mul", "sqr", "div") or not _codegen_enabled():
-        return False
-    if thresholds is None:
-        thresholds = active()
-    crossover = getattr(thresholds, "specialize_limbs", 0)
-    return bool(crossover) and min_limbs >= crossover
 
 
 def mul_backend(min_limbs: int, thresholds=None) -> str:
@@ -208,14 +179,9 @@ def _refinement_space(op: str, thresholds) -> Tuple[List[str],
             else "packed_div_limbs"
         packed = getattr(thresholds, packed_attr, 0) \
             if _packed_enabled() else 0
-        specialize_limbs = getattr(thresholds, "specialize_limbs", 0) \
-            if _codegen_enabled() else 0
         if packed:
             candidates.append("packed")
             crossovers.append(packed)
-        if specialize_limbs:
-            candidates.append("specialized")
-            crossovers.append(specialize_limbs)
     elif op == "powmod":
         rns = getattr(thresholds, "rns_powmod_limbs", 0) \
             if _rns_enabled() else 0
@@ -337,5 +303,4 @@ def fingerprint(thresholds=None) -> Tuple[int, ...]:
         getattr(thresholds, "packed_div_limbs", 0),
         getattr(thresholds, "rns_mul_limbs", 0),
         getattr(thresholds, "rns_powmod_limbs", 0),
-        getattr(thresholds, "specialize_limbs", 0),
     )

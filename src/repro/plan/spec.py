@@ -30,15 +30,12 @@ PLAN_OPS = (
 #: among host kernels only: packed (the block-packed kernels of
 #: :mod:`repro.mpn.packed`) or library by the tuned packed crossover;
 #: powmod resolves to rns (the residue-number-system kernels of
-#: :mod:`repro.mpn.rns`) at the tuned ``rns_powmod_limbs`` crossover;
-#: mul/div/mod resolve to specialized (the compiled straight-line
-#: kernels of :mod:`repro.plan.codegen`) at the tuned
-#: ``specialize_limbs`` crossover.  ``packed`` may be requested
-#: explicitly for mul/div/mod, ``rns`` for mul/powmod, ``specialized``
-#: for mul/div/mod.  ``device`` (the PE simulator, for validation and
-#: the paper figures) is reached only by explicit request, for muls
-#: within the monolithic hardware multiplier.
-BACKENDS = ("auto", "library", "device", "packed", "rns", "specialized")
+#: :mod:`repro.mpn.rns`) at the tuned ``rns_powmod_limbs`` crossover.
+#: ``packed`` may be requested explicitly for mul/div/mod, ``rns`` for
+#: mul/powmod.  ``device`` (the PE simulator, for validation and the
+#: paper figures) is reached only by explicit request, for muls within
+#: the monolithic hardware multiplier.
+BACKENDS = ("auto", "library", "device", "packed", "rns")
 
 
 class PlanError(ValueError):

@@ -285,10 +285,9 @@ class MPApca:
                                "runtime")
             product, _ = self.device.multiply(a, b)
             return product
-        if plan.backend in ("packed", "specialized"):
+        if plan.backend == "packed":
             # Pin the plan's resolved backend so what runs is exactly
-            # what the plan priced (specialized falls back to the
-            # generic auto path under REPRO_CODEGEN=0).
+            # what the plan priced.
             return _raw_mul(a, b, plan.policy(), backend=plan.backend)
         return _raw_mul(a, b, plan.policy())
 

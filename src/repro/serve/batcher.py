@@ -5,7 +5,11 @@ the highest-priority job off the :class:`~repro.serve.queue.
 AdmissionQueue`, coalesces queued jobs sharing a plan compatibility
 key (``Job.compat_key()`` — op + lowered backend) into one batch until
 either ``max_batch`` is reached or the ``batch_ms`` latency window
-expires, then dispatches the batch on a worker thread:
+expires, then dispatches the batch on a worker thread.  The window is
+held open only for batches that run in parallel (the rns fan-out, or a
+worker pool); a serial batch takes the compatible jobs already queued
+and dispatches at once, because a late member would only delay the
+members already taken:
 
 * jobs whose plan lowered to the ``rns`` backend (powmods past the
   tuned ``rns_powmod_limbs`` crossover, explicit rns muls) fan out as
@@ -84,7 +88,8 @@ class DynamicBatcher:
             batch += self.queue.take_compatible(
                 job.compat_key(), self.max_batch - len(batch))
             window_end = time.monotonic() + self.batch_ms / 1000.0
-            while len(batch) < self.max_batch and not self.queue.closed:
+            while len(batch) < self.max_batch and not self.queue.closed \
+                    and self._runs_in_parallel(job):
                 remaining = window_end - time.monotonic()
                 if remaining <= 0:
                     break
@@ -102,6 +107,12 @@ class DynamicBatcher:
             self.registry.gauge("queue_depth").set(self.queue.depth)
             await self._dispatch(loop, job.op, batch)
         self.close()
+
+    def _runs_in_parallel(self, job: Job) -> bool:
+        """Whether a batch led by ``job`` spreads its members across
+        workers, so holding the window open for more of them pays."""
+        return self.executor.workers > 0 or (
+            job.plan is not None and job.plan.backend == "rns")
 
     # -- dispatch -------------------------------------------------------------
 

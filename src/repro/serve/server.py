@@ -191,20 +191,6 @@ class ReproServer:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def warm_start_codegen(self) -> int:
-        """Pre-compile kernel specializations for the tuned hot keys.
-
-        Runs before the listener binds (shard workers boot the same
-        server, so every shard warms too): first requests must not pay
-        compile latency.  Counts ``codegen_compile_total``; a no-op
-        under ``REPRO_CODEGEN=0``.
-        """
-        from repro.plan import codegen
-        warmed = codegen.warm_start()
-        if warmed:
-            self.registry.counter("codegen_compile_total").inc(warmed)
-        return warmed
-
     def seed_service_rate(self) -> Optional[float]:
         """Warm the admission queue's service-rate estimate at boot.
 
@@ -222,7 +208,6 @@ class ReproServer:
 
     async def start(self) -> Tuple[str, int]:
         """Bind the listener and start the batcher; returns (host, port)."""
-        self.warm_start_codegen()
         self.seed_service_rate()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port)

@@ -241,7 +241,7 @@ class TestEachRuleFires:
 
     def test_schedule_bypass_leaves_dispatchers_alone(self):
         src = ("def f(a, b):\n"
-               "    return mul(a, b, backend='specialized')\n")
+               "    return mul(a, b, backend='packed')\n")
         assert "schedule-bypass" not in rules_fired(src, KERNEL)
 
 

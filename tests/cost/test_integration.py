@@ -180,7 +180,6 @@ class TestLoweringBitIdentity:
         # A fit biased hard toward the library path at every size...
         save_model({"mul|limb": flat_group(1.0),
                     "mul|packed": flat_group(1e9),
-                    "mul|specialized": flat_group(1e9),
                     "mul|device": flat_group(1e9)})
         monkeypatch.setenv(COST_ENV, "0")
         cost.invalidate()
@@ -198,8 +197,7 @@ class TestAdmissionConsumers:
     def test_jobs_priced_with_model(self):
         save_model({"mul|device": flat_group(5000.0),
                     "mul|limb": flat_group(5000.0),
-                    "mul|packed": flat_group(5000.0),
-                    "mul|specialized": flat_group(5000.0)})
+                    "mul|packed": flat_group(5000.0)})
         job = make_job({"op": "mul",
                         "params": {"a": 12345, "b": 67890}})
         assert job.cost_ns == pytest.approx(5000.0)

@@ -1,9 +1,10 @@
 """The block-packed backend is bit-identical to the limb backend.
 
 The packed kernels exist purely for speed, so the contract is strict:
-at every size — and especially straddling the ``packed_mul_limbs`` /
-``packed_div_limbs`` crossovers where dispatch flips backends — the
-mpn dispatchers must return the same limbs whichever backend runs, and
+at every size — especially straddling the ``packed_mul_limbs`` /
+``packed_div_limbs`` crossovers where dispatch flips backends, across
+the figure-11 ladder, and for unbalanced or empty operands — the mpn
+dispatchers must return the same limbs whichever backend runs, and
 both must match Python's bigints.  The plan layer rides the same
 crossovers, so lowered ``packed`` plans are checked against ``library``
 plans and the memo-key salting is checked against threshold changes.
@@ -31,24 +32,40 @@ from tests.differential.conftest import diff_examples, naturals_of_bits
 
 pytestmark = pytest.mark.differential
 
+#: The paper's figure-11 sweep (1024/4096/16384/65536 bits), in limbs.
+FIG11_LIMBS = (32, 128, 512, 2048)
+
+#: Unbalanced and empty (a limbs, b limbs) operand shapes.
+UNBALANCED = [pytest.param(shape, id="%dx%d" % shape)
+              for shape in ((0, 10), (10, 0), (1, 40), (40, 3), (3, 1))]
+
+#: A divisor past ``NEWTON_DIV_THRESHOLD_BITS``: the limb backend runs
+#: Newton division with its reciprocal multiplications.
+NEWTON_DIVISOR_LIMBS = 80
+
 
 def _operand(limbs: int, seed: int) -> int:
+    if not limbs:
+        return 0
     rng = random.Random(0xB10C ^ seed)
     return rng.getrandbits(32 * limbs) | (1 << (32 * limbs - 1))
 
 
-def _crossover_band(threshold: int):
-    """Limb counts straddling one backend crossover, plus deep sizes."""
+def _crossover_band(threshold: int, *extra: int):
+    """Limb counts straddling one backend crossover, plus deep sizes
+    and the figure-11 ladder."""
     band = {1, max(1, threshold - 1), threshold, threshold + 1,
-            4 * threshold + 1, 64, 200}
+            4 * threshold + 1, 64, 200, *FIG11_LIMBS, *extra}
     return sorted(band)
 
 
 class TestMulCrossover:
     @pytest.mark.parametrize(
-        "limbs", _crossover_band(select.active().packed_mul_limbs))
+        "limbs",
+        _crossover_band(select.active().packed_mul_limbs) + UNBALANCED)
     def test_backends_agree_at_boundary(self, limbs):
-        a, b = _operand(limbs, 1), _operand(limbs, 2)
+        la, lb = limbs if isinstance(limbs, tuple) else (limbs, limbs)
+        a, b = _operand(la, 1), _operand(lb, 2)
         an, bn = to_nat(a), to_nat(b)
         limb = mul(an, bn, GMP_POLICY, backend="limb")
         packed = mul(an, bn, GMP_POLICY, backend="packed")
@@ -94,7 +111,8 @@ class TestMulCrossover:
 
 class TestDivCrossover:
     @pytest.mark.parametrize(
-        "divisor_limbs", _crossover_band(select.active().packed_div_limbs))
+        "divisor_limbs", _crossover_band(select.active().packed_div_limbs,
+                                         NEWTON_DIVISOR_LIMBS))
     def test_backends_agree_at_boundary(self, divisor_limbs):
         a = _operand(2 * divisor_limbs + 3, 4)
         b = _operand(divisor_limbs, 5)

@@ -63,26 +63,26 @@ class TestMulAcrossCrossovers:
 
         from repro.plan import select
 
-        # Pin the host-side crossovers off so both sides resolve to
-        # the library backend regardless of host tuning: the
-        # monolithic limit bounds explicit device requests only, never
-        # what auto picks.
-        host_free = dataclasses.replace(
-            select.active(), packed_mul_limbs=0, specialize_limbs=0)
+        # Pin the packed crossover off so both sides resolve to the
+        # library backend regardless of host tuning: the monolithic
+        # limit bounds explicit device requests only, never what auto
+        # picks.
+        host_free = dataclasses.replace(select.active(),
+                                        packed_mul_limbs=0)
         for bits in (MONOLITHIC_MAX_BITS, MONOLITHIC_MAX_BITS + 1):
             plan = lower(OpSpec.for_mul(bits, 64), host_free,
                          use_cache=False)
             assert plan.backend == "library"
 
-    def test_auto_past_limit_prefers_specialized(self):
+    def test_auto_past_limit_prefers_packed(self):
         import dataclasses
 
         from repro.plan import select
 
-        tuned = dataclasses.replace(select.active(), specialize_limbs=2)
+        tuned = dataclasses.replace(select.active(), packed_mul_limbs=2)
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
                      tuned, use_cache=False)
-        assert plan.backend == "specialized"
+        assert plan.backend == "packed"
 
 
 class TestDivAcrossCrossovers:

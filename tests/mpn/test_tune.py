@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,20 @@ class TestThresholdsPersistence:
         # active_thresholds falls back to the checked-in defaults.
         assert active_thresholds() == default_thresholds()
 
+    def test_v1_file_with_retired_crossover_loads_none(self, isolated):
+        """A version-1 file still carries ``specialize_limbs``; it is
+        rejected by its version, and the defaults take over."""
+        v1 = dict(karatsuba_limbs=20, toom3_limbs=90, toom4_limbs=300,
+                  toom6_limbs=1200, ssa_limbs=5000, bz_limbs=64,
+                  barrett_limbs=8, packed_mul_limbs=4,
+                  packed_div_limbs=4, rns_mul_limbs=4,
+                  rns_powmod_limbs=5, specialize_limbs=16, repeats=3,
+                  max_limbs=0, version=1)
+        (isolated / "thresholds.json").write_text(json.dumps(v1),
+                                                  encoding="utf-8")
+        assert load_thresholds() is None
+        assert active_thresholds() == default_thresholds()
+
     def test_active_prefers_persisted(self):
         persisted = Thresholds(karatsuba_limbs=17, toom3_limbs=70,
                                toom4_limbs=280, toom6_limbs=1100,
@@ -167,13 +182,17 @@ class TestTuneCli:
     @pytest.mark.slow
     def test_subprocess_tune_then_load(self, tmp_path):
         target = tmp_path / "host-thresholds.json"
+        root = Path(__file__).parents[2]
+        # The tune probes go to a temporary dataset, never the checked-in
+        # results/COST_dataset.jsonl.
         env = dict(os.environ,
                    PYTHONPATH="src",
-                   REPRO_THRESHOLDS=str(target))
+                   REPRO_THRESHOLDS=str(target),
+                   REPRO_COST_DATASET=str(tmp_path / "cost.jsonl"))
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "tune",
              "--max-limbs", "64", "--repeats", "1"],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=root,
             timeout=600)
         assert completed.returncode == 0, completed.stderr
         assert target.exists()
@@ -182,7 +201,7 @@ class TestTuneCli:
              "from repro.mpn.tune import active_thresholds;"
              "t = active_thresholds(); t.validate();"
              "print(t.karatsuba_limbs)"],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=root,
             timeout=120)
         assert loader.returncode == 0, loader.stderr
         assert int(loader.stdout.strip()) >= 2

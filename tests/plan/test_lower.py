@@ -22,35 +22,35 @@ class TestBackendResolution:
         assert plan.backend == "device"
         assert plan.algorithm == "monolithic"
 
-    def test_big_mul_resolves_to_specialized(self):
+    def test_big_mul_resolves_to_packed(self):
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
                                     MONOLITHIC_MAX_BITS + 1))
-        assert plan.backend == "specialized"
-        assert plan.algorithm.startswith("specialized-")
+        assert plan.backend == "packed"
+        assert plan.algorithm.startswith("packed-")
 
     def test_big_mul_falls_back_to_packed(self):
+        # Too wide for the device; min_limbs = 2 sits exactly on a
+        # pinned packed crossover, so auto takes the packed kernel
+        # regardless of host tuning.
         thresholds = dataclasses.replace(select.active(),
-                                         specialize_limbs=0)
-        plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                    MONOLITHIC_MAX_BITS + 1),
-                     thresholds)
+                                         packed_mul_limbs=2)
+        plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
+                     thresholds, use_cache=False)
         assert plan.backend == "packed"
         assert plan.algorithm.startswith("packed-")
 
     def test_big_mul_small_operand_falls_back_to_library(self):
-        # min_limbs = 2: pin both host-side crossovers above it so the
+        # min_limbs = 2: pin the packed crossover above it so the
         # fallback is visible regardless of host tuning.
         thresholds = dataclasses.replace(select.active(),
-                                         packed_mul_limbs=4,
-                                         specialize_limbs=4)
+                                         packed_mul_limbs=4)
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
                      thresholds, use_cache=False)
         assert plan.backend == "library"
 
     def test_big_mul_falls_back_to_library_when_packed_disabled(self):
         thresholds = dataclasses.replace(select.active(),
-                                         packed_mul_limbs=0,
-                                         specialize_limbs=0)
+                                         packed_mul_limbs=0)
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
                                     MONOLITHIC_MAX_BITS + 1),
                      thresholds)
@@ -135,15 +135,15 @@ class TestKeys:
         library = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
                                        MONOLITHIC_MAX_BITS + 1,
                                        backend="library"))
-        specialized = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                           MONOLITHIC_MAX_BITS + 1))
+        auto = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
+                                    MONOLITHIC_MAX_BITS + 1))
         packed = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
                                       MONOLITHIC_MAX_BITS + 1,
                                       backend="packed"))
         assert device.compat_key == ("mul", "device")
         assert library.compat_key == ("mul", "library")
-        assert specialized.compat_key == ("mul", "specialized")
         assert packed.compat_key == ("mul", "packed")
+        assert auto.compat_key == packed.compat_key
 
     def test_memo_key_carries_schema_and_fingerprint(self):
         plan = lower(OpSpec.for_mul(4096, 4096))

@@ -1,4 +1,4 @@
-"""Schedule derivation: structure, validation, and PV-SCHED checks."""
+"""Schedule derivation and validation, plus verify_plan's PV-ALGO check."""
 
 import dataclasses
 
@@ -165,27 +165,8 @@ class TestValidation:
         assert validate_schedule(bad)
 
 
-class TestPvSched:
-    """verify_plan re-derives and validates specialized plans."""
-
-    def test_specialized_plan_passes_pv_sched(self):
-        from repro.analysis.stream import verify_plan
-        from repro.plan import OpSpec
-        from repro.plan.lowering import lower
-        from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
-        plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                    MONOLITHIC_MAX_BITS + 1))
-        assert plan.backend == "specialized"
-        assert verify_plan(plan) == []
-
-    def test_specialized_div_plan_passes_pv_sched(self):
-        from repro.analysis.stream import verify_plan
-        from repro.plan import OpSpec
-        from repro.plan.lowering import lower
-        plan = lower(OpSpec("div", 1 << 20, 1 << 19,
-                            backend="specialized"))
-        assert plan.backend == "specialized"
-        assert verify_plan(plan) == []
+class TestPvAlgo:
+    """verify_plan re-derives a plan's algorithm from its fingerprint."""
 
     def test_tampered_algorithm_is_reported(self):
         import dataclasses as dc
@@ -196,6 +177,8 @@ class TestPvSched:
         from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
                                     MONOLITHIC_MAX_BITS + 1))
-        forged = dc.replace(plan, algorithm="specialized-ssa")
+        assert plan.backend == "packed"
+        assert verify_plan(plan) == []
+        forged = dc.replace(plan, algorithm="packed-basecase")
         violations = verify_plan(forged)
         assert any(v.check == "PV-ALGO" for v in violations)

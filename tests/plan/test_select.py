@@ -70,8 +70,7 @@ class TestFingerprint:
                       thresholds.packed_mul_limbs,
                       thresholds.packed_div_limbs,
                       thresholds.rns_mul_limbs,
-                      thresholds.rns_powmod_limbs,
-                      thresholds.specialize_limbs)
+                      thresholds.rns_powmod_limbs)
 
     def test_thresholds_method_delegates(self):
         thresholds = select.active()

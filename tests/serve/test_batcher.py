@@ -97,6 +97,24 @@ class TestBatching:
         assert body["ok"]
         assert body["result"] == evaluate(("mul", job.params))
 
+    def test_serial_batch_does_not_hold_the_window(self):
+        """A serial host-kernel batch dispatches what is queued at once;
+        only parallel batches wait out ``batch_ms`` for late members."""
+        async def scenario():
+            queue = AdmissionQueue(capacity=4)
+            batcher = DynamicBatcher(queue, max_batch=8,
+                                     batch_ms=60_000.0, workers=0)
+            loop = asyncio.get_running_loop()
+            job = _submit(queue, loop, "mul", {"a": 3 ** 90, "b": 7})
+            task = asyncio.ensure_future(batcher.run())
+            body = await asyncio.wait_for(job.future, timeout=5.0)
+            await _drain(queue, task)
+            return job, body
+
+        job, body = run(scenario())
+        assert body["ok"] and body["batch_size"] == 1
+        assert body["result"] == evaluate(("mul", job.params))
+
     def test_cache_hits_for_pure_queries(self):
         async def scenario():
             queue = AdmissionQueue(capacity=8)

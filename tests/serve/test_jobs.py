@@ -169,9 +169,8 @@ class TestPlanKeys:
         # below every host crossover, never on the device simulator.
         assert small.compat_key() == ("mul", small.plan.backend)
         assert small.plan.backend in ("library", "packed")
-        # Over-monolithic muls resolve to the compiled specialization
-        # of the committed schedule.
-        assert big.compat_key() == ("mul", "specialized")
+        # Over-monolithic muls resolve to the block-packed kernels.
+        assert big.compat_key() == ("mul", "packed")
         assert small.compat_key() != big.compat_key()
 
     def test_cache_key_carries_plan_memo_key(self):

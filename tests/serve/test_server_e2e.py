@@ -243,8 +243,7 @@ class TestHostKernelMul:
         finally:
             hosted.stop()
         assert len(backends) == 4
-        assert set(backends.values()) <= {"library", "packed",
-                                          "specialized", "rns"}
+        assert set(backends.values()) <= {"library", "packed", "rns"}
 
 
 class TestTracing:
