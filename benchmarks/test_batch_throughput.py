@@ -64,8 +64,8 @@ def test_batch_converges_to_throughput_model(results_dir):
     # A single op leaves the final wave partially idle (160 passes on
     # 256 PEs); batching packs waves densely, so the right yardstick is
     # the unrounded ideal: passes * occupancy / array size.
-    schedule = device.controller.plan_multiply(bits // 32, bits // 32)
-    ideal_cycles = (schedule.num_passes
+    shape = device.controller.multiply_shape(bits // 32, bits // 32)
+    ideal_cycles = (shape.num_passes
                     * device.model.pass_occupancy_cycles
                     / device.config.num_pes)
     ideal = device.model.seconds(ideal_cycles)

@@ -114,8 +114,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("%-12d %-12.3e %-14.3e %.2fx"
               % (bits, cpu_seconds, camp_seconds,
                  cpu_seconds / camp_seconds))
-    from repro.core.model import flush_cycle_cache
-    flush_cycle_cache()
     return 0
 
 

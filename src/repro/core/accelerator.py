@@ -154,45 +154,17 @@ class CambriconP:
             backend = "rns" if chosen == "rns" else "simulate"
         if backend == "rns" and pairs:
             return self._multiply_batch_rns(pairs, executor)
-        products: list[Nat] = []
-        total_passes = 0
-        total_traffic = TrafficReport(0, 0, 0)
-        max_carry = 0
         if executor is not None and executor.workers > 1 and len(pairs) > 1:
             outcomes = executor.map(
                 _simulate_multiply,
                 [(self.config, list(a), list(b)) for a, b in pairs])
         else:
-            outcomes = (self.multiply(a, b) for a, b in pairs)
-        for product, report in outcomes:
-            products.append(product)
-            total_passes += report.num_passes
-            total_traffic = TrafficReport(
-                total_traffic.pattern_read_bits
-                + report.traffic.pattern_read_bits,
-                total_traffic.index_read_bits
-                + report.traffic.index_read_bits,
-                total_traffic.output_write_bits
-                + report.traffic.output_write_bits)
-            max_carry = max(max_carry, report.max_gather_carry)
-        if not total_passes:
-            return products, self._empty_report("multiply_batch")
-        waves = -(-total_passes // self.config.num_pes)
-        compute = waves * self.model.pass_occupancy_cycles \
-            + self.model.pass_latency_cycles
-        streaming = self.memory.streaming_cycles(
-            total_traffic, self.config.frequency_hz)
-        cycles = max(compute, streaming)
-        report = ExecutionReport(
-            operation="multiply_batch",
-            cycles=cycles,
-            seconds=self.model.seconds(cycles),
-            num_passes=total_passes,
-            num_waves=waves,
-            traffic=total_traffic,
-            max_gather_carry=max_carry,
-        )
-        return products, report
+            outcomes = [self.multiply(a, b) for a, b in pairs]
+        reports = [report for _, report in outcomes]
+        return [product for product, _ in outcomes], self._batch_report(
+            sum(r.num_passes for r in reports),
+            [r.traffic for r in reports],
+            max((r.max_gather_carry for r in reports), default=0))
 
     def _multiply_batch_rns(self, pairs: list[tuple[Nat, Nat]],
                             executor) -> tuple[list[Nat], ExecutionReport]:
@@ -209,42 +181,40 @@ class CambriconP:
         """
         from repro.mpn.rns import mul_batch_rns
         products = mul_batch_rns(pairs, executor=executor)  # repro: noqa=direct-dispatch -- the accelerator batch entry point is a sanctioned rns route (reachability contract in repro/mpn/rns.py)
-        total_passes = 0
-        total_traffic = TrafficReport(0, 0, 0)
-        for a, b in pairs:
-            if nat.is_zero(a) or nat.is_zero(b):
-                continue
-            x_limbs = to_limbs(a, self.config.limb_bits)
-            y_limbs = to_limbs(b, self.config.limb_bits)
-            schedule = self.controller.plan_multiply(len(x_limbs),
-                                                     len(y_limbs))
-            total_passes += schedule.num_passes
-            traffic = self.memory.multiply_traffic(schedule)
-            total_traffic = TrafficReport(
-                total_traffic.pattern_read_bits
-                + traffic.pattern_read_bits,
-                total_traffic.index_read_bits
-                + traffic.index_read_bits,
-                total_traffic.output_write_bits
-                + traffic.output_write_bits)
+        shapes = [self.model.multiply_shape(nat.bit_length(a),
+                                            nat.bit_length(b))
+                  for a, b in pairs
+                  if not (nat.is_zero(a) or nat.is_zero(b))]
+        return products, self._batch_report(
+            sum(shape.num_passes for shape in shapes),
+            [self.memory.multiply_traffic(shape) for shape in shapes], 0)
+
+    def _batch_report(self, total_passes: int,
+                      traffics: list[TrafficReport],
+                      max_carry: int) -> ExecutionReport:
+        """Price back-to-back schedules as one pipeline: waves pack
+        densely, fill and dispatch are paid once."""
         if not total_passes:
-            return products, self._empty_report("multiply_batch")
+            return self._empty_report("multiply_batch")
+        total_traffic = TrafficReport(
+            sum(t.pattern_read_bits for t in traffics),
+            sum(t.index_read_bits for t in traffics),
+            sum(t.output_write_bits for t in traffics))
         waves = -(-total_passes // self.config.num_pes)
         compute = waves * self.model.pass_occupancy_cycles \
             + self.model.pass_latency_cycles
         streaming = self.memory.streaming_cycles(
             total_traffic, self.config.frequency_hz)
         cycles = max(compute, streaming)
-        report = ExecutionReport(
+        return ExecutionReport(
             operation="multiply_batch",
             cycles=cycles,
             seconds=self.model.seconds(cycles),
             num_passes=total_passes,
             num_waves=waves,
             traffic=total_traffic,
-            max_gather_carry=0,
+            max_gather_carry=max_carry,
         )
-        return products, report
 
     # -- secondary operators ---------------------------------------------------
 

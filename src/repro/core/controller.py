@@ -34,24 +34,43 @@ class Pass:
     window_base_limbs: int  # j0 (may be negative: zero-padded edge)
 
 
-@dataclass
-class MultiplySchedule:
-    """Full pass schedule for one monolithic multiplication."""
+@dataclass(frozen=True)
+class MultiplyShape:
+    """Closed-form size of a monolithic multiplication's schedule.
+
+    Everything the cycle and traffic models need — chunk, window, pass
+    and wave counts — without materializing a single :class:`Pass`.
+    """
 
     num_x_limbs: int
     num_y_limbs: int
-    passes: List[Pass]
-    num_waves: int
+    chunks: int
+    windows: int
     num_pes: int
 
     @property
     def num_passes(self) -> int:
-        return len(self.passes)
+        return self.chunks * self.windows
+
+    @property
+    def num_waves(self) -> int:
+        return -(-self.num_passes // self.num_pes)
+
+
+@dataclass(frozen=True)
+class MultiplySchedule(MultiplyShape):
+    """Full pass schedule for one monolithic multiplication."""
+
+    passes: List[Pass]
 
     def waves(self) -> Iterator[List[Pass]]:
-        """Iterate passes grouped by wave."""
-        for wave in range(self.num_waves):
-            yield [p for p in self.passes if p.wave == wave]
+        """Iterate passes grouped by wave.
+
+        Passes are in serial order with ``wave = serial // num_pes``,
+        so every wave is one contiguous slice.
+        """
+        for start in range(0, len(self.passes), self.num_pes):
+            yield self.passes[start:start + self.num_pes]
 
 
 class CoreController:
@@ -91,15 +110,23 @@ class CoreController:
         return (self.window_count(num_y_limbs) * self.num_ipus
                 >= num_y_limbs + self.q - 1)
 
+    def multiply_shape(self, num_x_limbs: int,
+                       num_y_limbs: int) -> MultiplyShape:
+        """Pass/wave counts of an (nx x ny)-limb multiply, in O(1)."""
+        if num_x_limbs < 1 or num_y_limbs < 1:
+            raise MpnError("multiplication needs non-empty operands")
+        return MultiplyShape(num_x_limbs, num_y_limbs,
+                             self.chunk_count(num_x_limbs),
+                             self.window_count(num_y_limbs),
+                             self.num_pes)
+
     def plan_multiply(self, num_x_limbs: int,
                       num_y_limbs: int) -> MultiplySchedule:
         """Schedule a monolithic (nx x ny)-limb multiplication."""
-        if num_x_limbs < 1 or num_y_limbs < 1:
-            raise MpnError("multiplication needs non-empty operands")
-        chunks = self.chunk_count(num_x_limbs)
-        windows = self.window_count(num_y_limbs)
+        shape = self.multiply_shape(num_x_limbs, num_y_limbs)
+        windows = shape.windows
         passes: List[Pass] = []
-        for serial in range(chunks * windows):
+        for serial in range(shape.num_passes):
             chunk_index, window_index = divmod(serial, windows)
             passes.append(Pass(
                 pe_index=serial % self.num_pes,
@@ -110,9 +137,8 @@ class CoreController:
                 window_base_limbs=window_index * self.num_ipus
                 - (self.q - 1),
             ))
-        num_waves = -(-len(passes) // self.num_pes)
-        return MultiplySchedule(num_x_limbs, num_y_limbs, passes,
-                                num_waves, self.num_pes)
+        return MultiplySchedule(num_x_limbs, num_y_limbs, shape.chunks,
+                                windows, self.num_pes, passes)
 
 
 class PEController:

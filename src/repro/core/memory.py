@@ -9,7 +9,7 @@ once — the data reuse that makes the convolution traffic so much lower
 than the naive per-term fetch (Figure 7a).
 
 This module accounts traffic (LLC reads/writes in bits) for a multiply
-schedule, and models the available streaming bandwidth, including the
+shape, and models the available streaming bandwidth, including the
 paper's 50% memory-agent duty cycle reserved for CPU memory ordering
 and coherence (Section VII-B, roofline discussion).
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.controller import MultiplySchedule
+from repro.core.controller import MultiplyShape
 
 #: LLC bandwidth seen by Cambricon-P (Table III): 512 GB/s.
 LLC_BANDWIDTH_BYTES_PER_SEC = 512 * 10 ** 9
@@ -57,29 +57,25 @@ class MemoryAgent:
         self.q = q
         self.limb_bits = limb_bits
 
-    def multiply_traffic(self, schedule: MultiplySchedule) -> TrafficReport:
+    def multiply_traffic(self, shape: MultiplyShape) -> TrafficReport:
         """Traffic for a monolithic multiplication with multicast reuse.
 
         Each distinct pattern chunk and index window crosses the LLC
         interface once (rows/columns multicast them to PEs); the product
         is streamed out once.
         """
-        chunks = {p.chunk_index for p in schedule.passes}
-        windows = {p.window_index for p in schedule.passes}
-        pattern_bits = len(chunks) * self.q * self.limb_bits
-        window_limbs = self.num_ipus + self.q - 1
-        index_bits = len(windows) * window_limbs * self.limb_bits
-        output_bits = (schedule.num_x_limbs + schedule.num_y_limbs) \
-            * self.limb_bits
-        return TrafficReport(pattern_bits, index_bits, output_bits)
+        return self._traffic(shape, shape.chunks, shape.windows)
 
-    def naive_multiply_traffic(self,
-                               schedule: MultiplySchedule) -> TrafficReport:
+    def naive_multiply_traffic(self, shape: MultiplyShape) -> TrafficReport:
         """Traffic without multicast reuse (every pass fetches its own)."""
-        pattern_bits = (schedule.num_passes * self.q * self.limb_bits)
+        return self._traffic(shape, shape.num_passes, shape.num_passes)
+
+    def _traffic(self, shape: MultiplyShape, chunk_fetches: int,
+                 window_fetches: int) -> TrafficReport:
+        pattern_bits = chunk_fetches * self.q * self.limb_bits
         window_limbs = self.num_ipus + self.q - 1
-        index_bits = schedule.num_passes * window_limbs * self.limb_bits
-        output_bits = (schedule.num_x_limbs + schedule.num_y_limbs) \
+        index_bits = window_fetches * window_limbs * self.limb_bits
+        output_bits = (shape.num_x_limbs + shape.num_y_limbs) \
             * self.limb_bits
         return TrafficReport(pattern_bits, index_bits, output_bits)
 

@@ -8,7 +8,9 @@ from the same structural terms the hardware exhibits:
   PE for L cycles in steady state — the index bitflows are L bits long
   and everything downstream is pipelined;
 * a monolithic multiply needs ``chunks x windows`` passes executed in
-  waves of N_PE;
+  waves of N_PE — counted in closed form from the operand widths
+  (:meth:`~repro.core.controller.CoreController.multiply_shape`), never
+  by enumerating the passes;
 * the pipeline fill/drain is one pass latency (Converter + IPU + GU);
 * the memory agents stream traffic at the duty-limited LLC bandwidth,
   and the operation time is the max of compute and streaming;
@@ -26,24 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.controller import CoreController
+from repro.core.controller import CoreController, MultiplyShape
 from repro.core.memory import MemoryAgent
-from repro.parallel.cache import named_cache
 
 #: Fixed host-dispatch cost per offloaded operator (CPU/accelerator
 #: interaction through the shared LLC), in accelerator cycles.
 DISPATCH_CYCLES = 40
-
-#: Salt for the persistent cycle-evaluation cache.  Bump whenever the
-#: cycle formulas change so stale on-disk entries are discarded.
-MODEL_CACHE_VERSION = 1
-
-#: Memoizes multiply-cycle evaluations keyed by (algorithm, config,
-#: bitwidths).  Planning a multiply walks its full pass schedule, so
-#: figure sweeps re-pricing identical points pay it only once — and,
-#: through the cache's disk layer, only once across processes.
-_CYCLE_CACHE = named_cache("model_cycles", maxsize=65536,
-                           version=MODEL_CACHE_VERSION)
 
 
 @dataclass(frozen=True)
@@ -114,53 +104,33 @@ class CambriconPModel:
     def _limbs(self, bits: int) -> int:
         return max(1, -(-bits // self.config.limb_bits))
 
-    def _config_key(self) -> tuple:
-        config = self.config
-        return (config.num_pes, config.num_ipus, config.q,
-                config.limb_bits, config.frequency_hz)
+    def multiply_shape(self, bits_a: int, bits_b: int) -> MultiplyShape:
+        """Closed-form pass/wave counts of an (a x b)-bit multiply."""
+        return self.controller.multiply_shape(self._limbs(bits_a),
+                                              self._limbs(bits_b))
+
+    def _streaming_cycles(self, shape: MultiplyShape) -> float:
+        return self.memory.streaming_cycles(
+            self.memory.multiply_traffic(shape), self.config.frequency_hz)
 
     # -- multiplication ------------------------------------------------------
 
     def multiply_cycles(self, bits_a: int, bits_b: int,
                         include_dispatch: bool = True) -> float:
         """Latency (cycles) of one monolithic multiplication."""
-        key = _CYCLE_CACHE.key("multiply", self._config_key(),
-                               bits_a, bits_b, include_dispatch)
-        return _CYCLE_CACHE.lookup(
-            key, lambda: self._multiply_cycles_uncached(
-                bits_a, bits_b, include_dispatch))
-
-    def _multiply_cycles_uncached(self, bits_a: int, bits_b: int,
-                                  include_dispatch: bool = True) -> float:
-        schedule = self.controller.plan_multiply(self._limbs(bits_a),
-                                                 self._limbs(bits_b))
-        compute = (schedule.num_waves * self.pass_occupancy_cycles
+        shape = self.multiply_shape(bits_a, bits_b)
+        compute = (shape.num_waves * self.pass_occupancy_cycles
                    + self.pass_latency_cycles)
-        traffic = self.memory.multiply_traffic(schedule)
-        streaming = self.memory.streaming_cycles(
-            traffic, self.config.frequency_hz)
-        cycles = max(compute, streaming)
+        cycles = max(compute, self._streaming_cycles(shape))
         if include_dispatch:
             cycles += DISPATCH_CYCLES
         return cycles
 
     def multiply_throughput_cycles(self, bits_a: int, bits_b: int) -> float:
         """Per-op cycles when batch-pipelined (fill/dispatch amortized)."""
-        key = _CYCLE_CACHE.key("throughput", self._config_key(),
-                               bits_a, bits_b)
-        return _CYCLE_CACHE.lookup(
-            key, lambda: self._multiply_throughput_cycles_uncached(
-                bits_a, bits_b))
-
-    def _multiply_throughput_cycles_uncached(self, bits_a: int,
-                                             bits_b: int) -> float:
-        schedule = self.controller.plan_multiply(self._limbs(bits_a),
-                                                 self._limbs(bits_b))
-        compute = schedule.num_waves * self.pass_occupancy_cycles
-        traffic = self.memory.multiply_traffic(schedule)
-        streaming = self.memory.streaming_cycles(
-            traffic, self.config.frequency_hz)
-        return max(compute, streaming)
+        shape = self.multiply_shape(bits_a, bits_b)
+        compute = shape.num_waves * self.pass_occupancy_cycles
+        return max(compute, self._streaming_cycles(shape))
 
     def multiply_seconds(self, bits_a: int, bits_b: int) -> float:
         """Monolithic multiply latency in seconds."""
@@ -216,13 +186,3 @@ class CambriconPModel:
         """Convert cycles to seconds at the configured frequency."""
         return cycles / self.config.frequency_hz
 
-
-def cycle_cache():
-    """The process-wide cycle-evaluation memo cache."""
-    return _CYCLE_CACHE
-
-
-def flush_cycle_cache() -> None:
-    """Persist accumulated cycle evaluations (no-op when clean or
-    persistence is disabled)."""
-    _CYCLE_CACHE.save_if_dirty()

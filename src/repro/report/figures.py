@@ -114,7 +114,6 @@ def figure11_data(max_bits: int = 1 << 26, executor=None) -> Series:
         for name in series:
             if name in point:
                 series[name].append((x, point[name]))
-    _flush_model_cache()
     return series
 
 
@@ -160,7 +159,6 @@ def figure13_data(executor=None) -> Series:
     series: Series = {}
     for name, x, speedup in results:
         series.setdefault(name, []).append((x, speedup))
-    _flush_model_cache()
     return series
 
 
@@ -171,9 +169,3 @@ def figure_13(executor=None) -> str:
                                "(Cambricon-P over CPU)",
                          x_label="problem size (digits/bits, log)",
                          y_label="speedup")
-
-
-def _flush_model_cache() -> None:
-    """Spill freshly-priced model points to the persistent cache."""
-    from repro.core.model import flush_cycle_cache
-    flush_cycle_cache()

@@ -71,7 +71,9 @@ def _check_bits(name: str, bits: int, minimum: int = 0) -> None:
                        % (name, bits, MODEL_MAX_QUERY_BITS))
 
 
-@lru_cache(maxsize=None)
+# Bounded because clients choose the widths.  The Toom/SSA recursion
+# makes one call per level, so an eviction never compounds.
+@lru_cache(maxsize=4096)
 def mul_cycles(bits_a: int, bits_b: int = 0) -> float:
     """Accelerator cycles for an (a x b)-bit MPApca multiplication."""
     _check_bits("bits_a", bits_a)

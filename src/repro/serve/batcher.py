@@ -5,11 +5,12 @@ the highest-priority job off the :class:`~repro.serve.queue.
 AdmissionQueue`, coalesces queued jobs sharing a plan compatibility
 key (``Job.compat_key()`` — op + lowered backend) into one batch until
 either ``max_batch`` is reached or the ``batch_ms`` latency window
-expires, then dispatches the batch on a worker thread.  The window is
-held open only for batches that run in parallel (the rns fan-out, or a
-worker pool); a serial batch takes the compatible jobs already queued
-and dispatches at once, because a late member would only delay the
-members already taken:
+expires, then dispatches the batch on a worker thread — or, when the
+batch is too small to be worth the thread hop, runs it on the event
+loop itself.  The window is held open only for batches that run in
+parallel (the rns fan-out, or a worker pool); a serial batch takes the
+compatible jobs already queued and dispatches at once, because a late
+member would only delay the members already taken:
 
 * jobs whose plan lowered to the ``rns`` backend (powmods past the
   tuned ``rns_powmod_limbs`` crossover, explicit rns muls) fan out as
@@ -37,6 +38,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.parallel import ExecutorTimeout, ParallelExecutor
+from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
 from repro.serve import trace as tracing
 from repro.serve.jobs import Job, evaluate
 from repro.serve.metrics import (BATCH_SIZE_BOUNDS, MetricsRegistry)
@@ -114,6 +116,25 @@ class DynamicBatcher:
         return self.executor.workers > 0 or (
             job.plan is not None and job.plan.backend == "rns")
 
+    def _runs_inline(self, op: str, batch: List[Job]) -> bool:
+        """Whether ``batch`` costs less on the event loop than handed
+        to a worker thread.
+
+        The hop costs two thread wakeups, about 0.5 ms and more when the
+        host steals CPU time.  A model query is a closed-form formula
+        (under 0.2 ms at any width), and a serial mul/div batch whose
+        operands together fit the monolithic multiplier takes at most a
+        few ms; anything else runs on the worker so the loop keeps
+        serving.
+        """
+        if self._runs_in_parallel(batch[0]):
+            return False
+        if op == "model_cycles":
+            return True
+        return op in ("mul", "div") and sum(
+            max(job.params["a"].bit_length(), job.params["b"].bit_length())
+            for job in batch) <= MONOLITHIC_MAX_BITS
+
     # -- dispatch -------------------------------------------------------------
 
     async def _dispatch(self, loop: asyncio.AbstractEventLoop, op: str,
@@ -148,8 +169,11 @@ class DynamicBatcher:
             float(len(live)))
         started = time.monotonic()
         try:
-            outcomes = await loop.run_in_executor(
-                None, self._execute_batch, op, live)
+            if self._runs_inline(op, live):
+                outcomes = self._execute_batch(op, live)
+            else:
+                outcomes = await loop.run_in_executor(
+                    None, self._execute_batch, op, live)
         except ExecutorTimeout:
             self.registry.counter("execute_timeout_total", op=op).inc()
             for job in live:
@@ -202,7 +226,7 @@ class DynamicBatcher:
         if job.future is not None and not job.future.done():
             job.future.set_result(body)
 
-    # -- execution (worker thread) --------------------------------------------
+    # -- execution (worker thread, or the loop for small batches) -------------
 
     def _execute_batch(self, op: str, jobs: List[Job]
                        ) -> List[Tuple[Dict[str, Any], bool]]:

@@ -1,7 +1,10 @@
 """Dynamic batching: coalescing, ordering, caching, deadlines."""
 
 import asyncio
+import threading
 
+from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.jobs import evaluate, make_job
 from repro.serve.metrics import MetricsRegistry
@@ -114,6 +117,40 @@ class TestBatching:
         job, body = run(scenario())
         assert body["ok"] and body["batch_size"] == 1
         assert body["result"] == evaluate(("mul", job.params))
+
+    def test_small_serial_batches_skip_the_thread_hop(self, monkeypatch):
+        """Model queries and mul/div within the monolithic multiplier
+        run on the event loop; wider work still leaves it."""
+        threads = []
+
+        def recording(task):
+            threads.append(threading.get_ident())
+            return evaluate(task)
+
+        monkeypatch.setattr(batcher_module, "evaluate", recording)
+
+        async def scenario():
+            queue = AdmissionQueue(capacity=4)
+            batcher = DynamicBatcher(queue, max_batch=1, batch_ms=0.0,
+                                     workers=0)
+            loop = asyncio.get_running_loop()
+            task = asyncio.ensure_future(batcher.run())
+            bodies = []
+            for op, params in (
+                    ("model_cycles",
+                     {"op": "mul", "bits_a": 1 << 20, "bits_b": 64}),
+                    ("div", {"a": 3 ** 900, "b": 7 ** 300}),
+                    ("mul", {"a": 1 << MONOLITHIC_MAX_BITS, "b": 3})):
+                job = _submit(queue, loop, op, params)
+                bodies.append(await job.future)
+            await _drain(queue, task)
+            return bodies
+
+        bodies = run(scenario())
+        assert all(body["ok"] for body in bodies)
+        loop_thread = threading.get_ident()
+        assert threads[:2] == [loop_thread, loop_thread]
+        assert threads[2] != loop_thread
 
     def test_cache_hits_for_pure_queries(self):
         async def scenario():
