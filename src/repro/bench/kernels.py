@@ -27,7 +27,9 @@ import cProfile
 import io
 import json
 import os
+import platform
 import pstats
+import subprocess
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -292,10 +294,32 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
         "seed": seed,
         "pack_limbs": PACK_LIMBS,
         "cpus": os.cpu_count() or 1,
+        "git": git_revision(),
+        "python": platform.python_version(),
         "policy": policy.name,
         "entries": entries,
         "hotspots": hotspots,
     }
+
+
+def git_revision() -> str:
+    """``<rev>``, or ``<rev>-dirty`` with uncommitted tracked changes,
+    for the checkout this package runs from; ``unknown`` outside git."""
+    def git(*args: str) -> Optional[str]:
+        try:
+            done = subprocess.run(
+                ["git", *args], cwd=str(Path(__file__).resolve().parent),
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                text=True, timeout=30)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout if done.returncode == 0 else None
+
+    rev = git("rev-parse", "HEAD")
+    if rev is None:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return rev.strip() + ("-dirty" if dirty else "")
 
 
 def check_report(report: Dict) -> List[str]:

@@ -4,20 +4,29 @@ Every kernel in this package spends its wall time in the Python
 interpreter, one loop iteration per 32-bit limb.  This module packs
 ``PACK_LIMBS`` consecutive limbs into a single Python int — a *block*,
 the packed backend's machine word — and runs the add/sub/mul/sqr/shift/
-divmod basecases one block at a time.  Interpreter iterations drop by
-~k x (k^2 for the quadratic kernels' inner loops) while each block
-operation stays a word-sized C-level int op, exactly the wide-block
-digit processing that *Fast Arbitrary Precision Floating Point on
-FPGA* (de Fine Licht et al.) and ARCHITECT (Li et al.) identify as the
-arbitrary-precision throughput lever.
+divmod basecases one block at a time, the wide-block digit processing
+that *Fast Arbitrary Precision Floating Point on FPGA* (de Fine Licht
+et al.) and ARCHITECT (Li et al.) identify as the arbitrary-precision
+throughput lever.
 
-Semantics are unchanged: operands and results are ordinary normalized
-limb lists (:mod:`repro.mpn.nat`), carries/borrows propagate explicitly
-at block boundaries, and every kernel is bit-identical to its limb
-sibling — ``tests/differential`` proves it against both the limb
-kernels and Python bigints.  A block plays the role the 32-bit limb
-plays elsewhere: block values never exceed ``2**(32*k)`` except as the
-explicit double-width products/carries the limb kernels also use.
+Carries resolve once per operation, the way Cambricon-P's IPUs compute
+carry-free inner products and leave the carries to the gatherer.
+``add``/``sub`` are one elementwise ``map`` and one carry sweep; the
+quadratic kernels go further:
+
+* ``mul``/``sqr`` run a carry-free block convolution (a Karatsuba split
+  over raw, unnormalized coefficients down to a row-convolution
+  basecase, one C-level ``map`` per row) and then one floor-carry sweep;
+* ``divmod`` runs a signed-digit block division: each quotient block is
+  an O(1) estimate plus one C-level multiply-subtract row, and one sweep
+  over the quotient digits and one over the remainder, plus a fix-up of
+  at most a few divisor additions or subtractions, resolve the rest.
+
+Inside those kernels coefficients may exceed the block base or go
+negative; Python ints carry both exactly.  Operands and results are
+ordinary normalized limb lists (:mod:`repro.mpn.nat`), and every kernel
+is bit-identical to its limb sibling — ``tests/differential`` proves it
+against both the limb kernels and Python bigints.
 
 Reachability contract (lint rule RPR012): these kernels are selected by
 ``repro.plan.select`` crossovers and invoked only through the mpn
@@ -30,7 +39,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import List, Tuple
+from itertools import repeat
+from operator import add, mul, sub
+from typing import Iterable, List, Tuple
 
 from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
 
@@ -42,8 +53,9 @@ PACK_LIMBS = 8
 #: Bytes per limb (limbs are base 2^32).
 _LIMB_BYTES = LIMB_BITS // 8
 
-#: Block counts below which the packed multiplier uses the schoolbook
-#: basecase; at or above, one level of block Karatsuba splitting.
+#: Block counts below which the packed multiplier uses the row
+#: convolution basecase; at or above, one level of block Karatsuba
+#: splitting.
 KARATSUBA_BLOCKS = 16
 
 #: Limb count at/above which the O(n) kernels (add/shift) are worth
@@ -120,10 +132,11 @@ def unpack_blocks(blocks: List[int], k: int = PACK_LIMBS) -> Nat:
 
 # -- block-list primitives ---------------------------------------------------
 #
-# Private helpers over little-endian block lists (no trailing zeros),
-# parameterized by the block width in bits.  They mirror the limb
-# kernels in repro.mpn.nat / schoolbook / div one-for-one, with the
-# block as the digit.
+# Private helpers over little-endian block lists, parameterized by the
+# block width in bits.  The shifts mirror the limb kernels in
+# repro.mpn.nat one-for-one with the block as the digit; add, sub, mul
+# and divmod work on raw coefficient lists and resolve carries in one
+# sweep.
 
 
 def _bnormalize(blocks: List[int]) -> List[int]:
@@ -139,38 +152,6 @@ def _bcmp(a: List[int], b: List[int]) -> int:
         if x != y:
             return -1 if x < y else 1
     return 0
-
-
-def _badd(a: List[int], b: List[int], bits: int,
-          mask: int) -> List[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out: List[int] = []
-    carry = 0
-    for i, block in enumerate(a):
-        total = block + (b[i] if i < len(b) else 0) + carry
-        out.append(total & mask)
-        carry = total >> bits
-    if carry:
-        out.append(carry)
-    return out
-
-
-def _bsub(a: List[int], b: List[int], bits: int,
-          mask: int) -> List[int]:
-    """``a - b`` over blocks; requires ``a >= b`` (callers guarantee)."""
-    base = mask + 1
-    out: List[int] = []
-    borrow = 0
-    for i, block in enumerate(a):
-        total = block - (b[i] if i < len(b) else 0) - borrow
-        if total < 0:
-            total += base
-            borrow = 1
-        else:
-            borrow = 0
-        out.append(total)
-    return _bnormalize(out)
 
 
 def _bshl_blocks(a: List[int], count: int) -> List[int]:
@@ -206,53 +187,86 @@ def _bshr_bits(a: List[int], count: int, bits: int,
     return _bnormalize(out)
 
 
-def _bmul_schoolbook(a: List[int], b: List[int], bits: int,
-                     mask: int) -> List[int]:
-    """Block schoolbook product (the limb kernel, one block per digit)."""
-    out = [0] * (len(a) + len(b))
-    for i, block_a in enumerate(a):
-        if block_a == 0:
-            continue
-        carry = 0
-        for j, block_b in enumerate(b):
-            total = out[i + j] + block_a * block_b + carry
-            out[i + j] = total & mask
-            carry = total >> bits
-        position = i + len(b)
-        while carry:
-            total = out[position] + carry
-            out[position] = total & mask
-            carry = total >> bits
-            position += 1
-    return _bnormalize(out)
+def _bcarry(coeffs: Iterable[int], bits: int,
+            mask: int) -> Tuple[List[int], int]:
+    """One floor-carry sweep over signed, unbounded block coefficients.
+
+    Returns the blocks (each in ``[0, 2**bits)``) and the signed carry
+    out of the top, so ``sum(c * B**i) == blocks + carry * B**len``.
+    """
+    out: List[int] = []
+    carry = 0
+    for coeff in coeffs:
+        carry += coeff
+        out.append(carry & mask)
+        carry >>= bits
+    return out, carry
+
+
+def _vadd(x: List[int], y: List[int]) -> List[int]:
+    """Elementwise ``x + y`` over coefficient lists, ``len(x) >= len(y)``."""
+    out = list(x)
+    out[:len(y)] = map(add, x, y)
+    return out
+
+
+def _bconv(a: List[int], b: List[int]) -> List[int]:
+    """Carry-free block product: the ``len(a)+len(b)-1`` coefficients.
+
+    Coefficients are raw convolution sums that may exceed the block
+    base (Python ints carry them exactly); the caller resolves every
+    carry in one sweep.  The basecase is a row convolution, one C-level
+    ``map`` per block of the shorter operand; above it one block
+    Karatsuba split, with its sums and differences taken elementwise
+    (the middle term ``cross - z0 - z2`` is the mixed products, so it
+    never goes negative).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < KARATSUBA_BLOCKS:
+        width = len(a)
+        out = [0] * (width + len(b) - 1)
+        for i, digit in enumerate(b):
+            if digit:
+                out[i:i + width] = map(add, out[i:i + width],
+                                       map(mul, a, repeat(digit)))
+        return out
+    split = (len(a) + 1) // 2
+    a0, a1 = a[:split], a[split:]
+    if len(b) <= split:
+        # Unbalanced: the short operand fits in the low half, so the
+        # product is two half-width sub-products, no cross term.
+        out = _bconv(a0, b) + [0] * (len(a) - split)
+        out[split:] = map(add, out[split:], _bconv(a1, b))
+        return out
+    b0, b1 = b[:split], b[split:]
+    z0 = _bconv(a0, b0)
+    z2 = _bconv(a1, b1)
+    z1 = _bconv(_vadd(a0, a1), _vadd(b0, b1))
+    z1[:len(z0)] = map(sub, z1, z0)
+    z1[:len(z2)] = map(sub, z1, z2)
+    # len(z0) == 2*split - 1, so z2 starts right after one zero slot.
+    out = z0 + [0] + z2
+    end = split + len(z1)
+    out[split:end] = map(add, out[split:end], z1)
+    return out
 
 
 def _bmul(a: List[int], b: List[int], bits: int, mask: int) -> List[int]:
-    """Block product: schoolbook basecase, Karatsuba above it.
+    """Block product: carry-free convolution, then one carry sweep.
 
-    One splitting scheme suffices at block granularity: with 256-bit
-    blocks, n blocks stand for 8n limbs, so the block counts reached in
-    practice stay small enough that O(n_blocks^1.585) with C-speed
-    block products beats every limb-level regime by a wide margin.
+    The shape of Cambricon-P's carry-parallel gathering: the inner
+    products accumulate without carries and the carries resolve once,
+    at the top.  With 256-bit blocks, n blocks stand for 8n limbs, so
+    one Karatsuba scheme over C-speed block products beats every
+    limb-level regime at the sizes reached in practice.
     """
     if not a or not b:
         return []
-    if min(len(a), len(b)) < KARATSUBA_BLOCKS:
-        return _bmul_schoolbook(a, b, bits, mask)
-    split = (max(len(a), len(b)) + 1) // 2
-    a0 = _bnormalize(a[:split])
-    a1 = _bnormalize(a[split:])
-    b0 = _bnormalize(b[:split])
-    b1 = _bnormalize(b[split:])
-
-    z0 = _bmul(a0, b0, bits, mask)
-    z2 = _bmul(a1, b1, bits, mask)
-    cross = _bmul(_badd(a0, a1, bits, mask),
-                  _badd(b0, b1, bits, mask), bits, mask)
-    z1 = _bsub(_bsub(cross, z0, bits, mask), z2, bits, mask)
-
-    result = _badd(z0, _bshl_blocks(z1, split), bits, mask)
-    return _badd(result, _bshl_blocks(z2, 2 * split), bits, mask)
+    out, carry = _bcarry(_bconv(a, b), bits, mask)
+    if carry:
+        out.append(carry)
+    return _bnormalize(out)
 
 
 # -- public kernels (Nat in, Nat out) ----------------------------------------
@@ -269,11 +283,12 @@ def mul_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
 
 
 def sqr_packed(a: Nat, k: int = PACK_LIMBS) -> Nat:
-    """Square of a natural through the block-packed multiplier.
+    """Square of a natural through the carry-free block convolution.
 
     ``_bmul(a, a)`` keeps the square shape down the whole Karatsuba
-    recursion (every sub-product has equal operands), so a dedicated
-    symmetric basecase would only shave a constant factor.
+    recursion (every sub-product has equal operands) and resolves the
+    carries in one sweep at the top, so a dedicated symmetric basecase
+    would only shave a constant factor.
     """
     if not a:
         return []
@@ -284,15 +299,19 @@ def sqr_packed(a: Nat, k: int = PACK_LIMBS) -> Nat:
 
 
 def add_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
-    """Sum with carries propagated at block boundaries."""
+    """Sum: one elementwise block ``map``, then one carry sweep."""
     if not a:
         return list(b)
     if not b:
         return list(a)
+    blocks_a, blocks_b = pack_blocks(a, k), pack_blocks(b, k)
+    if len(blocks_a) < len(blocks_b):
+        blocks_a, blocks_b = blocks_b, blocks_a
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
-    return unpack_blocks(_badd(pack_blocks(a, k), pack_blocks(b, k),
-                               bits, mask), k)
+    out, carry = _bcarry(_vadd(blocks_a, blocks_b), bits, (1 << bits) - 1)
+    if carry:
+        out.append(carry)
+    return unpack_blocks(out, k)
 
 
 def sub_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
@@ -301,9 +320,10 @@ def sub_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
     blocks_b = pack_blocks(b, k)
     if _bcmp(blocks_a, blocks_b) < 0:
         raise MpnError("mpn sub requires a >= b")
+    blocks_a[:len(blocks_b)] = map(sub, blocks_a, blocks_b)
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
-    return unpack_blocks(_bsub(blocks_a, blocks_b, bits, mask), k)
+    # a >= b, so the sweep leaves no borrow out of the top block.
+    return unpack_blocks(_bcarry(blocks_a, bits, (1 << bits) - 1)[0], k)
 
 
 def shl_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
@@ -336,18 +356,23 @@ def shr_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
 
 
 def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
-    """Exact (quotient, remainder) by Knuth Algorithm D over blocks.
+    """Exact (quotient, remainder) by signed-digit block division.
 
-    The same D1-D6 steps as :func:`repro.mpn.div.divmod_schoolbook`
-    with the base raised from 2^32 to 2^(32k): the inner multiply-
-    subtract touches n/k blocks instead of n limbs, so the quadratic
-    interpreter cost falls by ~k^2.
+    Knuth's D1 normalization, then one quotient block per step with no
+    borrow loop: the retired top coefficient folds into the next one,
+    a *signed* digit is estimated from the top two window coefficients
+    against the divisor's top two blocks, and ``digit * v`` leaves the
+    window as one C-level ``map`` row.  Window coefficients stay
+    unnormalized (signed, a few blocks wide) until the end, where one
+    carry sweep over the quotient digits and one over the remainder
+    resolve them, and a fix-up adds or subtracts the divisor while the
+    remainder lies outside ``[0, v)``.  ``U == Q*V + W`` holds after
+    every step, so the result is exact whatever the estimates were.
     """
     if not b:
         raise MpnError("division by zero")
     bits = LIMB_BITS * k
     mask = (1 << bits) - 1
-    base = mask + 1
     u_raw = pack_blocks(a, k)
     v = pack_blocks(b, k)
     if _bcmp(u_raw, v) < 0:
@@ -368,53 +393,35 @@ def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
 
     # D1: normalize so the divisor's top block has its high bit set.
     shift = bits - v[-1].bit_length()
-    u = _bshl_bits(u_raw, shift, bits, mask)
+    w = _bshl_bits(u_raw, shift, bits, mask)
     v = _bshl_bits(v, shift, bits, mask)
     n = len(v)
-    m = len(u) - n
-    u = list(u) + [0]
-    v_top = v[-1]
-    v_next = v[-2]
-    quotient = [0] * (m + 1)
+    m = len(w) - n
+    w.append(0)
+    v_top2 = (v[-1] << bits) | v[-2]
+    digits = [0] * (m + 1)
 
     for j in range(m, -1, -1):
-        # D3: estimate the quotient block from the top two dividend blocks.
-        numerator = (u[j + n] << bits) | u[j + n - 1]
-        q_hat = numerator // v_top
-        r_hat = numerator - q_hat * v_top
-        while (q_hat >= base
-               or q_hat * v_next > ((r_hat << bits) | u[j + n - 2])):
-            q_hat -= 1
-            r_hat += v_top
-            if r_hat >= base:
-                break
-        # D4: multiply and subtract.
-        borrow = 0
-        carry = 0
-        for i in range(n):
-            product = q_hat * v[i] + carry
-            carry = product >> bits
-            diff = u[j + i] - (product & mask) - borrow
-            if diff < 0:
-                diff += base
-                borrow = 1
-            else:
-                borrow = 0
-            u[j + i] = diff
-        diff = u[j + n] - carry - borrow
-        if diff < 0:
-            # D6: the estimate was one too large — add the divisor back.
-            q_hat -= 1
-            carry = 0
-            for i in range(n):
-                total = u[j + i] + v[i] + carry
-                u[j + i] = total & mask
-                carry = total >> bits
-            u[j + n] = (diff + base + carry) & mask
-        else:
-            u[j + n] = diff
-        quotient[j] = q_hat
+        top = j + n - 1
+        w[top] += w[top + 1] << bits
+        digit = ((w[top] << bits) + w[top - 1]) // v_top2
+        if digit:
+            w[j:top + 1] = map(sub, w[j:top + 1],
+                               map(mul, v, repeat(digit)))
+        digits[j] = digit
 
-    remainder_blocks = _bshr_bits(_bnormalize(u[:n]), shift, bits, mask)
+    remainder, high = _bcarry(w[:n], bits, mask)
+    while high < 0:
+        remainder, carry = _bcarry(map(add, remainder, v), bits, mask)
+        high += carry
+        digits[0] -= 1
+    while high > 0 or _bcmp(remainder, v) >= 0:
+        remainder, carry = _bcarry(map(sub, remainder, v), bits, mask)
+        high += carry
+        digits[0] += 1
+    # The fixed-up quotient fits its m + 1 blocks: no carry out.
+    quotient = _bcarry(digits, bits, mask)[0]
+    remainder_blocks = _bshr_bits(_bnormalize(remainder), shift, bits,
+                                  mask)
     return (unpack_blocks(_bnormalize(quotient), k),
             unpack_blocks(remainder_blocks, k))

@@ -165,7 +165,7 @@ class Thresholds:
     #: (:mod:`repro.mpn.packed`) beats the limb ladder; 0 disables the
     #: packed backend entirely.
     packed_mul_limbs: int = 4
-    #: Divisor limbs where block Algorithm D beats the limb division
+    #: Divisor limbs where the packed block division beats the limb division
     #: family; 0 disables the packed division path.
     packed_div_limbs: int = 4
     #: Operand limbs where the carry-free RNS batch path
@@ -427,7 +427,7 @@ def find_packed_mul_crossover(max_limbs: int, seed: int = 1,
 
 def find_packed_div_crossover(max_limbs: int, seed: int = 1,
                               repeats: int = DEFAULT_REPEATS) -> int:
-    """Divisor limbs where block Algorithm D beats the limb division."""
+    """Divisor limbs where the packed block division beats the limb one."""
     def limb_side(dividend: Nat, divisor: Nat) -> Nat:
         return divmod_schoolbook(dividend, divisor)[0]
 

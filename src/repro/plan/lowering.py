@@ -319,7 +319,7 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
         if backend == "packed":
             algorithm = "packed-schoolbook"
             steps = [PlanStep("kernel", "packed-schoolbook",
-                              "block Knuth Algorithm D")]
+                              "signed-digit block division")]
         else:
             algorithm = select.div_algorithm(spec.bits_b)
             if algorithm == "newton":

@@ -222,16 +222,19 @@ def cost_refined(op: str, limbs: int, analytic: str,
 def packed_chain(min_limbs: int) -> List[Tuple[str, int]]:
     """Descent ``[(algorithm, blocks), ...]`` inside the packed backend.
 
-    The packed multiplier has exactly two regimes — block Karatsuba
-    above ``KARATSUBA_BLOCKS`` blocks, block schoolbook below — so the
-    chain is short; the unit is *blocks* (``PACK_LIMBS`` limbs each).
+    The packed multiplier is a carry-free block convolution with exactly
+    two regimes — a Karatsuba split above ``KARATSUBA_BLOCKS`` blocks, a
+    row-convolution basecase below — and one carry sweep at the top, so
+    the chain is short; the unit is *blocks* (``PACK_LIMBS`` limbs
+    each).  Karatsuba sums stay raw coefficients (no carry block), so
+    each level halves the count exactly.
     """
     from repro.mpn.packed import KARATSUBA_BLOCKS, PACK_LIMBS
     blocks = max(1, -(-max(1, min_limbs) // PACK_LIMBS))
     chain: List[Tuple[str, int]] = []
     while blocks >= KARATSUBA_BLOCKS:
         chain.append(("packed-karatsuba", blocks))
-        blocks = -(-blocks // 2) + 1
+        blocks = -(-blocks // 2)
     chain.append(("packed-basecase", blocks))
     return chain
 

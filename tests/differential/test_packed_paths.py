@@ -44,6 +44,19 @@ UNBALANCED = [pytest.param(shape, id="%dx%d" % shape)
 NEWTON_DIVISOR_LIMBS = 80
 
 
+#: Operand widths (bits) of the serve-large workload's kernels, plus
+#: the widest point where the limb kernels stay cheap enough to join.
+SERVE_LARGE_BITS = (16384, 35905, 65536, 98304)
+
+#: Widest operand checked against the limb kernels as well as ints.
+LIMB_ORACLE_MAX_BITS = 16384
+
+
+def _bits_operand(bits: int, seed: int) -> int:
+    rng = random.Random(0x5E7E ^ seed ^ bits)
+    return rng.getrandbits(bits) | (1 << (bits - 1))
+
+
 def _operand(limbs: int, seed: int) -> int:
     if not limbs:
         return 0
@@ -149,6 +162,42 @@ class TestDivCrossover:
         assert mpn.mod(an, bn, backend="packed") \
             == mpn.mod(an, bn, backend="limb")
         assert from_nat(mpn.mod(an, bn)) == a % b
+
+
+class TestServeLargeWidths:
+    """The widths serve-large sends, where the packed kernels do all the
+    work: mul at ``b = a/2`` and ``a = b``, sqr, and div 2n-by-n.
+
+    Python ints are the oracle; the limb kernels join only up to
+    ``LIMB_ORACLE_MAX_BITS`` (limb division at 96 kbit takes seconds).
+    """
+
+    @pytest.mark.parametrize("bits", SERVE_LARGE_BITS)
+    def test_mul_shapes(self, bits):
+        a, b, half = (_bits_operand(bits, 15), _bits_operand(bits, 16),
+                      _bits_operand(bits // 2, 17))
+        an = to_nat(a)
+        for other in (b, half):
+            packed = mul(an, to_nat(other), GMP_POLICY, backend="packed")
+            assert from_nat(packed) == a * other
+            if bits <= LIMB_ORACLE_MAX_BITS:
+                assert packed == mul(an, to_nat(other), GMP_POLICY,
+                                     backend="limb")
+        squared = sqr(an, GMP_POLICY, backend="packed")
+        assert from_nat(squared) == a * a
+        if bits <= LIMB_ORACLE_MAX_BITS:
+            assert squared == sqr(an, GMP_POLICY, backend="limb")
+
+    @pytest.mark.parametrize("bits", SERVE_LARGE_BITS)
+    def test_div_two_n_by_n(self, bits):
+        a, b = _bits_operand(2 * bits, 18), _bits_operand(bits, 19)
+        an, bn = to_nat(a), to_nat(b)
+        packed = divmod_nat(an, bn, backend="packed")
+        assert (from_nat(packed[0]), from_nat(packed[1])) == divmod(a, b)
+        if bits <= LIMB_ORACLE_MAX_BITS:
+            def limb_mul(x, y):
+                return mul(x, y, GMP_POLICY, backend="limb")
+            assert packed == divmod_nat(an, bn, limb_mul, backend="limb")
 
 
 class TestLinearKernelRouting:

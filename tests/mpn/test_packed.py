@@ -9,6 +9,8 @@ dispatcher level lives in ``tests/differential/test_packed_paths.py``.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,68 @@ PACK_WIDTHS = (1, 2, 3, PACK_LIMBS, 13)
 limb_lists = st.lists(
     st.integers(min_value=0, max_value=(1 << LIMB_BITS) - 1),
     max_size=4 * PACK_LIMBS + 3)
+
+
+#: Block base at the default width.
+_B = 1 << (LIMB_BITS * PACK_LIMBS)
+
+#: (blocks of a, blocks of b) around the convolution's regime changes.
+#: ``(2K+1, K+1)`` and ``(2K, K)`` take the unbalanced branch (the
+#: short operand fits in the low half of the split); ``(2K+1, K-1)``
+#: meets a basecase row under a Karatsuba-sized operand.
+CONVOLUTION_SHAPES = [
+    (KARATSUBA_BLOCKS - 1, KARATSUBA_BLOCKS - 1),
+    (KARATSUBA_BLOCKS, KARATSUBA_BLOCKS),
+    (KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS + 1),
+    (KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS),
+    (2 * KARATSUBA_BLOCKS - 1, 2 * KARATSUBA_BLOCKS - 1),
+    (2 * KARATSUBA_BLOCKS + 1, 2 * KARATSUBA_BLOCKS + 1),
+    (2 * KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS + 1),
+    (2 * KARATSUBA_BLOCKS, KARATSUBA_BLOCKS),
+    (2 * KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS - 1),
+]
+
+
+def _block_operand(blocks: int, fill: str, seed: int) -> int:
+    """An integer of exactly ``blocks`` default-width blocks."""
+    if fill == "ones":
+        return _B ** blocks - 1
+    rng = random.Random(0xC0 + 31 * blocks + seed)
+    digits = [rng.randrange(_B) for _ in range(blocks)]
+    if fill == "holes":
+        for i in range(1, blocks - 1, 3):
+            digits[i] = 0
+    digits[-1] |= 1
+    return sum(digit * _B ** i for i, digit in enumerate(digits))
+
+
+#: Division operands pinned from a seeded search; each drives one
+#: repair path of the signed-digit division (B = the block base):
+#:
+#: * ``add-back``: the last digit overshoots, the remainder sweeps out
+#:   negative and the divisor is added back once;
+#: * ``subtract``: an exact multiple whose digits undershoot (one is
+#:   -2), leaving a remainder >= the divisor that is subtracted once;
+#: * ``negative-digit``: a mid-division overshoot repaired by a -1
+#:   digit, with no final fix-up;
+#: * ``tall-quotient``: an all-ones dividend over a two-block,
+#:   near-power-of-two divisor, 65 quotient blocks of folds.
+DIVISION_FIXUPS = {
+    "add-back": (
+        (_B // 2 + (_B // 2 - 1) * _B)
+        * ((_B - 2) + (_B - 1) * _B + (_B - 1) * _B ** 2)
+        + (_B - 2) + (_B - 1) * _B + (_B - 1) * _B ** 2 - 1,
+        (_B - 2) + (_B - 1) * _B + (_B - 1) * _B ** 2),
+    "subtract": (
+        ((_B - 1) + (_B - 2) * _B + (_B // 2) * _B ** 2)
+        * ((_B - 2) + (_B // 2 + 1) * _B + (_B // 2) * _B ** 2),
+        (_B - 2) + (_B // 2 + 1) * _B + (_B // 2) * _B ** 2),
+    "negative-digit": (
+        (_B - 1) * (1 + _B + (_B - 1) * _B ** 2)
+        + (1 + _B + (_B - 1) * _B ** 2) - 2,
+        1 + _B + (_B - 1) * _B ** 2),
+    "tall-quotient": (_B ** 66 - 1, _B * _B // 2 + 1),
+}
 
 
 class TestPackUnpack:
@@ -153,35 +217,68 @@ class TestArithmeticKernels:
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
     def test_block_karatsuba_regime(self):
-        """Operands wide enough to recurse through block Karatsuba."""
-        limbs = 2 * KARATSUBA_BLOCKS * PACK_LIMBS + 5
-        a = (1 << (limbs * LIMB_BITS)) - 3
-        b = (1 << ((limbs - 7) * LIMB_BITS)) - 11
-        assert from_nat(mul_packed(to_nat(a), to_nat(b))) == a * b
-        assert from_nat(sqr_packed(to_nat(a))) == a * a
+        """Block counts around every regime change of the convolution.
+
+        The basecase/Karatsuba boundary (``KARATSUBA_BLOCKS`` -1/0/+1),
+        a second split level (``2*KARATSUBA_BLOCKS`` +-1), and the
+        unbalanced branch where the short operand fits in the low half;
+        all-ones operands maximize every raw coefficient and zero
+        blocks inside leave holes in the rows.
+        """
+        for shape in CONVOLUTION_SHAPES:
+            for fill in ("random", "ones", "holes"):
+                a = _block_operand(shape[0], fill, seed=1)
+                b = _block_operand(shape[1], fill, seed=2)
+                case = (shape, fill)
+                assert from_nat(mul_packed(to_nat(a), to_nat(b))) \
+                    == a * b, case
+                assert from_nat(mul_packed(to_nat(b), to_nat(a))) \
+                    == a * b, case
+                assert from_nat(sqr_packed(to_nat(a))) == a * a, case
 
     @pytest.mark.parametrize("k", PACK_WIDTHS)
     def test_all_ones_carry_chains(self, k):
-        """Worst-case carry propagation across every block boundary."""
+        """Worst-case carry propagation across every block boundary,
+        including products wide enough for one and two Karatsuba
+        levels, whose raw coefficients all resolve in one sweep."""
         bits = LIMB_BITS * k
-        for width in (bits - 1, bits, bits + 1, 3 * bits, 3 * bits + 17):
+        for width in (bits - 1, bits, bits + 1, 3 * bits, 3 * bits + 17,
+                      (KARATSUBA_BLOCKS - 1) * bits,
+                      KARATSUBA_BLOCKS * bits,
+                      (KARATSUBA_BLOCKS + 1) * bits - 1,
+                      (2 * KARATSUBA_BLOCKS + 1) * bits):
             a = (1 << width) - 1
             assert from_nat(add_packed(to_nat(a), to_nat(1), k)) == a + 1
             assert from_nat(mul_packed(to_nat(a), to_nat(a), k)) == a * a
+            half = (1 << (width // 2 + 1)) - 1
+            assert from_nat(mul_packed(to_nat(a), to_nat(half), k)) \
+                == a * half
 
     def test_divmod_add_back_case(self):
-        """The Knuth D6 add-back step (rare; forced, not sampled).
+        """The classic Knuth D6 trigger no longer needs a fix-up.
 
-        The classic trigger scaled to block base B: the initial
-        quotient estimate for ``(B//2)*B^2 + (B-2)*B`` over
-        ``(B//2)*B + (B-1)`` is one too large and must be corrected by
-        adding the divisor back.
+        Scaled to block base B, the one-block estimate for
+        ``(B//2)*B^2 + (B-2)*B`` over ``(B//2)*B + (B-1)`` is one too
+        large.  The signed-digit estimate divides by the divisor's top
+        *two* blocks, so a two-block divisor is divided exactly: this
+        pins the top-of-range quotient digit ``B - 1`` with no add-back.
         """
         base = 1 << (LIMB_BITS * PACK_LIMBS)
         a = (base // 2) * base * base + (base - 2) * base
         b = (base // 2) * base + (base - 1)
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
+
+    @pytest.mark.parametrize("case", sorted(DIVISION_FIXUPS))
+    def test_divmod_fixup_paths(self, case):
+        """Operands (found by a seeded search over block-structured
+        quotients, divisors and remainders) that drive each repair path
+        of the signed-digit division."""
+        a, b = DIVISION_FIXUPS[case]
+        quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
+        assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
+        if case == "tall-quotient":
+            assert len(pack_blocks(quotient)) >= 64
 
     def test_single_block_divisor_path(self):
         a = (1 << 4096) - 123
