@@ -174,9 +174,9 @@ PACKED = declare(
 
 RNS = declare(
     "REPRO_RNS", "on", "killswitch",
-    "Set to 0 to remove the residue-number-system backend from every "
-    "auto selection (explicit backend=\"rns\" still runs; "
-    "differential-triage aid).",
+    "Set to 0 to remove the residue-number-system backend from auto "
+    "batch-mul selection, its only auto route (explicit "
+    "backend=\"rns\" still runs; differential-triage aid).",
     "plan")
 
 COST = declare(

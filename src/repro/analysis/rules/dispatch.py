@@ -35,6 +35,7 @@ KERNEL_ENTRYPOINTS = frozenset({
     "divmod_schoolbook", "divmod_newton", "divmod_bz",
     "mul_packed", "sqr_packed", "divmod_packed",
     "add_packed", "sub_packed", "shl_packed", "shr_packed",
+    "powmod_packed",
     "mul_rns", "sqr_rns", "powmod_rns",
     "mul_batch_rns", "powmod_batch_rns",
 })

@@ -245,7 +245,8 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
     * **PV-COST** — the cycle estimate is finite and non-negative;
     * **PV-BACKEND** — the resolved backend is legal for the op
       (``device`` only for muls within the monolithic limit,
-      ``packed`` only for mul/div/mod, ``rns`` only for mul/powmod);
+      ``packed`` only for mul/div/mod/powmod, ``rns`` only for
+      mul/powmod);
     * **PV-ALGO** — for muls, re-deriving selection from the plan's
       recorded thresholds fingerprint reproduces the recorded
       algorithm (a mismatch means the plan was built under different
@@ -279,9 +280,9 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
     if plan.backend not in ("library", "device", "packed", "rns"):
         report("PV-BACKEND", "unresolved backend %r" % (plan.backend,))
     elif plan.backend == "packed":
-        if plan.spec.op not in ("mul", "div", "mod"):
+        if plan.spec.op not in ("mul", "div", "mod", "powmod"):
             report("PV-BACKEND", "the packed backend executes only "
-                   "mul/div/mod; %r cannot run packed"
+                   "mul/div/mod/powmod; %r cannot run packed"
                    % (plan.spec.op,))
     elif plan.backend == "rns":
         if plan.spec.op not in ("mul", "powmod"):

@@ -9,7 +9,8 @@ backend pinned explicitly, so what is timed is exactly what a lowered
 * ``packed`` — the block-packed backend (:mod:`repro.mpn.packed`);
 * ``rns`` — the residue-number-system backend (:mod:`repro.mpn.rns`):
   carry-free channel mul for mul/sqr, dual-base RNS Montgomery for
-  powmod.
+  powmod (measured beside the packed block-Montgomery ladder that
+  ``auto`` powmod runs).
 
 Timings are best-of-N ``perf_counter_ns`` (the same discipline as
 :mod:`repro.mpn.tune`).  Every measured point asserts that *all*
@@ -52,7 +53,8 @@ from repro.mpn.tune import _random_operand, tuned_policy
 #: against the learned cost model (:mod:`repro.cost`) when a fitted
 #: model is live; absent otherwise.
 #: v5: the v3 compiled-kernel column, hotspot and gate are gone.
-BENCH_SCHEMA_VERSION = 5
+#: v6: powmod gained a packed column (the block-Montgomery ladder).
+BENCH_SCHEMA_VERSION = 6
 
 #: Figure-11-style bit-width ladder (the paper sweeps multiply sizes in
 #: this range; 64k bits is the headline point).
@@ -74,7 +76,7 @@ OP_BACKENDS = {
     "mul": ("limb", "packed", "rns"),
     "sqr": ("limb", "packed", "rns"),
     "div": ("limb", "packed"),
-    "powmod": ("limb", "rns"),
+    "powmod": ("limb", "packed", "rns"),
 }
 
 #: Minimum packed/limb ratio --check tolerates at the largest measured
@@ -323,12 +325,15 @@ def git_revision() -> str:
 
 
 def check_report(report: Dict) -> List[str]:
-    """Regression gates over the top measured size per op.
+    """Regression gates, mostly over the top measured size per op.
 
     * packed must not lose to limb (mul/sqr/div,
       :data:`CHECK_MIN_SPEEDUP`);
     * rns powmod must beat limb Montgomery
       (:data:`CHECK_RNS_POWMOD_MIN_SPEEDUP`);
+    * packed powmod must be no slower than rns at *every* measured
+      powmod size, not only the top one (the evidence that ``auto``
+      powmod lost nothing when it left rns);
     * serial rns mul/sqr must stay within
       :data:`CHECK_RNS_MUL_MAX_RATIO` of the packed baseline (a
       broken-kernel canary — the rns mul wins on batches, not serially).
@@ -339,6 +344,12 @@ def check_report(report: Dict) -> List[str]:
     failures: List[str] = []
     top: Dict[str, Dict] = {}
     for entry in report.get("entries", []):
+        ns = entry["ns"]
+        if entry["op"] == "powmod" and "packed" in ns and "rns" in ns \
+                and ns["packed"] > ns["rns"]:
+            failures.append(
+                "powmod at %d bits: packed is %.2fx slower than rns"
+                % (entry["bits"], ns["packed"] / max(1, ns["rns"])))
         current = top.get(entry["op"])
         if current is None or entry["bits"] > current["bits"]:
             top[entry["op"]] = entry

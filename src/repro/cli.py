@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser.add_argument("--no-packed", action="store_true",
                              help="skip the packed-backend crossovers")
     tune_parser.add_argument("--no-rns", action="store_true",
-                             help="skip the rns-backend crossovers")
+                             help="skip the rns batch-mul crossover")
     tune_parser.add_argument("--no-dataset", action="store_true",
                              help="discard the raw timing probes "
                                   "instead of appending them to the "
@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "0.9x limb, rns powmod below 1.2x "
                                     "limb, or serial rns mul past the "
                                     "packed-baseline canary bound, at "
-                                    "the largest measured size")
+                                    "the largest measured size, or if "
+                                    "packed powmod is slower than rns "
+                                    "at any powmod size")
     bench_kernels.add_argument("--repeats", type=int, default=5,
                                help="best-of-N timing repetitions")
     bench_kernels.add_argument("--seed", type=int, default=2022)
@@ -892,7 +894,8 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         print("check: every backend matches the bigint oracle at every "
               "point; packed >= %.1fx limb, rns powmod >= %.1fx limb, "
               "serial rns mul within the packed canary bound at the "
-              "largest sizes"
+              "largest sizes; packed powmod no slower than rns at "
+              "every size"
               % (_ck.CHECK_MIN_SPEEDUP,
                  _ck.CHECK_RNS_POWMOD_MIN_SPEEDUP),
               file=sys.stderr)

@@ -14,9 +14,9 @@ agreement:
 * ``div``/``mod`` — the *divisor's* limb count (tune and bench both
   time the 2n-by-n shape, and ``select.div_backend`` keys on the
   divisor);
-* ``powmod`` — the modulus limb count (the quantity
-  ``select.powmod_backend`` keys on; the exponent scales the loop
-  length, not the per-iteration kernel the crossovers compare).
+* ``powmod`` — the modulus limb count (the width every ladder step
+  multiplies and reduces at; the exponent scales the loop length, not
+  the per-step kernel).
 
 Backend names are canonicalized to the bench vocabulary: the plan
 layer's ``"library"`` is the bench's ``"limb"``; everything else

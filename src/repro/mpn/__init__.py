@@ -157,24 +157,26 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
            backend: str = "auto") -> Nat:
     """Profiled modular exponentiation.
 
-    ``backend="auto"`` consults the tuned rns-vs-limb crossover
-    (:func:`repro.plan.select.powmod_backend`): at and above the
-    ``rns_powmod_limbs`` modulus floor the dual-base RNS Montgomery
-    pipeline runs, below it (or under ``REPRO_RNS=0``) the limb CIOS
-    kernel does.  ``"rns"``/``"limb"`` pin the choice explicitly.  Both
-    kernels produce the unique canonical residue, bit-identically.
+    ``backend="auto"`` asks :func:`repro.plan.select.powmod_backend`:
+    the packed block ladder (block Montgomery for odd moduli, block
+    division for even) at every modulus width, or the limb CIOS kernel
+    under ``REPRO_PACKED=0``.  ``"packed"``/``"limb"``/``"rns"`` pin
+    the choice explicitly (``rns``, the dual-base RNS Montgomery
+    pipeline, is reachable only that way).  Every kernel produces the
+    unique canonical residue, bit-identically.
     """
     with kernel("powmod", bit_length(modulus), bit_length(exponent)):
         if backend == "auto":
             from repro.plan import select as _select
-            mod_limbs = -(-max(bit_length(modulus), 1) // LIMB_BITS)
-            backend = _select.powmod_backend(mod_limbs)
+            backend = _select.powmod_backend()
+        if backend == "packed":
+            return _packed.powmod_packed(base, exponent, modulus)
         if backend == "rns":
             from repro.mpn.rns import powmod_rns
             return powmod_rns(base, exponent, modulus)
         if backend != "limb":
             raise MpnError("unknown powmod backend %r (expected auto, "
-                           "limb, or rns)" % (backend,))
+                           "limb, packed, or rns)" % (backend,))
         return _montgomery.powmod(base, exponent, modulus, _unprofiled_mul)
 
 

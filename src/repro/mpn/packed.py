@@ -21,6 +21,10 @@ quadratic kernels go further:
   an O(1) estimate plus one C-level multiply-subtract row, and one sweep
   over the quotient digits and one over the remainder, plus a fix-up of
   at most a few divisor additions or subtractions, resolve the rest.
+* ``powmod`` runs a windowed ladder that stays on block lists from the
+  first pack to the last unpack: block Montgomery REDC (one C-level
+  ``map`` row per low block of the modulus) for odd moduli, block
+  products reduced by the signed-digit division for even ones.
 
 Inside those kernels coefficients may exceed the block base or go
 negative; Python ints carry both exactly.  Operands and results are
@@ -31,8 +35,8 @@ against both the limb kernels and Python bigints.
 Reachability contract (lint rule RPR012): these kernels are selected by
 ``repro.plan.select`` crossovers and invoked only through the mpn
 dispatchers (:func:`repro.mpn.mul.mul`, :func:`repro.mpn.div.
-divmod_nat`) or a lowered ``backend="packed"`` Plan — never called
-directly by layers above mpn.
+divmod_nat`, :func:`repro.mpn.powmod`) or a lowered ``backend="packed"``
+Plan — never called directly by layers above mpn.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import sys
 from array import array
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
 
@@ -269,6 +273,51 @@ def _bmul(a: List[int], b: List[int], bits: int, mask: int) -> List[int]:
     return _bnormalize(out)
 
 
+def _bdivrem(w: List[int], v: List[int], bits: int,
+             mask: int) -> Tuple[List[int], List[int]]:
+    """Signed-digit block division of ``w`` by a normalized ``v``.
+
+    ``v`` has at least two blocks and its top block has the high bit set
+    (Knuth's D1, done by the caller), and ``len(w) >= len(v)``.  Each
+    quotient position folds the retired top coefficient into the next
+    one, estimates a *signed* digit from the top two window coefficients
+    against ``v``'s top two blocks, and subtracts ``digit * v`` as one
+    C-level ``map`` row.  Window coefficients stay unnormalized until
+    the end, where one carry sweep over the digits and one over the
+    remainder resolve them, and a fix-up adds or subtracts ``v`` while
+    the remainder lies outside ``[0, v)``.  ``W == Q*V + R`` holds after
+    every step, so the result is exact whatever the estimates were.
+    Returns the normalized (quotient, remainder) blocks.
+    """
+    n = len(v)
+    m = len(w) - n
+    w = w + [0]
+    v_top2 = (v[-1] << bits) | v[-2]
+    digits = [0] * (m + 1)
+
+    for j in range(m, -1, -1):
+        top = j + n - 1
+        w[top] += w[top + 1] << bits
+        digit = ((w[top] << bits) + w[top - 1]) // v_top2
+        if digit:
+            w[j:top + 1] = map(sub, w[j:top + 1],
+                               map(mul, v, repeat(digit)))
+        digits[j] = digit
+
+    remainder, high = _bcarry(w[:n], bits, mask)
+    while high < 0:
+        remainder, carry = _bcarry(map(add, remainder, v), bits, mask)
+        high += carry
+        digits[0] -= 1
+    while high > 0 or _bcmp(remainder, v) >= 0:
+        remainder, carry = _bcarry(map(sub, remainder, v), bits, mask)
+        high += carry
+        digits[0] += 1
+    # The fixed-up quotient fits its m + 1 blocks: no carry out.
+    quotient = _bcarry(digits, bits, mask)[0]
+    return _bnormalize(quotient), _bnormalize(remainder)
+
+
 # -- public kernels (Nat in, Nat out) ----------------------------------------
 
 
@@ -358,16 +407,8 @@ def shr_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
 def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
     """Exact (quotient, remainder) by signed-digit block division.
 
-    Knuth's D1 normalization, then one quotient block per step with no
-    borrow loop: the retired top coefficient folds into the next one,
-    a *signed* digit is estimated from the top two window coefficients
-    against the divisor's top two blocks, and ``digit * v`` leaves the
-    window as one C-level ``map`` row.  Window coefficients stay
-    unnormalized (signed, a few blocks wide) until the end, where one
-    carry sweep over the quotient digits and one over the remainder
-    resolve them, and a fix-up adds or subtracts the divisor while the
-    remainder lies outside ``[0, v)``.  ``U == Q*V + W`` holds after
-    every step, so the result is exact whatever the estimates were.
+    Knuth's D1 normalization, then :func:`_bdivrem`; a single-block
+    divisor runs the div_1 loop with a block digit instead.
     """
     if not b:
         raise MpnError("division by zero")
@@ -393,35 +434,153 @@ def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
 
     # D1: normalize so the divisor's top block has its high bit set.
     shift = bits - v[-1].bit_length()
-    w = _bshl_bits(u_raw, shift, bits, mask)
-    v = _bshl_bits(v, shift, bits, mask)
-    n = len(v)
-    m = len(w) - n
-    w.append(0)
-    v_top2 = (v[-1] << bits) | v[-2]
-    digits = [0] * (m + 1)
+    quotient, remainder = _bdivrem(_bshl_bits(u_raw, shift, bits, mask),
+                                   _bshl_bits(v, shift, bits, mask),
+                                   bits, mask)
+    return (unpack_blocks(quotient, k),
+            unpack_blocks(_bshr_bits(remainder, shift, bits, mask), k))
 
-    for j in range(m, -1, -1):
-        top = j + n - 1
-        w[top] += w[top + 1] << bits
-        digit = ((w[top] << bits) + w[top - 1]) // v_top2
+
+# -- modular exponentiation --------------------------------------------------
+
+#: Fixed-window width by exponent length, ``(below_bits, width)`` rows
+#: scanned in order; exponents past the last row use
+#: :data:`WINDOW_BITS_MAX`.  A wider window trades ``2**width - 2``
+#: table products for fewer ladder multiplies, which pays only on long
+#: exponents.  Measured over 256-1024-bit moduli: 2-bit windows win
+#: below 24 exponent bits, 3-4 bits tie from 32 to 96, 4 bits win at
+#: 128 and 5 bits at 1024.
+WINDOW_TABLE = ((24, 2), (48, 3), (128, 4))
+WINDOW_BITS_MAX = 5
+
+
+def _window_bits(exponent_bits: int) -> int:
+    for below, width in WINDOW_TABLE:
+        if exponent_bits < below:
+            return width
+    return WINDOW_BITS_MAX
+
+
+def _bmodder(v: List[int], bits: int,
+             mask: int) -> Callable[[List[int]], List[int]]:
+    """``u -> u mod v`` over block lists, ``v`` normalized once (D1).
+
+    A single-block divisor gains a zero low block on both sides (the
+    remainder of ``B*u`` by ``B*v`` is ``B * (u mod v)``), so
+    :func:`_bdivrem` always estimates against two divisor blocks.
+    """
+    shift = bits - v[-1].bit_length()
+    pad = [0] if len(v) == 1 else []
+    v_norm = pad + _bshl_bits(v, shift, bits, mask)
+
+    def reduce(u: List[int]) -> List[int]:
+        if _bcmp(u, v) < 0:
+            return u
+        remainder = _bdivrem(pad + _bshl_bits(u, shift, bits, mask),
+                             v_norm, bits, mask)[1]
+        return _bshr_bits(remainder[len(pad):], shift, bits, mask)
+
+    return reduce
+
+
+def _bmont_mul(a: List[int], b: List[int], modulus: List[int],
+               n_inv: int, bits: int, mask: int) -> List[int]:
+    """Block Montgomery product ``a * b / B**n mod N`` (``a, b < N``).
+
+    The carry-free convolution, then block REDC over the raw
+    coefficients: each of the ``n`` low blocks picks ``q`` so that
+    adding ``q * N`` (one C-level ``map`` row) clears it, and folds its
+    high part into the next block.  One carry sweep over the top ``n``
+    blocks and one conditional subtract of ``N`` finish.
+    """
+    if not a or not b:
+        return []
+    n = len(modulus)
+    t = _bconv(a, b)
+    t.extend(repeat(0, 2 * n + 1 - len(t)))
+    for i in range(n):
+        q = (t[i] * n_inv) & mask
+        if q:
+            t[i:i + n] = map(add, t[i:i + n], map(mul, modulus, repeat(q)))
+        t[i + 1] += t[i] >> bits
+    # (a*b + Q*N) / B**n < 2N, so the sweep leaves no carry out.
+    out = _bnormalize(_bcarry(t[n:], bits, mask)[0])
+    if _bcmp(out, modulus) >= 0:
+        out[:n] = map(sub, out, modulus)
+        out = _bnormalize(_bcarry(out, bits, mask)[0])
+    return out
+
+
+def _bpow(x: List[int], exponent: int,
+          mulmod: Callable[[List[int], List[int]], List[int]]
+          ) -> List[int]:
+    """``x**exponent`` (``exponent >= 1``) by fixed-window left-to-right
+    exponentiation under ``mulmod``."""
+    width = _window_bits(exponent.bit_length())
+    digit_mask = (1 << width) - 1
+    table = [[], x]
+    for _ in range(digit_mask - 1):
+        table.append(mulmod(table[-1], x))
+    shift = (exponent.bit_length() - 1) // width * width
+    acc = table[exponent >> shift]
+    while shift:
+        shift -= width
+        for _ in range(width):
+            acc = mulmod(acc, acc)
+        digit = (exponent >> shift) & digit_mask
         if digit:
-            w[j:top + 1] = map(sub, w[j:top + 1],
-                               map(mul, v, repeat(digit)))
-        digits[j] = digit
+            acc = mulmod(acc, table[digit])
+    return acc
 
-    remainder, high = _bcarry(w[:n], bits, mask)
-    while high < 0:
-        remainder, carry = _bcarry(map(add, remainder, v), bits, mask)
-        high += carry
-        digits[0] -= 1
-    while high > 0 or _bcmp(remainder, v) >= 0:
-        remainder, carry = _bcarry(map(sub, remainder, v), bits, mask)
-        high += carry
-        digits[0] += 1
-    # The fixed-up quotient fits its m + 1 blocks: no carry out.
-    quotient = _bcarry(digits, bits, mask)[0]
-    remainder_blocks = _bshr_bits(_bnormalize(remainder), shift, bits,
-                                  mask)
-    return (unpack_blocks(_bnormalize(quotient), k),
-            unpack_blocks(remainder_blocks, k))
+
+def powmod_packed(base: Nat, exponent: Nat, modulus: Nat,
+                  k: int = PACK_LIMBS) -> Nat:
+    """``base**exponent mod modulus`` as a ladder on packed blocks.
+
+    The base and modulus pack once, every ladder step stays on block
+    lists, and the result unpacks once.  An odd modulus runs block
+    Montgomery (:func:`_bmont_mul`, radix ``B**n`` for an ``n``-block
+    modulus): the base enters the domain by one block division of
+    ``base * B**n`` and leaves by one REDC.  An even modulus runs the
+    same ladder on :func:`_bmul` and a block division whose divisor is
+    normalized once.  The window width comes from
+    :data:`WINDOW_TABLE`.
+    """
+    if not modulus:
+        raise MpnError("zero modulus")
+    bits = LIMB_BITS * k
+    mask = (1 << bits) - 1
+    n_blocks = pack_blocks(modulus, k)
+    if n_blocks == [1]:
+        return []
+    if not exponent:
+        return [1]
+    # The exponent is only read, never computed on: one wide block.
+    power = pack_blocks(exponent, len(exponent))[0]
+    reduce = _bmodder(n_blocks, bits, mask)
+    n = len(n_blocks)
+    base_blocks = pack_blocks(base, k)
+    if n_blocks[0] & 1:
+        # -N0^-1 mod B by Newton lifting: an odd N0 is its own inverse
+        # mod 8, and each step doubles the correct low bits.
+        inverse, correct = n_blocks[0], 3
+        while correct < bits:
+            inverse = (inverse * (2 - n_blocks[0] * inverse)) & mask
+            correct *= 2
+        n_inv = -inverse & mask
+
+        def mulmod(x: List[int], y: List[int]) -> List[int]:
+            return _bmont_mul(x, y, n_blocks, n_inv, bits, mask)
+
+        x = reduce(_bshl_blocks(base_blocks, n))
+        if not x:
+            return []
+        return unpack_blocks(mulmod(_bpow(x, power, mulmod), [1]), k)
+
+    def mulmod(x: List[int], y: List[int]) -> List[int]:
+        return reduce(_bmul(x, y, bits, mask))
+
+    x = reduce(base_blocks)
+    if not x:
+        return []
+    return unpack_blocks(_bpow(x, power, mulmod), k)

@@ -51,7 +51,9 @@ THRESHOLDS_ENV = "REPRO_THRESHOLDS"
 #: Schema version of the persisted thresholds file; loaders reject
 #: other versions (the invalidation rule: retune after upgrading).
 #: v2: the compiled-kernel crossover left the record.
-THRESHOLDS_VERSION = 2
+#: v3: the rns powmod crossover left the record (``auto`` powmod runs
+#: the packed ladder at every width).
+THRESHOLDS_VERSION = 3
 
 #: Default best-of-N repetition count for every timing measurement.
 DEFAULT_REPEATS = 3
@@ -172,9 +174,6 @@ class Thresholds:
     #: (:mod:`repro.mpn.rns`) takes over *batched* multiplies; 0
     #: disables the rns batch route.
     rns_mul_limbs: int = 4
-    #: Modulus limbs where the dual-base RNS Montgomery exponentiation
-    #: beats the limb CIOS kernel; 0 disables the rns powmod path.
-    rns_powmod_limbs: int = 5
     repeats: int = DEFAULT_REPEATS
     max_limbs: int = 0
     version: int = THRESHOLDS_VERSION
@@ -223,7 +222,7 @@ class Thresholds:
         if self.packed_mul_limbs < 0 or self.packed_div_limbs < 0:
             raise ValueError("packed thresholds must be >= 0 "
                              "(0 disables the packed backend)")
-        if self.rns_mul_limbs < 0 or self.rns_powmod_limbs < 0:
+        if self.rns_mul_limbs < 0:
             raise ValueError("rns thresholds must be >= 0 "
                              "(0 disables the rns backend)")
 
@@ -479,47 +478,6 @@ def find_rns_mul_crossover(max_limbs: int, seed: int = 1,
                           labels=("mul", "limb", "rns"))
 
 
-def find_rns_powmod_crossover(max_limbs: int, seed: int = 1,
-                              repeats: int = DEFAULT_REPEATS) -> int:
-    """Modulus limbs where RNS Montgomery beats the limb CIOS kernel.
-
-    Engines are warmed before timing (the repeated-exponentiation
-    regime — one RSA key, many requests — amortizes the channel-set
-    precompute, the same convention the Barrett bisection uses).
-    """
-    from repro.mpn.montgomery import powmod as limb_powmod
-    from repro.mpn.rns import _engine_for, powmod_rns
-
-    def wins(limbs: int) -> bool:
-        modulus = _random_operand(limbs, seed + 3)
-        modulus[0] |= 1
-        base = _random_operand(limbs, seed)
-        exponent = _random_operand(limbs, seed + 7)
-        _engine_for(nat.nat_to_int(modulus))
-        rns_ns = _time_once(
-            lambda b, _: powmod_rns(b, exponent, modulus),
-            base, modulus, repeats)
-        limb_ns = _time_once(
-            lambda b, _: limb_powmod(b, exponent, modulus),
-            base, modulus, repeats)
-        _record_pair(("powmod", "limb", "rns"), limbs, limb_ns, rns_ns)
-        return rns_ns < limb_ns
-
-    # Exponentiation timings grow cubically; cap the search range so a
-    # tune run stays responsive (rns wins well inside it on every
-    # measured host).
-    low, high = 1, min(8, max(2, max_limbs))
-    if not wins(high):
-        return high
-    while low < high:
-        mid = (low + high) // 2
-        if wins(mid):
-            high = mid
-        else:
-            low = mid + 1
-    return low
-
-
 def tune(max_limbs: int = 512, seed: int = 1,
          repeats: int = DEFAULT_REPEATS,
          measure_division: bool = True,
@@ -612,15 +570,10 @@ def _tune_measured(max_limbs: int, seed: int, repeats: int,
         measurements.append(("limb->packed div", packed_div_limbs))
 
     rns_mul_limbs = default_thresholds().rns_mul_limbs
-    rns_powmod_limbs = default_thresholds().rns_powmod_limbs
     if measure_rns:
         rns_mul_limbs = find_rns_mul_crossover(
             min(64, max(8, max_limbs)), seed, repeats)
-        rns_powmod_limbs = find_rns_powmod_crossover(
-            min(8, max(2, max_limbs)), seed, repeats)
         measurements.append(("limb->rns batch mul", rns_mul_limbs))
-        measurements.append(("montgomery->rns powmod",
-                             rns_powmod_limbs))
 
     thresholds = Thresholds(
         karatsuba_limbs=karatsuba_limbs,
@@ -633,7 +586,6 @@ def _tune_measured(max_limbs: int, seed: int, repeats: int,
         packed_mul_limbs=packed_mul_limbs,
         packed_div_limbs=packed_div_limbs,
         rns_mul_limbs=rns_mul_limbs,
-        rns_powmod_limbs=rns_powmod_limbs,
         repeats=repeats,
         max_limbs=max_limbs,
     )

@@ -74,17 +74,18 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
         return {"quotient": nat_to_int(quotient),
                 "remainder": nat_to_int(remainder)}
     if op == "powmod":
-        if plan.backend == "rns":
+        operands = (nat_from_int(params["base"]),
+                    nat_from_int(params["exp"]),
+                    nat_from_int(params["mod"]))
+        if plan.backend == "packed":
+            from repro.mpn.packed import powmod_packed
+            value = powmod_packed(*operands)
+        elif plan.backend == "rns":
             from repro.mpn.rns import powmod_rns
-            value = powmod_rns(nat_from_int(params["base"]),
-                               nat_from_int(params["exp"]),
-                               nat_from_int(params["mod"]))
+            value = powmod_rns(*operands)
         else:
             from repro.mpn.montgomery import powmod
-            value = powmod(nat_from_int(params["base"]),
-                           nat_from_int(params["exp"]),
-                           nat_from_int(params["mod"]),
-                           _plan_mul_fn(plan))
+            value = powmod(*operands, _plan_mul_fn(plan))
         return {"value": nat_to_int(value)}
     if op == "pi_digits":
         from repro.apps import pi

@@ -38,7 +38,10 @@ from repro.plan.spec import OpSpec, PlanError
 #: reached by explicit request alone.
 #: v6: the v4 compiled-kernel backend is gone; ``auto`` mul/div resolve
 #: to packed or library, and the fingerprint dropped its crossover.
-PLAN_SCHEMA_VERSION = 6
+#: v7: ``auto`` powmod resolves to packed (block Montgomery / block
+#: division ladders) at every width; the fingerprint dropped the rns
+#: powmod crossover.
+PLAN_SCHEMA_VERSION = 7
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -187,7 +190,7 @@ def _tuning_for(thresholds) -> Tuple[Tuple[int, ...], str]:
     # ad hoc.
     return ((0, thresholds.karatsuba_limbs, thresholds.toom3_limbs,
              thresholds.toom4_limbs, thresholds.toom6_limbs,
-             thresholds.ssa_limbs, 0, 0, 0, 0, 0, 0), thresholds.name)
+             thresholds.ssa_limbs, 0, 0, 0, 0, 0), thresholds.name)
 
 
 def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
@@ -219,7 +222,7 @@ def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
 
 
 #: Ops the block-packed backend can execute.
-_PACKED_OPS = ("mul", "div", "mod")
+_PACKED_OPS = ("mul", "div", "mod", "powmod")
 
 #: Ops the residue-number-system backend can execute.
 _RNS_OPS = ("mul", "powmod")
@@ -264,11 +267,8 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
         return spec.backend
     if spec.op == "powmod":
         if spec.backend == "auto":
-            mod_limbs = -(-max(spec.bits_a, 1) // LIMB_BITS)
-            analytic = "rns" if _select.powmod_backend(
-                mod_limbs, thresholds) == "rns" else "library"
-            return _select.cost_refined("powmod", mod_limbs, analytic,
-                                        thresholds)
+            return "packed" if _select.powmod_backend() == "packed" \
+                else "library"
         return spec.backend
     return "library"
 
@@ -337,6 +337,7 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
                           "precision-doubling Newton")]
         cost = mpapca.sqrt_cycles(spec.bits_a)
     elif op == "powmod":
+        odd = bool(spec.detail_value("mod_odd", 1))
         if backend == "rns":
             from repro.mpn.rns import MODULUS_BITS
             channels = max(2, -(-(max(spec.bits_a, 1) + 2)
@@ -346,8 +347,15 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
                               "dual-base residue Montgomery (2x%d "
                               "channels), exact CRT base extension"
                               % channels)]
+        elif backend == "packed":
+            from repro.mpn.packed import PACK_LIMBS
+            algorithm = "packed-montgomery" if odd else "packed-division"
+            blocks = -(-max(spec.bits_a, 1) // (LIMB_BITS * PACK_LIMBS))
+            note = ("odd modulus: block Montgomery REDC, %d blocks"
+                    if odd else "even modulus: block product + "
+                    "block division, %d blocks") % blocks
+            steps = [PlanStep("kernel", algorithm, note)]
         else:
-            odd = bool(spec.detail_value("mod_odd", 1))
             algorithm = "montgomery" if odd else "binary-division"
             note = "odd modulus: Montgomery domain" if odd \
                 else "even modulus: square-and-multiply over division"

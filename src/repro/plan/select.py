@@ -32,8 +32,9 @@ from repro.analysis import env as _env
 PACKED_ENV = _env.PACKED.name
 
 #: Kill switch: ``REPRO_RNS=0`` removes the residue-number-system
-#: backend from every ``auto`` selection (explicit ``backend="rns"``
-#: requests still run; differential triage aid).
+#: backend from ``auto`` batch-mul selection, the only ``auto`` route
+#: into it (explicit ``backend="rns"`` requests still run; differential
+#: triage aid).
 RNS_ENV = _env.RNS.name
 
 #: Fast-multiplication regimes, fastest-threshold last.  Selection walks
@@ -145,23 +146,15 @@ def batch_mul_backend(min_limbs: int, batch_size: int,
     return mul_backend(min_limbs, thresholds)
 
 
-def powmod_backend(mod_limbs: int, thresholds=None) -> str:
-    """``"rns"`` or ``"limb"`` for an exponentiation by this modulus.
+def powmod_backend() -> str:
+    """``"packed"`` or ``"limb"`` for every modular exponentiation.
 
-    The dual-base RNS Montgomery pipeline replaces the limb CIOS inner
-    product with per-residue word multiplies, so it wins serially from
-    small moduli; the crossover is the tuned ``rns_powmod_limbs``
-    threshold (0 disables it, as does the ``REPRO_RNS=0`` kill
-    switch).
+    The packed block-Montgomery ladder (:func:`repro.mpn.packed.
+    powmod_packed`) beats the limb CIOS kernel from 8-bit moduli up, so
+    there is no crossover: ``packed`` at every modulus width, ``limb``
+    only under the ``REPRO_PACKED=0`` kill switch.
     """
-    if not _rns_enabled():
-        return "limb"
-    if thresholds is None:
-        thresholds = active()
-    crossover = getattr(thresholds, "rns_powmod_limbs", 0)
-    if crossover and mod_limbs >= crossover:
-        return "rns"
-    return "limb"
+    return "packed" if _packed_enabled() else "limb"
 
 
 def _refinement_space(op: str, thresholds) -> Tuple[List[str],
@@ -182,12 +175,6 @@ def _refinement_space(op: str, thresholds) -> Tuple[List[str],
         if packed:
             candidates.append("packed")
             crossovers.append(packed)
-    elif op == "powmod":
-        rns = getattr(thresholds, "rns_powmod_limbs", 0) \
-            if _rns_enabled() else 0
-        if rns:
-            candidates.append("rns")
-            crossovers.append(rns)
     return candidates, crossovers
 
 
@@ -305,5 +292,4 @@ def fingerprint(thresholds=None) -> Tuple[int, ...]:
         getattr(thresholds, "packed_mul_limbs", 0),
         getattr(thresholds, "packed_div_limbs", 0),
         getattr(thresholds, "rns_mul_limbs", 0),
-        getattr(thresholds, "rns_powmod_limbs", 0),
     )

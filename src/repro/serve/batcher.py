@@ -12,9 +12,10 @@ parallel (the rns fan-out, or a worker pool); a serial batch takes the
 compatible jobs already queued and dispatches at once, because a late
 member would only delay the members already taken:
 
-* jobs whose plan lowered to the ``rns`` backend (powmods past the
-  tuned ``rns_powmod_limbs`` crossover, explicit rns muls) fan out as
-  one carry-free residue-channel batch through
+* jobs whose plan lowered to the ``rns`` backend (only an explicit
+  ``backend="rns"`` plan does: served jobs lower ``auto``, which runs
+  powmod on packed blocks) fan out as one carry-free residue-channel
+  batch through
   :func:`repro.plan.execute.run_rns_batch` — the amortized regime
   where batch items parallelize with no carry-chain serialization;
 * everything else (host-kernel plans: ``mul``, ``div``, ``powmod``,
@@ -268,11 +269,11 @@ class DynamicBatcher:
                        jobs: List[Job]) -> List[Dict[str, Any]]:
         """Rns-backed batch through the sanctioned plan-layer route.
 
-        Plans that lowered to the ``rns`` backend (batched muls past
-        the ``rns_mul_limbs`` floor, powmods past ``rns_powmod_limbs``)
-        fan their carry-free channel work across the executor's
-        workers via :func:`repro.plan.execute.run_rns_batch`; results
-        come back in request order, bit-identical to the per-job
+        Plans that lowered to the ``rns`` backend (explicit
+        ``backend="rns"`` muls and powmods) fan their carry-free
+        channel work across the executor's workers via
+        :func:`repro.plan.execute.run_rns_batch`; results come back in
+        request order, bit-identical to the per-job
         :func:`~repro.serve.jobs.evaluate` oracle, and are re-encoded
         here into the serve hex transport.
         """

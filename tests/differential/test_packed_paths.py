@@ -8,6 +8,8 @@ dispatchers must return the same limbs whichever backend runs, and
 both must match Python's bigints.  The plan layer rides the same
 crossovers, so lowered ``packed`` plans are checked against ``library``
 plans and the memo-key salting is checked against threshold changes.
+powmod has no crossover (``auto`` runs packed at every width), so it is
+checked through every entry point against one oracle, ``pow``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import mpn
+from repro.mpn import montgomery, packed as packed_kernels
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import GMP_POLICY, mul, sqr
 from repro.mpn.packed import LINEAR_PACK_MIN_LIMBS
 from repro.plan import OpSpec, select
-from repro.plan.execute import run
-from repro.plan.lowering import lower
+from repro.plan.execute import plan_for_job, run
+from repro.plan.lowering import lower, plan_cache
+from repro.serve.jobs import evaluate
 
 from tests.conftest import from_nat, to_nat
 from tests.differential.conftest import diff_examples, naturals_of_bits
@@ -50,6 +54,10 @@ SERVE_LARGE_BITS = (16384, 35905, 65536, 98304)
 
 #: Widest operand checked against the limb kernels as well as ints.
 LIMB_ORACLE_MAX_BITS = 16384
+
+#: powmod modulus widths (limbs): inside one 8-limb block, exactly one
+#: and two blocks, and one limb past each.
+POWMOD_LIMBS = (1, 2, 8, 9, 16, 17)
 
 
 def _bits_operand(bits: int, seed: int) -> int:
@@ -96,7 +104,10 @@ class TestMulCrossover:
             == sqr(an, GMP_POLICY)
         assert from_nat(sqr(an, GMP_POLICY)) == a * a
 
-    def test_auto_resolution_flips_exactly_at_threshold(self):
+    def test_auto_resolution_flips_exactly_at_threshold(self, monkeypatch):
+        # Pin the killswitch on: CI runs this suite under REPRO_PACKED=0
+        # too, where auto legitimately never resolves to packed.
+        monkeypatch.setenv(select.PACKED_ENV, "1")
         threshold = select.active().packed_mul_limbs
         assert threshold > 0, "container tuning should enable packed"
         assert select.mul_backend(threshold - 1) == "limb"
@@ -141,7 +152,10 @@ class TestDivCrossover:
         quotient, remainder = packed
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
-    def test_auto_resolution_flips_exactly_at_threshold(self):
+    def test_auto_resolution_flips_exactly_at_threshold(self, monkeypatch):
+        # Pin the killswitch on: CI runs this suite under REPRO_PACKED=0
+        # too, where auto legitimately never resolves to packed.
+        monkeypatch.setenv(select.PACKED_ENV, "1")
         threshold = select.active().packed_div_limbs
         assert threshold > 0, "container tuning should enable packed"
         assert select.div_backend(threshold - 1) == "limb"
@@ -265,3 +279,72 @@ class TestPlanLayer:
         library = lower(OpSpec.for_mul(*spec_args, backend="library"),
                         use_cache=False)
         assert packed.memo_key != library.memo_key
+
+
+def _powmod_params(limbs: int, parity: str, seed: int):
+    modulus = _operand(limbs, seed)
+    modulus = modulus | 1 if parity == "odd" else modulus & ~1
+    return {"base": _operand(limbs + 1, seed + 1),
+            "exp": _operand(1, seed + 2) & 0xFFFF | 1, "mod": modulus}
+
+
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache around a test that flips a kill switch (the
+    cache keys on the tuning, not on the environment)."""
+    plan_cache().clear()
+    yield
+    plan_cache().clear()
+
+
+#: The plan algorithm of each (backend, modulus parity).
+POWMOD_ALGORITHMS = {
+    ("packed", "odd"): "packed-montgomery",
+    ("packed", "even"): "packed-division",
+    ("library", "odd"): "montgomery",
+    ("library", "even"): "binary-division",
+}
+
+
+class TestPowmodEntryPoints:
+    @pytest.mark.parametrize("parity", ("odd", "even"))
+    @pytest.mark.parametrize("limbs", POWMOD_LIMBS)
+    def test_every_entry_point_matches_pow(self, limbs, parity):
+        params = _powmod_params(limbs, parity, 30 + limbs)
+        truth = pow(params["base"], params["exp"], params["mod"])
+        operands = [to_nat(params[key]) for key in ("base", "exp", "mod")]
+        for backend in ("auto", "packed", "limb", "rns"):
+            assert from_nat(mpn.powmod(*operands, backend=backend)) \
+                == truth, backend
+        assert run(plan_for_job("powmod", params), params)["value"] \
+            == truth
+        assert int(evaluate(("powmod", params))["value"], 16) == truth
+
+    @pytest.mark.parametrize("killswitch,expected",
+                             [("1", "packed"), ("0", "library")])
+    def test_plan_backend_is_what_auto_runs(self, killswitch, expected,
+                                            monkeypatch, fresh_plans):
+        monkeypatch.setenv(select.PACKED_ENV, killswitch)
+        ran = []
+
+        def recording(kernel, backend):
+            def wrapper(*args, **kwargs):
+                ran.append(backend)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(packed_kernels, "powmod_packed",
+                            recording(packed_kernels.powmod_packed,
+                                      "packed"))
+        monkeypatch.setattr(montgomery, "powmod",
+                            recording(montgomery.powmod, "library"))
+        for limbs in POWMOD_LIMBS:
+            for parity in ("odd", "even"):
+                params = _powmod_params(limbs, parity, 60 + limbs)
+                plan = plan_for_job("powmod", params)
+                ran.clear()
+                mpn.powmod(*[to_nat(params[key])
+                             for key in ("base", "exp", "mod")])
+                assert ran == [plan.backend] == [expected], (limbs,
+                                                             parity)
+                assert plan.algorithm == POWMOD_ALGORITHMS[expected, parity]

@@ -1,14 +1,15 @@
 """The rns backend is bit-identical to the limb/packed backends.
 
-The residue-number-system kernels exist purely for batch fan-out and
-Montgomery-free exponentiation speed, so the contract is strict: at
-every size — and especially straddling the ``rns_mul_limbs`` /
-``rns_powmod_limbs`` crossovers where dispatch flips backends — the
+The residue-number-system kernels exist for batch fan-out, so the
+contract is strict: at every size — and especially straddling the
+``rns_mul_limbs`` crossover where batch dispatch flips backends — the
 mpn dispatchers must return the same limbs whichever backend runs, and
-all of them must match Python's bigints.  The plan layer rides the
-same crossovers, so lowered ``rns`` plans are checked against
-``library`` plans, the batch routes against their serial oracles, and
-the memo-key salting against threshold changes.
+all of them must match Python's bigints.  rns powmod is reachable only
+by an explicit ``backend="rns"`` (``auto`` runs the packed ladder at
+every width), so it is checked as an identity against the packed and
+limb kernels.  Lowered ``rns`` plans are checked against ``library``
+plans, the batch routes against their serial oracles, and the memo-key
+salting against threshold changes.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class TestMulCrossover:
         monkeypatch.setenv(select.RNS_ENV, "0")
         threshold = select.active().rns_mul_limbs
         assert select.batch_mul_backend(threshold + 100, 8) != "rns"
-        assert select.powmod_backend(threshold + 100) == "limb"
+        assert select.powmod_backend() != "rns"
 
     def test_kill_switch_keeps_explicit_rns_runnable(self, monkeypatch):
         monkeypatch.setenv(select.RNS_ENV, "0")
@@ -102,9 +103,6 @@ class TestMulCrossover:
     def test_zero_threshold_disables_backend(self):
         disabled = dataclasses.replace(select.active(), rns_mul_limbs=0)
         assert select.batch_mul_backend(10 ** 6, 8, disabled) != "rns"
-        no_powmod = dataclasses.replace(select.active(),
-                                        rns_powmod_limbs=0)
-        assert select.powmod_backend(10 ** 6, no_powmod) == "limb"
 
     @given(a=naturals_of_bits(4096), b=naturals_of_bits(4096))
     @settings(max_examples=diff_examples(), deadline=None)
@@ -116,11 +114,12 @@ class TestMulCrossover:
 
 
 class TestPowmodCrossover:
+    """Explicit rns powmod against packed, limb and bigints, at the
+    widths that straddled the retired rns powmod crossover (5 limbs)."""
+
     # Capped below the mul band: one 200-limb limb-Montgomery ladder
     # alone would dominate the suite's runtime.
-    @pytest.mark.parametrize(
-        "limbs", _crossover_band(select.active().rns_powmod_limbs,
-                                 cap=64))
+    @pytest.mark.parametrize("limbs", _crossover_band(5, cap=64))
     def test_backends_agree_at_boundary(self, limbs):
         base = _operand(limbs, 4)
         exponent = _operand(min(limbs, 2), 5)
@@ -128,6 +127,7 @@ class TestPowmodCrossover:
         bn, en, mn = to_nat(base), to_nat(exponent), to_nat(modulus)
         rns = mpn.powmod(bn, en, mn, backend="rns")
         assert rns == mpn.powmod(bn, en, mn, backend="limb") \
+            == mpn.powmod(bn, en, mn, backend="packed") \
             == mpn.powmod(bn, en, mn)
         assert from_nat(rns) == pow(base, exponent, modulus)
 
@@ -136,16 +136,16 @@ class TestPowmodCrossover:
         modulus = _operand(8, 9) & ~1
         bn, en, mn = to_nat(base), to_nat(exponent), to_nat(modulus)
         assert mpn.powmod(bn, en, mn, backend="rns") \
-            == mpn.powmod(bn, en, mn, backend="limb")
+            == mpn.powmod(bn, en, mn, backend="limb") \
+            == mpn.powmod(bn, en, mn, backend="packed")
         assert from_nat(mpn.powmod(bn, en, mn, backend="rns")) \
             == pow(base, exponent, modulus)
 
-    def test_auto_resolution_flips_exactly_at_threshold(self, monkeypatch):
+    def test_auto_never_resolves_to_rns(self, monkeypatch):
         monkeypatch.setenv(select.RNS_ENV, "1")
-        threshold = select.active().rns_powmod_limbs
-        assert threshold > 0, "container tuning should enable rns"
-        assert select.powmod_backend(threshold - 1) == "limb"
-        assert select.powmod_backend(threshold) == "rns"
+        for packed, expected in (("1", "packed"), ("0", "limb")):
+            monkeypatch.setenv(select.PACKED_ENV, packed)
+            assert select.powmod_backend() == expected
 
     @given(base=naturals_of_bits(512), exponent=naturals_of_bits(64),
            modulus=naturals_of_bits(512, 1))
@@ -153,7 +153,7 @@ class TestPowmodCrossover:
     def test_hypothesis_powmod_three_way(self, base, exponent, modulus):
         bn, en, mn = to_nat(base), to_nat(exponent), to_nat(modulus)
         rns = mpn.powmod(bn, en, mn, backend="rns")
-        assert rns == mpn.powmod(bn, en, mn, backend="limb")
+        assert rns == mpn.powmod(bn, en, mn, backend="packed")
         assert from_nat(rns) == pow(base, exponent, modulus)
 
 
@@ -224,28 +224,26 @@ class TestPlanLayer:
         assert run(plan, params)["value"] \
             == pow(params["base"], params["exp"], params["mod"])
 
-    def test_powmod_auto_lowers_to_rns_above_crossover(self, monkeypatch):
+    def test_powmod_auto_lowers_to_packed_not_rns(self, monkeypatch):
         monkeypatch.setenv(select.RNS_ENV, "1")
-        threshold = select.active().rns_powmod_limbs
-        params = {"base": _operand(threshold + 4, 16),
-                  "exp": _operand(2, 17),
-                  "mod": _operand(threshold + 4, 18)}
+        monkeypatch.setenv(select.PACKED_ENV, "1")
+        params = {"base": _operand(9, 16), "exp": _operand(2, 17),
+                  "mod": _operand(9, 18)}
         plan = plan_for_job("powmod", params)
-        assert plan.backend == "rns"
+        assert plan.backend == "packed"
         assert run(plan, params)["value"] \
             == pow(params["base"], params["exp"], params["mod"])
 
     def test_memo_key_changes_with_rns_thresholds(self):
-        """Retuning the rns crossovers must invalidate cached plans:
+        """Retuning the rns crossover must invalidate cached plans:
         the fingerprint inside the memo key covers them."""
         spec = OpSpec.for_mul(64 * 32, 64 * 32)
         active = select.active()
         baseline = lower(spec, active, use_cache=False)
-        for field in ("rns_mul_limbs", "rns_powmod_limbs"):
-            moved = dataclasses.replace(
-                active, **{field: getattr(active, field) + 3})
-            assert lower(spec, moved, use_cache=False).memo_key \
-                != baseline.memo_key, field
+        moved = dataclasses.replace(active,
+                                    rns_mul_limbs=active.rns_mul_limbs + 3)
+        assert lower(spec, moved, use_cache=False).memo_key \
+            != baseline.memo_key
 
     def test_memo_key_separates_backends(self):
         spec_args = (64 * 32, 64 * 32)

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.mpn import nat
 from repro.mpn.nat import LIMB_BITS, MpnError
-from repro.mpn.packed import (KARATSUBA_BLOCKS, PACK_LIMBS, add_packed,
-                              divmod_packed, mul_packed, pack_blocks,
-                              shl_packed, shr_packed, sqr_packed,
-                              sub_packed, unpack_blocks)
+from repro.mpn.packed import (KARATSUBA_BLOCKS, PACK_LIMBS,
+                              WINDOW_BITS_MAX, WINDOW_TABLE, _window_bits,
+                              add_packed, divmod_packed, mul_packed,
+                              pack_blocks, powmod_packed, shl_packed,
+                              shr_packed, sqr_packed, sub_packed,
+                              unpack_blocks)
 
 from tests.conftest import from_nat, to_nat
 from tests.differential.conftest import diff_examples
@@ -315,3 +317,73 @@ class TestArithmeticKernels:
         assert sub_packed(to_nat(9), []) == to_nat(9)
         assert shl_packed([], 40) == []
         assert shr_packed([], 40) == []
+
+
+#: Moduli at block boundaries and with all-ones blocks, both parities.
+POWMOD_MODULI = [
+    pytest.param(value, id=name) for name, value in (
+        ("1", 1), ("2", 2), ("3", 3),
+        ("2^256-1", _B - 1), ("2^256+1", _B + 1), ("2^512-1", _B ** 2 - 1),
+        ("2^255", _B // 2), ("2^256", _B), ("2^257", 2 * _B),
+        ("2^512", _B ** 2), ("2^32", 1 << 32), ("3*2^256", 3 * _B),
+        ("mixed-3-blocks", (_B - 1) * _B ** 2 + 5),
+    )]
+
+
+class TestPowmodPacked:
+    """``powmod_packed`` against ``pow``: block Montgomery for odd
+    moduli, the block-division ladder for even ones."""
+
+    @pytest.mark.parametrize("modulus", POWMOD_MODULI)
+    def test_edge_bases_and_exponents(self, modulus):
+        bases = (0, 1, 2, modulus - 1, modulus, modulus + 1,
+                 3 * modulus, _B ** 3 + 12345, _block_operand(2, "ones", 0))
+        for base in bases:
+            for exponent in (0, 1, 2, 3, 65537, (1 << 130) - 1):
+                got = powmod_packed(to_nat(base), to_nat(exponent),
+                                    to_nat(modulus))
+                assert from_nat(got) == pow(base, exponent, modulus), \
+                    (base, exponent, modulus)
+                assert got == nat.normalize(list(got))
+
+    @pytest.mark.parametrize("exponent_bits", range(1, 131))
+    def test_every_window_width(self, exponent_bits):
+        rng = random.Random(exponent_bits)
+        exponent = rng.getrandbits(exponent_bits) | (1 << (exponent_bits - 1))
+        for modulus in (_B - 1, _B + 1, _B ** 2 - 1, 6 * _B + 2):
+            base = rng.getrandbits(600)
+            assert from_nat(powmod_packed(
+                to_nat(base), to_nat(exponent), to_nat(modulus))) \
+                == pow(base, exponent, modulus)
+
+    def test_window_table_rows_are_all_reached(self):
+        widths = {_window_bits(bits) for bits in range(1, 131)}
+        assert widths == {width for _, width in WINDOW_TABLE} \
+            | {WINDOW_BITS_MAX}
+
+    @pytest.mark.parametrize("k", PACK_WIDTHS)
+    def test_block_widths(self, k):
+        rng = random.Random(k)
+        for _ in range(10):
+            modulus = rng.getrandbits(rng.randrange(2, 900)) | 1
+            modulus <<= rng.choice((0, 0, 1, 37))
+            base, exponent = rng.getrandbits(700), rng.getrandbits(70)
+            assert from_nat(powmod_packed(
+                to_nat(base), to_nat(exponent), to_nat(modulus), k)) \
+                == pow(base, exponent, modulus)
+
+    @given(base=st.integers(min_value=0, max_value=(1 << 1100) - 1),
+           exponent=st.integers(min_value=0, max_value=(1 << 140) - 1),
+           modulus=st.integers(min_value=1, max_value=(1 << 1030) - 1),
+           even_shift=st.sampled_from((0, 0, 1, 5, 256, 300)))
+    @settings(max_examples=4 * diff_examples(), deadline=None)
+    def test_hypothesis_both_parities(self, base, exponent, modulus,
+                                      even_shift):
+        modulus <<= even_shift
+        assert from_nat(powmod_packed(to_nat(base), to_nat(exponent),
+                                      to_nat(modulus))) \
+            == pow(base, exponent, modulus)
+
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(MpnError):
+            powmod_packed(to_nat(3), to_nat(5), [])

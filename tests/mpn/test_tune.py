@@ -163,6 +163,20 @@ class TestThresholdsPersistence:
         assert load_thresholds() is None
         assert active_thresholds() == default_thresholds()
 
+    def test_v2_file_with_retired_crossover_loads_none(self, isolated):
+        """A version-2 file still carries ``rns_powmod_limbs``; it is
+        rejected by its version, and the defaults take over."""
+        v2 = dict(karatsuba_limbs=20, toom3_limbs=90, toom4_limbs=300,
+                  toom6_limbs=1200, ssa_limbs=5000, bz_limbs=64,
+                  barrett_limbs=8, packed_mul_limbs=4,
+                  packed_div_limbs=4, rns_mul_limbs=4,
+                  rns_powmod_limbs=5, repeats=3, max_limbs=0, version=2)
+        (isolated / "thresholds.json").write_text(json.dumps(v2),
+                                                  encoding="utf-8")
+        assert load_thresholds() is None
+        assert active_thresholds() == default_thresholds()
+        assert not hasattr(default_thresholds(), "rns_powmod_limbs")
+
     def test_active_prefers_persisted(self):
         persisted = Thresholds(karatsuba_limbs=17, toom3_limbs=70,
                                toom4_limbs=280, toom6_limbs=1100,

@@ -69,8 +69,8 @@ class TestFingerprint:
                       thresholds.bz_limbs, thresholds.barrett_limbs,
                       thresholds.packed_mul_limbs,
                       thresholds.packed_div_limbs,
-                      thresholds.rns_mul_limbs,
-                      thresholds.rns_powmod_limbs)
+                      thresholds.rns_mul_limbs)
+        assert len(fp) == 11
 
     def test_thresholds_method_delegates(self):
         thresholds = select.active()

@@ -38,6 +38,10 @@ class TestEndToEnd:
             {"op": "powmod", "params": {"base": "0xabcdef",
                                         "exp": "65537",
                                         "mod": hex((1 << 255) - 19)}},
+            # An even modulus runs the packed block-division ladder.
+            {"op": "powmod", "params": {"base": hex(3 ** 200),
+                                        "exp": "0x1234567",
+                                        "mod": hex((1 << 300) - 2)}},
             {"op": "pi_digits", "params": {"digits": 40}},
             {"op": "model_cycles", "params": {"op": "powmod",
                                               "bits_a": 2048,
@@ -50,6 +54,11 @@ class TestEndToEnd:
             expected = evaluate((payload["op"], validate_params(
                 payload["op"], payload["params"])))
             assert body["result"] == expected
+            if payload["op"] == "powmod":
+                params = payload["params"]
+                assert int(body["result"]["value"], 16) == pow(
+                    int(params["base"], 0), int(params["exp"], 0),
+                    int(params["mod"], 0))
 
     def test_32_concurrent_clients_zero_wrong_answers(self, server):
         report = run_load(server.host, server.port, requests=96,
