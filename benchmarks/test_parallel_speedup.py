@@ -1,25 +1,15 @@
-"""Parallel batch speedup: REPRO_WORKERS=4 vs serial (ISSUEs 2, 7).
+"""Parallel batch speedup: REPRO_WORKERS=4 vs serial.
 
-Three experiments, all recorded in ``results/BENCH_parallel.json``:
+One experiment, recorded in ``results/BENCH_parallel.json``:
+``simulate_batch`` — functional-simulator multiplies, serial vs a
+4-worker :class:`ParallelExecutor` (the exact path
+``runtime.scheduler.BatchingDriver`` uses).
 
-* ``simulate_batch`` — functional-simulator multiplies, serial vs a
-  4-worker :class:`ParallelExecutor` (the exact path
-  ``runtime.scheduler.BatchingDriver`` uses);
-* ``rns_batch_mul`` — the same batch through
-  ``CambriconP.multiply_batch(backend="rns")``: carry-free residue
-  channels fanned across workers, CRT gather at the end;
-* ``rns_batch_powmod`` — a batch of modular exponentiations through
-  :func:`repro.mpn.rns.powmod_batch_rns` (the serve batcher's rns
-  plan-group path).
-
-Every experiment asserts the parallel result is byte-identical to the
-serial one (and the rns products identical to the simulate/bigint
-oracles).  The >=1.5x speedup acceptance bar only applies where it is
-physically possible — on hosts exposing >=2 CPUs.  A 1-CPU container
-still runs the benchmarks (honest numbers recorded, parity still
-asserted) but skips the speedup assertion rather than faking it; the
-rns-vs-simulate backend ratio is recorded regardless, since it does
-not depend on the CPU budget.
+The experiment asserts the parallel result is byte-identical to the
+serial one.  The >=1.5x speedup acceptance bar only applies where it
+is physically possible — on hosts exposing >=2 CPUs.  A 1-CPU
+container still runs the benchmark (honest numbers recorded, parity
+still asserted) but skips the speedup assertion rather than faking it.
 """
 
 from __future__ import annotations
@@ -31,8 +21,6 @@ import pytest
 
 from benchmarks.conftest import emit, fmt_row
 from repro.core.accelerator import CambriconP
-from repro.mpn import nat
-from repro.mpn.rns import powmod_batch_rns
 from repro.mpn.tune import _random_operand
 from repro.parallel import ParallelExecutor, available_cpus
 
@@ -41,26 +29,11 @@ BATCH_PAIRS = 8
 WORKERS = 4
 REPEATS = 2
 
-POWMOD_MOD_LIMBS = 32   # 1024-bit moduli
-POWMOD_EXP_LIMBS = 8    # 256-bit exponents
-POWMOD_TRIPLES = 8
-
 
 def _batch():
     return [(_random_operand(OPERAND_LIMBS, seed),
              _random_operand(OPERAND_LIMBS, seed + 1000))
             for seed in range(BATCH_PAIRS)]
-
-
-def _powmod_batch():
-    triples = []
-    for seed in range(POWMOD_TRIPLES):
-        modulus = _random_operand(POWMOD_MOD_LIMBS, seed + 3000)
-        modulus[0] |= 1
-        triples.append((_random_operand(POWMOD_MOD_LIMBS, seed),
-                        _random_operand(POWMOD_EXP_LIMBS, seed + 2000),
-                        modulus))
-    return triples
 
 
 def _best_seconds(thunk) -> tuple:
@@ -143,116 +116,3 @@ def test_parallel_batch_speedup(results_dir):
     ])
 
     _speedup_gate(speedup, cpus, "simulate batch")
-
-
-def test_rns_batch_mul_speedup(results_dir):
-    device = CambriconP()
-    pairs = _batch()
-
-    # Oracle once: the simulated device products (bigint-exact).
-    simulate_products, _ = device.multiply_batch(pairs, executor=None)
-
-    simulate_seconds, _ = _best_seconds(
-        lambda: device.multiply_batch(pairs, executor=None))
-    serial_seconds, serial_result = _best_seconds(
-        lambda: device.multiply_batch(pairs, executor=None,
-                                      backend="rns"))
-    with ParallelExecutor(WORKERS) as executor:
-        parallel_seconds, parallel_result = _best_seconds(
-            lambda: device.multiply_batch(pairs, executor=executor,
-                                          backend="rns"))
-        mode = executor.last_mode
-
-    products, _ = serial_result
-    parallel_products, _ = parallel_result
-    assert products == simulate_products, \
-        "rns batch products must match the simulated device"
-    assert parallel_products == products, \
-        "parallel rns batch must be byte-identical to serial rns"
-
-    speedup = serial_seconds / parallel_seconds
-    vs_simulate = simulate_seconds / serial_seconds
-    cpus = available_cpus()
-    _update_bench(results_dir, "rns_batch_mul", {
-        "experiment": "CambriconP.multiply_batch(backend=\"rns\"), "
-                      "serial vs REPRO_WORKERS=%d" % WORKERS,
-        "operand_limbs": OPERAND_LIMBS,
-        "batch_pairs": BATCH_PAIRS,
-        "repeats_best_of": REPEATS,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": speedup,
-        "vs_simulate_speedup": vs_simulate,
-        "parallel_mode": mode,
-        "deterministic": True,
-    })
-
-    emit(results_dir, "BENCH_parallel_rns_mul", [
-        "RNS batch multiply: %d pairs of %d limbs, best of %d"
-        % (BATCH_PAIRS, OPERAND_LIMBS, REPEATS),
-        "",
-        fmt_row("configuration", "seconds", widths=[28, 12]),
-        fmt_row("simulate (oracle path)", "%.3f" % simulate_seconds,
-                widths=[28, 12]),
-        fmt_row("rns serial (workers=0)", "%.3f" % serial_seconds,
-                widths=[28, 12]),
-        fmt_row("rns workers=%d" % WORKERS, "%.3f" % parallel_seconds,
-                widths=[28, 12]),
-        "",
-        "rns vs simulate: %.2fx; parallel rns vs serial rns: %.2fx "
-        "on %d available CPU(s)" % (vs_simulate, speedup, cpus),
-    ])
-
-    _speedup_gate(speedup, cpus, "rns mul batch")
-
-
-def test_rns_batch_powmod_speedup(results_dir):
-    triples = _powmod_batch()
-    oracle = [pow(nat.nat_to_int(base), nat.nat_to_int(exponent),
-                  nat.nat_to_int(modulus))
-              for base, exponent, modulus in triples]
-
-    serial_seconds, serial_result = _best_seconds(
-        lambda: powmod_batch_rns(triples))
-    with ParallelExecutor(WORKERS) as executor:
-        parallel_seconds, parallel_result = _best_seconds(
-            lambda: powmod_batch_rns(triples, executor=executor))
-        mode = executor.last_mode
-
-    assert [nat.nat_to_int(value) for value in serial_result] == oracle, \
-        "rns powmod batch must match the bigint oracle"
-    assert parallel_result == serial_result, \
-        "parallel rns powmod batch must be byte-identical to serial"
-
-    speedup = serial_seconds / parallel_seconds
-    cpus = available_cpus()
-    _update_bench(results_dir, "rns_batch_powmod", {
-        "experiment": "powmod_batch_rns, serial vs "
-                      "REPRO_WORKERS=%d" % WORKERS,
-        "modulus_limbs": POWMOD_MOD_LIMBS,
-        "exponent_limbs": POWMOD_EXP_LIMBS,
-        "batch_triples": POWMOD_TRIPLES,
-        "repeats_best_of": REPEATS,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": speedup,
-        "parallel_mode": mode,
-        "deterministic": True,
-    })
-
-    emit(results_dir, "BENCH_parallel_rns_powmod", [
-        "RNS batch powmod: %d triples, %d-limb moduli, %d-limb "
-        "exponents, best of %d" % (POWMOD_TRIPLES, POWMOD_MOD_LIMBS,
-                                   POWMOD_EXP_LIMBS, REPEATS),
-        "",
-        fmt_row("configuration", "seconds", widths=[28, 12]),
-        fmt_row("rns serial (workers=0)", "%.3f" % serial_seconds,
-                widths=[28, 12]),
-        fmt_row("rns workers=%d" % WORKERS, "%.3f" % parallel_seconds,
-                widths=[28, 12]),
-        "",
-        "parallel rns vs serial rns: %.2fx on %d available CPU(s)"
-        % (speedup, cpus),
-    ])
-
-    _speedup_gate(speedup, cpus, "rns powmod batch")

@@ -172,13 +172,6 @@ PACKED = declare(
     "block-packed kernels; differential-triage aid).",
     "plan")
 
-RNS = declare(
-    "REPRO_RNS", "on", "killswitch",
-    "Set to 0 to remove the residue-number-system backend from auto "
-    "batch-mul selection, its only auto route (explicit "
-    "backend=\"rns\" still runs; differential-triage aid).",
-    "plan")
-
 COST = declare(
     "REPRO_COST", "on", "killswitch",
     "Set to 0 to disable the learned ns cost model everywhere (plan "
@@ -212,8 +205,8 @@ SERVE_BATCH = declare(
 SERVE_BATCH_MS = declare(
     "REPRO_SERVE_BATCH_MS", "5", "float",
     "Latency window (milliseconds) the batcher waits to coalesce "
-    "compatible jobs into a batch that runs in parallel (rns fan-out "
-    "or a worker pool); serial batches dispatch at once.",
+    "compatible jobs into a batch that runs in parallel on a worker "
+    "pool (REPRO_WORKERS > 0); serial batches dispatch at once.",
     "serve")
 
 SERVE_TIMEOUT_S = declare(

@@ -15,10 +15,6 @@ MPN_BOUNDARY_MODULES = frozenset({
     "__init__.py",   # profiled re-export wrappers
     "tune.py",       # host-timing harness, not a kernel
     "radix.py",      # decimal string <-> Nat conversion boundary
-    "rns.py",        # residue-system boundary: channel residues are
-                     # machine words (< 2**61) carried as Python ints;
-                     # Nat <-> residue-vector conversion is the
-                     # module's documented pack/unpack contract
 })
 
 #: core modules that form the *functional* (bit-exact) simulator, where

@@ -23,11 +23,7 @@ from repro.analysis.rules.base import (FileContext, Rule, RuleViolation,
 #: plan.select themselves).  The block-packed kernels of
 #: :mod:`repro.mpn.packed` are covered too: they are reachable only
 #: through the dispatchers' backend resolution or a lowered
-#: ``backend="packed"`` Plan, never called directly.  Likewise the
-#: residue-number-system kernels of :mod:`repro.mpn.rns`: sanctioned
-#: routes are the dispatchers' ``backend="rns"`` resolution, a lowered
-#: rns Plan (``plan.execute.run``/``run_rns_batch``), and the
-#: accelerator's batch entry point.
+#: ``backend="packed"`` Plan, never called directly.
 KERNEL_ENTRYPOINTS = frozenset({
     "mul_schoolbook", "sqr_schoolbook",
     "mul_karatsuba", "sqr_karatsuba",
@@ -36,8 +32,6 @@ KERNEL_ENTRYPOINTS = frozenset({
     "mul_packed", "sqr_packed", "divmod_packed",
     "add_packed", "sub_packed", "shl_packed", "shr_packed",
     "powmod_packed",
-    "mul_rns", "sqr_rns", "powmod_rns",
-    "mul_batch_rns", "powmod_batch_rns",
 })
 
 

@@ -245,8 +245,7 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
     * **PV-COST** — the cycle estimate is finite and non-negative;
     * **PV-BACKEND** — the resolved backend is legal for the op
       (``device`` only for muls within the monolithic limit,
-      ``packed`` only for mul/div/mod/powmod, ``rns`` only for
-      mul/powmod);
+      ``packed`` only for mul/div/mod/powmod);
     * **PV-ALGO** — for muls, re-deriving selection from the plan's
       recorded thresholds fingerprint reproduces the recorded
       algorithm (a mismatch means the plan was built under different
@@ -277,17 +276,13 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
         report("PV-COST", "cost estimate %r is not a finite "
                "non-negative cycle count" % (cost,))
 
-    if plan.backend not in ("library", "device", "packed", "rns"):
+    if plan.backend not in ("library", "device", "packed"):
         report("PV-BACKEND", "unresolved backend %r" % (plan.backend,))
     elif plan.backend == "packed":
         if plan.spec.op not in ("mul", "div", "mod", "powmod"):
             report("PV-BACKEND", "the packed backend executes only "
                    "mul/div/mod/powmod; %r cannot run packed"
                    % (plan.spec.op,))
-    elif plan.backend == "rns":
-        if plan.spec.op not in ("mul", "powmod"):
-            report("PV-BACKEND", "the rns backend executes only "
-                   "mul/powmod; %r cannot run rns" % (plan.spec.op,))
     elif plan.backend == "device":
         if plan.spec.op != "mul":
             report("PV-BACKEND", "only mul lowers to a device stream; "
@@ -301,7 +296,7 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
                       config.monolithic_max_bits))
 
     if plan.spec.op == "mul" \
-            and plan.backend in ("library", "device", "packed", "rns"):
+            and plan.backend in ("library", "device", "packed"):
         from repro.mpn.nat import LIMB_BITS
         min_limbs = -(-min(max(plan.spec.bits_a, 1),
                            max(plan.spec.bits_b, 1)) // LIMB_BITS)
@@ -309,8 +304,6 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
             expected = "monolithic"
         elif plan.backend == "packed":
             expected = select.packed_chain(min_limbs)[0][0]
-        elif plan.backend == "rns":
-            expected = "rns-crt"
         else:
             expected = select.mul_algorithm(min_limbs, plan.policy())
         if plan.algorithm != expected:

@@ -2,15 +2,12 @@
 
 Measures the mpn dispatchers — never concrete kernels — with every
 backend pinned explicitly, so what is timed is exactly what a lowered
-``backend="library"``/``"packed"``/``"rns"`` plan executes:
+``backend="library"``/``"packed"`` plan executes:
 
 * ``limb`` — the per-limb Python ladder (the seed implementation's
   only path, and the "before" baseline of every speedup column);
-* ``packed`` — the block-packed backend (:mod:`repro.mpn.packed`);
-* ``rns`` — the residue-number-system backend (:mod:`repro.mpn.rns`):
-  carry-free channel mul for mul/sqr, dual-base RNS Montgomery for
-  powmod (measured beside the packed block-Montgomery ladder that
-  ``auto`` powmod runs).
+* ``packed`` — the block-packed backend (:mod:`repro.mpn.packed`),
+  including the block-Montgomery ladder that ``auto`` powmod runs.
 
 Timings are best-of-N ``perf_counter_ns`` (the same discipline as
 :mod:`repro.mpn.tune`).  Every measured point asserts that *all*
@@ -54,7 +51,9 @@ from repro.mpn.tune import _random_operand, tuned_policy
 #: model is live; absent otherwise.
 #: v5: the v3 compiled-kernel column, hotspot and gate are gone.
 #: v6: powmod gained a packed column (the block-Montgomery ladder).
-BENCH_SCHEMA_VERSION = 6
+#: v7: the residue-number-system column, hotspot and gates are gone;
+#: the powmod gate moved to packed.
+BENCH_SCHEMA_VERSION = 7
 
 #: Figure-11-style bit-width ladder (the paper sweeps multiply sizes in
 #: this range; 64k bits is the headline point).
@@ -73,10 +72,10 @@ POWMOD_EXPONENT_LIMBS = 2
 
 #: Backends each op can execute (always measured, always checked).
 OP_BACKENDS = {
-    "mul": ("limb", "packed", "rns"),
-    "sqr": ("limb", "packed", "rns"),
+    "mul": ("limb", "packed"),
+    "sqr": ("limb", "packed"),
     "div": ("limb", "packed"),
-    "powmod": ("limb", "packed", "rns"),
+    "powmod": ("limb", "packed"),
 }
 
 #: Minimum packed/limb ratio --check tolerates at the largest measured
@@ -84,17 +83,10 @@ OP_BACKENDS = {
 #: lands far below it).
 CHECK_MIN_SPEEDUP = 0.9
 
-#: Minimum rns/limb powmod ratio --check tolerates at the largest
-#: measured modulus (the dual-base pipeline wins ~2-7x on measured
-#: hosts; 1.2 is the noise-tolerant floor).
-CHECK_RNS_POWMOD_MIN_SPEEDUP = 1.2
-
-#: Maximum rns-vs-packed slowdown --check tolerates for serial mul/sqr
-#: at the top size.  The rns mul exists for *batch* fan-out, not serial
-#: wins — measured hosts put it 10-20x behind packed serially — so the
-#: gate is a broken-kernel canary against the packed baseline, not a
-#: speedup claim.
-CHECK_RNS_MUL_MAX_RATIO = 48.0
+#: Minimum packed/limb powmod ratio --check tolerates at the largest
+#: measured modulus (the block-Montgomery ladder wins well over 10x on
+#: measured hosts; 1.2 is the noise-tolerant floor).
+CHECK_PACKED_POWMOD_MIN_SPEEDUP = 1.2
 
 
 def _best_ns(fn: Callable[[], object], repeats: int) -> int:
@@ -285,7 +277,6 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
             "limb_mul_%d_bits" % top_bits: _hotspots(runners["limb"]),
             "packed_mul_%d_bits" % top_bits: _hotspots(
                 runners["packed"]),
-            "rns_mul_%d_bits" % top_bits: _hotspots(runners["rns"]),
         }
 
     return {
@@ -325,18 +316,10 @@ def git_revision() -> str:
 
 
 def check_report(report: Dict) -> List[str]:
-    """Regression gates, mostly over the top measured size per op.
-
-    * packed must not lose to limb (mul/sqr/div,
-      :data:`CHECK_MIN_SPEEDUP`);
-    * rns powmod must beat limb Montgomery
-      (:data:`CHECK_RNS_POWMOD_MIN_SPEEDUP`);
-    * packed powmod must be no slower than rns at *every* measured
-      powmod size, not only the top one (the evidence that ``auto``
-      powmod lost nothing when it left rns);
-    * serial rns mul/sqr must stay within
-      :data:`CHECK_RNS_MUL_MAX_RATIO` of the packed baseline (a
-      broken-kernel canary — the rns mul wins on batches, not serially).
+    """Regression gates over the top measured size per op: packed must
+    not lose to limb on mul/sqr/div (:data:`CHECK_MIN_SPEEDUP`), and
+    packed powmod must beat limb Montgomery
+    (:data:`CHECK_PACKED_POWMOD_MIN_SPEEDUP`).
 
     Returns human-readable failures (empty = pass), tolerances chosen
     so CI noise survives but a real regression does not.
@@ -344,39 +327,18 @@ def check_report(report: Dict) -> List[str]:
     failures: List[str] = []
     top: Dict[str, Dict] = {}
     for entry in report.get("entries", []):
-        ns = entry["ns"]
-        if entry["op"] == "powmod" and "packed" in ns and "rns" in ns \
-                and ns["packed"] > ns["rns"]:
-            failures.append(
-                "powmod at %d bits: packed is %.2fx slower than rns"
-                % (entry["bits"], ns["packed"] / max(1, ns["rns"])))
         current = top.get(entry["op"])
         if current is None or entry["bits"] > current["bits"]:
             top[entry["op"]] = entry
     for op, entry in sorted(top.items()):
         speedup = entry["speedup"]
-        if "packed" in speedup and speedup["packed"] < CHECK_MIN_SPEEDUP:
+        floor = CHECK_PACKED_POWMOD_MIN_SPEEDUP if op == "powmod" \
+            else CHECK_MIN_SPEEDUP
+        if "packed" in speedup and speedup["packed"] < floor:
             failures.append(
                 "%s at %d bits: packed is %.2fx the limb backend "
                 "(< %.2fx tolerance)"
-                % (op, entry["bits"], speedup["packed"],
-                   CHECK_MIN_SPEEDUP))
-        if op == "powmod" and "rns" in speedup \
-                and speedup["rns"] < CHECK_RNS_POWMOD_MIN_SPEEDUP:
-            failures.append(
-                "powmod at %d bits: rns is %.2fx the limb backend "
-                "(< %.2fx tolerance)"
-                % (entry["bits"], speedup["rns"],
-                   CHECK_RNS_POWMOD_MIN_SPEEDUP))
-        if op in ("mul", "sqr") and "rns" in entry["ns"] \
-                and "packed" in entry["ns"]:
-            ratio = entry["ns"]["rns"] / max(1, entry["ns"]["packed"])
-            if ratio > CHECK_RNS_MUL_MAX_RATIO:
-                failures.append(
-                    "%s at %d bits: serial rns is %.1fx slower than "
-                    "packed (> %.1fx canary bound)"
-                    % (op, entry["bits"], ratio,
-                       CHECK_RNS_MUL_MAX_RATIO))
+                % (op, entry["bits"], speedup["packed"], floor))
     return failures
 
 
@@ -388,14 +350,11 @@ def render_report(report: Dict) -> str:
              "  %-6s %8s  %s" % ("op", "bits",
                                  "per-backend ms (speedup vs limb)")]
     for entry in report["entries"]:
-        cells = ["limb=%.3f" % (entry["ns"]["limb"] / 1e6)]
-        for backend in ("packed", "rns"):
-            if backend in entry["ns"]:
-                cells.append("%s=%.3f (%.2fx)"
-                             % (backend, entry["ns"][backend] / 1e6,
-                                entry["speedup"][backend]))
-        lines.append("  %-6s %8d  %s" % (entry["op"], entry["bits"],
-                                         "  ".join(cells)))
+        lines.append("  %-6s %8d  limb=%.3f  packed=%.3f (%.2fx)"
+                     % (entry["op"], entry["bits"],
+                        entry["ns"]["limb"] / 1e6,
+                        entry["ns"]["packed"] / 1e6,
+                        entry["speedup"]["packed"]))
     for label, rows in report.get("hotspots", {}).items():
         lines.append("  hotspots: %s" % label)
         for row in rows[:5]:

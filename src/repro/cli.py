@@ -180,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="skip the division/Barrett crossovers")
     tune_parser.add_argument("--no-packed", action="store_true",
                              help="skip the packed-backend crossovers")
-    tune_parser.add_argument("--no-rns", action="store_true",
-                             help="skip the rns batch-mul crossover")
     tune_parser.add_argument("--no-dataset", action="store_true",
                              help="discard the raw timing probes "
                                   "instead of appending them to the "
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="pi_digits: decimal digits requested")
     plan_parser.add_argument("--backend",
                              choices=["auto", "library", "device",
-                                      "packed", "rns"],
+                                      "packed"],
                              default="auto",
                              help="force the execution backend")
     plan_parser.add_argument("--verify", action="store_true",
@@ -350,18 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_kernels = commands.add_parser(
         "bench-kernels",
-        help="time the limb vs block-packed vs rns mpn backends and "
-             "record per-backend numbers")
+        help="time the limb vs block-packed mpn backends and record "
+             "per-backend numbers")
     bench_kernels.add_argument("--quick", action="store_true",
                                help="reduced ladder for CI smoke runs")
     bench_kernels.add_argument("--check", action="store_true",
-                               help="exit 1 if packed regresses below "
-                                    "0.9x limb, rns powmod below 1.2x "
-                                    "limb, or serial rns mul past the "
-                                    "packed-baseline canary bound, at "
-                                    "the largest measured size, or if "
-                                    "packed powmod is slower than rns "
-                                    "at any powmod size")
+                               help="exit 1 if packed mul/sqr/div "
+                                    "regresses below 0.9x limb, or "
+                                    "packed powmod below 1.2x limb, at "
+                                    "the largest measured size")
     bench_kernels.add_argument("--repeats", type=int, default=5,
                                help="best-of-N timing repetitions")
     bench_kernels.add_argument("--seed", type=int, default=2022)
@@ -396,8 +391,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.mpn.tune import save_thresholds, tune
     result = tune(max_limbs=args.max_limbs, repeats=args.repeats,
                   measure_division=not args.no_division,
-                  measure_packed=not args.no_packed,
-                  measure_rns=not args.no_rns)
+                  measure_packed=not args.no_packed)
     print(result.report())
     print("tuned policy:", result.policy)
     if not args.dry_run and not args.no_dataset and result.raw_points:
@@ -892,12 +886,10 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         if failures:
             return 1
         print("check: every backend matches the bigint oracle at every "
-              "point; packed >= %.1fx limb, rns powmod >= %.1fx limb, "
-              "serial rns mul within the packed canary bound at the "
-              "largest sizes; packed powmod no slower than rns at "
-              "every size"
+              "point; packed >= %.1fx limb (powmod >= %.1fx) at the "
+              "largest sizes"
               % (_ck.CHECK_MIN_SPEEDUP,
-                 _ck.CHECK_RNS_POWMOD_MIN_SPEEDUP),
+                 _ck.CHECK_PACKED_POWMOD_MIN_SPEEDUP),
               file=sys.stderr)
     return 0
 

@@ -110,8 +110,7 @@ class CambriconP:
         return product, report
 
     def multiply_batch(self, pairs: list[tuple[Nat, Nat]],
-                       executor=None, backend: str = "simulate"
-                       ) -> tuple[list[Nat], ExecutionReport]:
+                       executor=None) -> tuple[list[Nat], ExecutionReport]:
         """Batch-processing multiplications (the CGBN comparison mode).
 
         Independent multiplications share the PE array back to back:
@@ -125,35 +124,7 @@ class CambriconP:
         products and the combined report are identical to the serial
         path because each per-pair simulation is deterministic and the
         gather preserves submission order.
-
-        ``backend`` picks how products are computed:
-
-        * ``"simulate"`` (default) — the per-pass PE simulation above;
-        * ``"rns"`` — the carry-free residue-number-system batch
-          kernel (:mod:`repro.mpn.rns`): products fan out across the
-          executor with no carry-chain serialization, while the report
-          still prices the batch on the device model from the pass
-          schedules.  The gather carries are never materialized on
-          this path, so ``max_gather_carry`` reports 0;
-        * ``"auto"`` — rns when the tuned
-          :func:`repro.plan.select.batch_mul_backend` crossover picks
-          it for this batch, the PE simulation otherwise.
-
-        Products are bit-identical across all three (the rns pipeline
-        is exact), and across every worker count within each.
         """
-        if backend not in ("simulate", "rns", "auto"):
-            raise ValueError("multiply_batch backend must be simulate, "
-                             "rns, or auto (got %r)" % (backend,))
-        if backend == "auto":
-            from repro.plan import select as _select
-            lengths = [min(nat.limb_length(a), nat.limb_length(b))
-                       for a, b in pairs]
-            chosen = _select.batch_mul_backend(
-                min(lengths) if lengths else 0, len(pairs))
-            backend = "rns" if chosen == "rns" else "simulate"
-        if backend == "rns" and pairs:
-            return self._multiply_batch_rns(pairs, executor)
         if executor is not None and executor.workers > 1 and len(pairs) > 1:
             outcomes = executor.map(
                 _simulate_multiply,
@@ -165,29 +136,6 @@ class CambriconP:
             sum(r.num_passes for r in reports),
             [r.traffic for r in reports],
             max((r.max_gather_carry for r in reports), default=0))
-
-    def _multiply_batch_rns(self, pairs: list[tuple[Nat, Nat]],
-                            executor) -> tuple[list[Nat], ExecutionReport]:
-        """Batch products through the carry-free rns kernel.
-
-        Products come from :func:`repro.mpn.rns.mul_batch_rns` —
-        exact, order-preserving, and embarrassingly parallel across
-        the executor's workers because residue channels never
-        exchange carries.  The report still describes the *device*
-        executing the batch: pass counts and traffic derive from the
-        same controller schedules the simulation would run, so the
-        modeled cycles match the simulate backend; only
-        ``max_gather_carry`` differs (0 — no gather is materialized).
-        """
-        from repro.mpn.rns import mul_batch_rns
-        products = mul_batch_rns(pairs, executor=executor)  # repro: noqa=direct-dispatch -- the accelerator batch entry point is a sanctioned rns route (reachability contract in repro/mpn/rns.py)
-        shapes = [self.model.multiply_shape(nat.bit_length(a),
-                                            nat.bit_length(b))
-                  for a, b in pairs
-                  if not (nat.is_zero(a) or nat.is_zero(b))]
-        return products, self._batch_report(
-            sum(shape.num_passes for shape in shapes),
-            [self.memory.multiply_traffic(shape) for shape in shapes], 0)
 
     def _batch_report(self, total_passes: int,
                       traffics: list[TrafficReport],

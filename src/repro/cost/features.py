@@ -20,8 +20,8 @@ agreement:
 
 Backend names are canonicalized to the bench vocabulary: the plan
 layer's ``"library"`` is the bench's ``"limb"``; everything else
-(``packed``/``rns``/``device``) passes through; rows naming any
-other backend are skipped on load.
+(``packed``/``device``) passes through; rows naming any other
+backend (retired ones included) are skipped on load.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 MODELED_OPS = ("mul", "sqr", "div", "powmod")
 
 #: Backend vocabulary of the dataset (the bench-kernels names).
-MODELED_BACKENDS = ("limb", "packed", "rns", "device")
+MODELED_BACKENDS = ("limb", "packed", "device")
 
 
 def canonical_op(op: str) -> Optional[str]:

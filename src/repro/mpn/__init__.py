@@ -160,10 +160,9 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
     ``backend="auto"`` asks :func:`repro.plan.select.powmod_backend`:
     the packed block ladder (block Montgomery for odd moduli, block
     division for even) at every modulus width, or the limb CIOS kernel
-    under ``REPRO_PACKED=0``.  ``"packed"``/``"limb"``/``"rns"`` pin
-    the choice explicitly (``rns``, the dual-base RNS Montgomery
-    pipeline, is reachable only that way).  Every kernel produces the
-    unique canonical residue, bit-identically.
+    under ``REPRO_PACKED=0``.  ``"packed"``/``"limb"`` pin the choice
+    explicitly.  Both kernels produce the unique canonical residue,
+    bit-identically.
     """
     with kernel("powmod", bit_length(modulus), bit_length(exponent)):
         if backend == "auto":
@@ -171,12 +170,9 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
             backend = _select.powmod_backend()
         if backend == "packed":
             return _packed.powmod_packed(base, exponent, modulus)
-        if backend == "rns":
-            from repro.mpn.rns import powmod_rns
-            return powmod_rns(base, exponent, modulus)
         if backend != "limb":
             raise MpnError("unknown powmod backend %r (expected auto, "
-                           "limb, packed, or rns)" % (backend,))
+                           "limb, or packed)" % (backend,))
         return _montgomery.powmod(base, exponent, modulus, _unprofiled_mul)
 
 

@@ -32,9 +32,8 @@ from repro.mpn.nat import MpnError, Nat
 #: :func:`repro.plan.select.mul_backend` against the tuned packed
 #: crossover; ``limb`` forces the per-limb algorithm ladder (what
 #: explicit-policy callers and differential tests exercise); ``packed``
-#: forces the block-packed kernels of :mod:`repro.mpn.packed`; ``rns``
-#: the residue-number-system kernels of :mod:`repro.mpn.rns`.
-MUL_BACKENDS = ("auto", "limb", "packed", "rns")
+#: forces the block-packed kernels of :mod:`repro.mpn.packed`.
+MUL_BACKENDS = ("auto", "limb", "packed")
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,6 @@ def mul(a: Nat, b: Nat, policy: MulPolicy = GMP_POLICY,
     resolved = _resolve_backend(backend, min_limbs)
     if resolved == "packed":
         return mul_packed(a, b)
-    if resolved == "rns":
-        # Explicit-only for single products (auto keeps packed/limb:
-        # the carry-free channels pay off on *batches*, which route
-        # through select.batch_mul_backend).
-        from repro.mpn.rns import mul_rns
-        return mul_rns(a, b)
     return _walk_mul(_limb_schedule("mul", min_limbs, policy), a, b)
 
 
@@ -203,9 +196,6 @@ def sqr(a: Nat, policy: MulPolicy = GMP_POLICY,
     resolved = _resolve_backend(backend, len(a))
     if resolved == "packed":
         return sqr_packed(a)
-    if resolved == "rns":
-        from repro.mpn.rns import sqr_rns
-        return sqr_rns(a)
     return _walk_sqr(_limb_schedule("sqr", len(a), policy), a)
 
 

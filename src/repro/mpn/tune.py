@@ -53,7 +53,9 @@ THRESHOLDS_ENV = "REPRO_THRESHOLDS"
 #: v2: the compiled-kernel crossover left the record.
 #: v3: the rns powmod crossover left the record (``auto`` powmod runs
 #: the packed ladder at every width).
-THRESHOLDS_VERSION = 3
+#: v4: the rns batch-mul crossover left the record (the residue-number
+#: backend is gone).
+THRESHOLDS_VERSION = 4
 
 #: Default best-of-N repetition count for every timing measurement.
 DEFAULT_REPEATS = 3
@@ -170,10 +172,6 @@ class Thresholds:
     #: Divisor limbs where the packed block division beats the limb division
     #: family; 0 disables the packed division path.
     packed_div_limbs: int = 4
-    #: Operand limbs where the carry-free RNS batch path
-    #: (:mod:`repro.mpn.rns`) takes over *batched* multiplies; 0
-    #: disables the rns batch route.
-    rns_mul_limbs: int = 4
     repeats: int = DEFAULT_REPEATS
     max_limbs: int = 0
     version: int = THRESHOLDS_VERSION
@@ -222,9 +220,6 @@ class Thresholds:
         if self.packed_mul_limbs < 0 or self.packed_div_limbs < 0:
             raise ValueError("packed thresholds must be >= 0 "
                              "(0 disables the packed backend)")
-        if self.rns_mul_limbs < 0:
-            raise ValueError("rns thresholds must be >= 0 "
-                             "(0 disables the rns backend)")
 
 
 def thresholds_path() -> Path:
@@ -457,32 +452,10 @@ def find_packed_div_crossover(max_limbs: int, seed: int = 1,
     return low
 
 
-def find_rns_mul_crossover(max_limbs: int, seed: int = 1,
-                           repeats: int = DEFAULT_REPEATS) -> int:
-    """Operand limbs where one rns channel pass beats the limb ladder.
-
-    This is the *per-item* floor of the batch route: below it even a
-    perfectly parallel fan-out starts from a slower serial kernel, so
-    ``batch_mul_backend`` keeps the packed/limb answer.  Contexts are
-    warmed first — a batch reuses one channel set across items exactly
-    as a reduction loop amortizes a Barrett reciprocal.
-    """
-    from repro.mpn.rns import context_for_bits, mul_rns
-
-    def limb_side(a: Nat, b: Nat) -> Nat:
-        return mul(a, b, GMP_POLICY, backend="limb")
-
-    context_for_bits(2 * max(8, max_limbs) * nat.LIMB_BITS)
-    return find_crossover(limb_side, mul_rns, 2,
-                          max(8, max_limbs), seed, repeats,
-                          labels=("mul", "limb", "rns"))
-
-
 def tune(max_limbs: int = 512, seed: int = 1,
          repeats: int = DEFAULT_REPEATS,
          measure_division: bool = True,
-         measure_packed: bool = True,
-         measure_rns: bool = True) -> TuneResult:
+         measure_packed: bool = True) -> TuneResult:
     """Measure the crossovers this host actually exhibits.
 
     Multiplication: schoolbook/Karatsuba and Karatsuba/Toom-3 are
@@ -499,15 +472,14 @@ def tune(max_limbs: int = 512, seed: int = 1,
     from repro.cost import dataset as _dataset
     with _dataset.recording() as raw_points:
         result = _tune_measured(max_limbs, seed, repeats,
-                                measure_division, measure_packed,
-                                measure_rns)
+                                measure_division, measure_packed)
     result.raw_points = raw_points
     return result
 
 
 def _tune_measured(max_limbs: int, seed: int, repeats: int,
-                   measure_division: bool, measure_packed: bool,
-                   measure_rns: bool) -> TuneResult:
+                   measure_division: bool,
+                   measure_packed: bool) -> TuneResult:
     def karatsuba_once(a: Nat, b: Nat) -> Nat:
         return mul_karatsuba(a, b, mul_schoolbook)
 
@@ -569,12 +541,6 @@ def _tune_measured(max_limbs: int, seed: int, repeats: int,
         measurements.append(("limb->packed mul", packed_mul_limbs))
         measurements.append(("limb->packed div", packed_div_limbs))
 
-    rns_mul_limbs = default_thresholds().rns_mul_limbs
-    if measure_rns:
-        rns_mul_limbs = find_rns_mul_crossover(
-            min(64, max(8, max_limbs)), seed, repeats)
-        measurements.append(("limb->rns batch mul", rns_mul_limbs))
-
     thresholds = Thresholds(
         karatsuba_limbs=karatsuba_limbs,
         toom3_limbs=toom3_limbs,
@@ -585,7 +551,6 @@ def _tune_measured(max_limbs: int, seed: int, repeats: int,
         barrett_limbs=barrett_limbs,
         packed_mul_limbs=packed_mul_limbs,
         packed_div_limbs=packed_div_limbs,
-        rns_mul_limbs=rns_mul_limbs,
         repeats=repeats,
         max_limbs=max_limbs,
     )

@@ -54,14 +54,8 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
         return {"product": _device_mul(plan, params["a"], params["b"],
                                        device)}
     if op == "mul":
-        if plan.backend == "rns":
-            from repro.mpn.rns import mul_rns
-            product = mul_rns(nat_from_int(params["a"]),
-                              nat_from_int(params["b"]))
-        else:
-            mul_fn = _plan_mul_fn(plan)
-            product = mul_fn(nat_from_int(params["a"]),
-                             nat_from_int(params["b"]))
+        product = _plan_mul_fn(plan)(nat_from_int(params["a"]),
+                                     nat_from_int(params["b"]))
         return {"product": nat_to_int(product)}
     if op in ("div", "mod"):
         from repro.mpn.div import divmod_nat
@@ -80,9 +74,6 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
         if plan.backend == "packed":
             from repro.mpn.packed import powmod_packed
             value = powmod_packed(*operands)
-        elif plan.backend == "rns":
-            from repro.mpn.rns import powmod_rns
-            value = powmod_rns(*operands)
         else:
             from repro.mpn.montgomery import powmod
             value = powmod(*operands, _plan_mul_fn(plan))
@@ -109,35 +100,6 @@ def _device_mul(plan, a: int, b: int, device) -> int:
                           [nat_from_int(a), nat_from_int(b)],
                           destination)
     return nat_to_int(driver.result(destination))
-
-
-def run_rns_batch(op: str, params_list, executor=None,
-                  timeout: Optional[float] = None):
-    """Execute a homogeneous batch of rns-planned jobs in one fan-out.
-
-    The sanctioned batch route into :mod:`repro.mpn.rns`: batch items
-    (mul pairs or powmod triples) fan out across the executor's
-    workers, each running the carry-free channel pipeline end to end.
-    Results use the serve payload vocabulary with raw int values
-    (transport encoding stays with the caller), in request order,
-    bit-identical at every worker count.
-    """
-    from repro.mpn import nat_from_int, nat_to_int
-    if op == "mul":
-        from repro.mpn.rns import mul_batch_rns
-        pairs = [(nat_from_int(p["a"]), nat_from_int(p["b"]))
-                 for p in params_list]
-        return [{"product": nat_to_int(product)}
-                for product in mul_batch_rns(pairs, executor=executor,
-                                             timeout=timeout)]
-    if op == "powmod":
-        from repro.mpn.rns import powmod_batch_rns
-        triples = [(nat_from_int(p["base"]), nat_from_int(p["exp"]),
-                    nat_from_int(p["mod"])) for p in params_list]
-        return [{"value": nat_to_int(value)}
-                for value in powmod_batch_rns(triples, executor=executor,
-                                              timeout=timeout)]
-    raise PlanError("no rns batch executor for operator %r" % (op,))
 
 
 def model_query(model_op: str, bits_a: int, bits_b: int) -> float:

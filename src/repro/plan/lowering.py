@@ -41,7 +41,9 @@ from repro.plan.spec import OpSpec, PlanError
 #: v7: ``auto`` powmod resolves to packed (block Montgomery / block
 #: division ladders) at every width; the fingerprint dropped the rns
 #: powmod crossover.
-PLAN_SCHEMA_VERSION = 7
+#: v8: the rns backend and its ``rns-crt``/``rns-montgomery`` lowerings
+#: are gone; the fingerprint dropped the rns batch-mul crossover.
+PLAN_SCHEMA_VERSION = 8
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -73,7 +75,7 @@ class Plan:
     """The lowered form of one operation request."""
 
     spec: OpSpec
-    backend: str    # resolved: library | device | packed | rns
+    backend: str    # resolved: library | device | packed
     algorithm: str
     steps: Tuple[PlanStep, ...]
     cost_cycles: float
@@ -186,11 +188,10 @@ def _tuning_for(thresholds) -> Tuple[Tuple[int, ...], str]:
     if hasattr(thresholds, "barrett_limbs"):       # Thresholds record
         return select.fingerprint(thresholds), "tuned"
     # A bare MulPolicy (e.g. the MPApca hardware policy): no division,
-    # Barrett, packed, or rns crossovers; version slot 0 marks it as
-    # ad hoc.
+    # Barrett, or packed crossovers; version slot 0 marks it as ad hoc.
     return ((0, thresholds.karatsuba_limbs, thresholds.toom3_limbs,
              thresholds.toom4_limbs, thresholds.toom6_limbs,
-             thresholds.ssa_limbs, 0, 0, 0, 0, 0), thresholds.name)
+             thresholds.ssa_limbs, 0, 0, 0, 0), thresholds.name)
 
 
 def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
@@ -224,9 +225,6 @@ def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
 #: Ops the block-packed backend can execute.
 _PACKED_OPS = ("mul", "div", "mod", "powmod")
 
-#: Ops the residue-number-system backend can execute.
-_RNS_OPS = ("mul", "powmod")
-
 
 def _resolve_backend(spec: OpSpec, thresholds) -> str:
     from repro.mpn.nat import LIMB_BITS
@@ -235,9 +233,6 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
     if spec.backend == "packed" and spec.op not in _PACKED_OPS:
         raise PlanError("backend=packed supports only %s; %r lowers to "
                         "the library" % ("/".join(_PACKED_OPS), spec.op))
-    if spec.backend == "rns" and spec.op not in _RNS_OPS:
-        raise PlanError("backend=rns supports only %s; %r lowers to "
-                        "the library" % ("/".join(_RNS_OPS), spec.op))
     if spec.op == "mul":
         fits = max(spec.bits_a, spec.bits_b) <= mpapca.MONOLITHIC_MAX_BITS
         if spec.backend == "device" and not fits:
@@ -301,14 +296,6 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
             steps = [PlanStep("kernel", name, "%d blocks" % blocks)
                      for name, blocks in select.packed_chain(min_limbs)]
             algorithm = steps[0].algorithm
-        elif backend == "rns":
-            from repro.mpn.rns import MODULUS_BITS
-            product_bits = max(spec.bits_a, 1) + max(spec.bits_b, 1)
-            channels = max(2, -(-product_bits // MODULUS_BITS) + 1)
-            algorithm = "rns-crt"
-            steps = [PlanStep("kernel", "rns-crt",
-                              "%d carry-free %d-bit channels + CRT "
-                              "gather" % (channels, MODULUS_BITS))]
         else:
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
@@ -338,16 +325,7 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
         cost = mpapca.sqrt_cycles(spec.bits_a)
     elif op == "powmod":
         odd = bool(spec.detail_value("mod_odd", 1))
-        if backend == "rns":
-            from repro.mpn.rns import MODULUS_BITS
-            channels = max(2, -(-(max(spec.bits_a, 1) + 2)
-                                // MODULUS_BITS) + 1)
-            algorithm = "rns-montgomery"
-            steps = [PlanStep("kernel", "rns-montgomery",
-                              "dual-base residue Montgomery (2x%d "
-                              "channels), exact CRT base extension"
-                              % channels)]
-        elif backend == "packed":
+        if backend == "packed":
             from repro.mpn.packed import PACK_LIMBS
             algorithm = "packed-montgomery" if odd else "packed-division"
             blocks = -(-max(spec.bits_a, 1) // (LIMB_BITS * PACK_LIMBS))

@@ -31,12 +31,6 @@ from repro.analysis import env as _env
 #: (differential triage aid; normal selection ignores it).
 PACKED_ENV = _env.PACKED.name
 
-#: Kill switch: ``REPRO_RNS=0`` removes the residue-number-system
-#: backend from ``auto`` batch-mul selection, the only ``auto`` route
-#: into it (explicit ``backend="rns"`` requests still run; differential
-#: triage aid).
-RNS_ENV = _env.RNS.name
-
 #: Fast-multiplication regimes, fastest-threshold last.  Selection walks
 #: from the top: the highest regime whose threshold the smaller operand
 #: reaches wins ("basecase" when none do).
@@ -90,10 +84,6 @@ def _packed_enabled() -> bool:
     return _env.enabled(_env.PACKED)
 
 
-def _rns_enabled() -> bool:
-    return _env.enabled(_env.RNS)
-
-
 def mul_backend(min_limbs: int, thresholds=None) -> str:
     """``"packed"`` or ``"limb"`` for a product of this size.
 
@@ -122,28 +112,6 @@ def div_backend(divisor_limbs: int, thresholds=None) -> str:
     if crossover and divisor_limbs >= crossover:
         return "packed"
     return "limb"
-
-
-def batch_mul_backend(min_limbs: int, batch_size: int,
-                      thresholds=None) -> str:
-    """Backend for a *batch* of independent products of this size.
-
-    Single products keep the :func:`mul_backend` answer (the packed
-    blocks win serially at every measured size).  A batch of two or
-    more switches to ``"rns"`` once the smallest operand reaches the
-    tuned ``rns_mul_limbs`` floor: residue channels have no carry
-    chain, so batch items fan out across ``ParallelExecutor`` workers
-    with no serialization point — the amortized regime of the paper's
-    CGBN comparison.  0 disables the path, as does ``REPRO_RNS=0``.
-    """
-    if batch_size < 2 or not _rns_enabled():
-        return mul_backend(min_limbs, thresholds)
-    if thresholds is None:
-        thresholds = active()
-    crossover = getattr(thresholds, "rns_mul_limbs", 0)
-    if crossover and min_limbs >= crossover:
-        return "rns"
-    return mul_backend(min_limbs, thresholds)
 
 
 def powmod_backend() -> str:
@@ -291,5 +259,4 @@ def fingerprint(thresholds=None) -> Tuple[int, ...]:
         getattr(thresholds, "barrett_limbs", 0),
         getattr(thresholds, "packed_mul_limbs", 0),
         getattr(thresholds, "packed_div_limbs", 0),
-        getattr(thresholds, "rns_mul_limbs", 0),
     )

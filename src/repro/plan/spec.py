@@ -30,12 +30,11 @@ PLAN_OPS = (
 #: among host kernels only: packed (the block-packed kernels of
 #: :mod:`repro.mpn.packed`) or library by the tuned packed crossover
 #: for mul/div/mod, and packed at every modulus width for powmod.
-#: ``packed`` may be requested explicitly for mul/div/mod/powmod;
-#: ``rns`` (the residue-number-system kernels of :mod:`repro.mpn.rns`)
-#: only explicitly, for mul/powmod.  ``device`` (the PE simulator, for
-#: validation and the paper figures) is reached only by explicit
-#: request, for muls within the monolithic hardware multiplier.
-BACKENDS = ("auto", "library", "device", "packed", "rns")
+#: ``packed`` may be requested explicitly for mul/div/mod/powmod.
+#: ``device`` (the PE simulator, for validation and the paper figures)
+#: is reached only by explicit request, for muls within the monolithic
+#: hardware multiplier.
+BACKENDS = ("auto", "library", "device", "packed")
 
 
 class PlanError(ValueError):

@@ -7,19 +7,13 @@ key (``Job.compat_key()`` — op + lowered backend) into one batch until
 either ``max_batch`` is reached or the ``batch_ms`` latency window
 expires, then dispatches the batch on a worker thread — or, when the
 batch is too small to be worth the thread hop, runs it on the event
-loop itself.  The window is held open only for batches that run in
-parallel (the rns fan-out, or a worker pool); a serial batch takes the
-compatible jobs already queued and dispatches at once, because a late
-member would only delay the members already taken:
+loop itself.  The window is held open only when a worker pool runs
+the batch in parallel (``REPRO_WORKERS`` > 0); a serial batch takes
+the compatible jobs already queued and dispatches at once, because a
+late member would only delay the members already taken:
 
-* jobs whose plan lowered to the ``rns`` backend (only an explicit
-  ``backend="rns"`` plan does: served jobs lower ``auto``, which runs
-  powmod on packed blocks) fan out as one carry-free residue-channel
-  batch through
-  :func:`repro.plan.execute.run_rns_batch` — the amortized regime
-  where batch items parallelize with no carry-chain serialization;
-* everything else (host-kernel plans: ``mul``, ``div``, ``powmod``,
-  ``pi_digits``) runs the direct library call via
+* host-kernel plans (``mul``, ``div``, ``powmod``, ``pi_digits``)
+  run the direct library call via
   :class:`~repro.parallel.ParallelExecutor`, with the executor's
   ``timeout=`` bounding a batch by the tightest member deadline;
 * ``model_cycles`` and ``pi_digits`` results memoize in a small LRU —
@@ -92,7 +86,7 @@ class DynamicBatcher:
                 job.compat_key(), self.max_batch - len(batch))
             window_end = time.monotonic() + self.batch_ms / 1000.0
             while len(batch) < self.max_batch and not self.queue.closed \
-                    and self._runs_in_parallel(job):
+                    and self.executor.workers > 0:
                 remaining = window_end - time.monotonic()
                 if remaining <= 0:
                     break
@@ -111,12 +105,6 @@ class DynamicBatcher:
             await self._dispatch(loop, job.op, batch)
         self.close()
 
-    def _runs_in_parallel(self, job: Job) -> bool:
-        """Whether a batch led by ``job`` spreads its members across
-        workers, so holding the window open for more of them pays."""
-        return self.executor.workers > 0 or (
-            job.plan is not None and job.plan.backend == "rns")
-
     def _runs_inline(self, op: str, batch: List[Job]) -> bool:
         """Whether ``batch`` costs less on the event loop than handed
         to a worker thread.
@@ -128,7 +116,7 @@ class DynamicBatcher:
         few ms; anything else runs on the worker so the loop keeps
         serving.
         """
-        if self._runs_in_parallel(batch[0]):
+        if self.executor.workers > 0:
             return False
         if op == "model_cycles":
             return True
@@ -171,10 +159,10 @@ class DynamicBatcher:
         started = time.monotonic()
         try:
             if self._runs_inline(op, live):
-                outcomes = self._execute_batch(op, live)
+                outcomes = self._execute_batch(live)
             else:
                 outcomes = await loop.run_in_executor(
-                    None, self._execute_batch, op, live)
+                    None, self._execute_batch, live)
         except ExecutorTimeout:
             self.registry.counter("execute_timeout_total", op=op).inc()
             for job in live:
@@ -229,7 +217,7 @@ class DynamicBatcher:
 
     # -- execution (worker thread, or the loop for small batches) -------------
 
-    def _execute_batch(self, op: str, jobs: List[Job]
+    def _execute_batch(self, jobs: List[Job]
                        ) -> List[Tuple[Dict[str, Any], bool]]:
         """Evaluate one batch; returns ``(payload, cached)`` per job."""
         results: List[Optional[Tuple[Dict[str, Any], bool]]] = \
@@ -244,18 +232,9 @@ class DynamicBatcher:
                 pending.append(index)
         if pending:
             todo = [jobs[index] for index in pending]
-            # Coalescing already keys on the plan's compat_key, so a
-            # batch is homogeneous: either every plan lowered to the
-            # rns backend or none did.
-            if op in ("mul", "powmod") and all(
-                    job.plan is not None
-                    and job.plan.backend == "rns" for job in todo):
-                payloads = self._run_rns_batch(op, todo)
-            else:
-                payloads = self.executor.map(
-                    evaluate,
-                    [(job.op, job.params) for job in todo],
-                    timeout=self._timeout_for(todo))
+            payloads = self.executor.map(
+                evaluate, [(job.op, job.params) for job in todo],
+                timeout=self._timeout_for(todo))
             for index, payload in zip(pending, payloads):
                 key = jobs[index].cache_key()
                 if key is not None:
@@ -264,25 +243,6 @@ class DynamicBatcher:
                         self._cache.popitem(last=False)
                 results[index] = (payload, False)
         return [entry for entry in results if entry is not None]
-
-    def _run_rns_batch(self, op: str,
-                       jobs: List[Job]) -> List[Dict[str, Any]]:
-        """Rns-backed batch through the sanctioned plan-layer route.
-
-        Plans that lowered to the ``rns`` backend (explicit
-        ``backend="rns"`` muls and powmods) fan their carry-free
-        channel work across the executor's workers via
-        :func:`repro.plan.execute.run_rns_batch`; results come back in
-        request order, bit-identical to the per-job
-        :func:`~repro.serve.jobs.evaluate` oracle, and are re-encoded
-        here into the serve hex transport.
-        """
-        from repro.plan.execute import run_rns_batch
-        raw = run_rns_batch(op, [job.params for job in jobs],
-                            executor=self.executor,
-                            timeout=self._timeout_for(jobs))
-        return [{key: hex(value) for key, value in payload.items()}
-                for payload in raw]
 
     def _timeout_for(self, jobs: List[Job]) -> Optional[float]:
         """Executor deadline: the tightest member deadline, bounded by

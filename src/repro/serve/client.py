@@ -9,12 +9,11 @@ oracle (:func:`repro.serve.jobs.evaluate`), and reports honest
 latency/throughput numbers — exact sorted-sample percentiles, not the
 server's interpolated histogram — plus the machine context (CPU
 count, worker count) the numbers were measured under.  The report also
-tallies, per op, which backend (library/packed/rns —
-never device, which only an explicit request reaches) the plan
-lowering resolved for each verified job — the same
-:func:`~repro.plan.execute.plan_for_job` the server's admission path
-runs — so a serve benchmark records the rns-vs-packed-vs-limb split of
-its workload.
+tallies, per op, which backend (library/packed — never device, which
+only an explicit request reaches) the plan lowering resolved for each
+verified job — the same :func:`~repro.plan.execute.plan_for_job` the
+server's admission path runs — so a serve benchmark records the
+packed-vs-limb split of its workload.
 
 ``repro bench-serve`` wires this to ``results/BENCH_serve.json``.
 """

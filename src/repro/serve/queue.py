@@ -232,9 +232,8 @@ class AdmissionQueue:
         in priority order — the batcher's coalescing primitive.
 
         Keying on the plan rather than the op name keeps jobs on
-        different backends in separate batches, so a batch bound for
-        the rns fan-out route never carries a packed or library
-        job."""
+        different backends in separate batches, so a batch never mixes
+        packed and library plans."""
         if limit <= 0:
             return []
         matching = sorted(

@@ -146,7 +146,7 @@ class TestRecorder:
         with dataset.recording() as rows:
             dataset.record_point("mul", "limb", 4, 10.0)
             dataset.record_point("mul", None, 4, 10.0)  # unlabeled arm
-            dataset.record_point("powmod", "rns", 8, 5.0)
+            dataset.record_point("powmod", "packed", 8, 5.0)
         assert len(rows) == 2
         assert rows[0]["source"] == "tune"
 

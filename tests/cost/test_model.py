@@ -78,7 +78,7 @@ class TestFitProperties:
 class TestPayload:
     def _model(self):
         points = [(4, 10.0), (8, 20.0), (16, 40.0), (32, 80.0)]
-        return fit(rows_for("powmod", "rns", points), FP)
+        return fit(rows_for("powmod", "packed", points), FP)
 
     def test_round_trip(self):
         model = self._model()
@@ -99,7 +99,7 @@ class TestPayload:
     def test_digest_tracks_coefficients(self):
         model = self._model()
         other = self._model()
-        other.groups["powmod|rns"]["a"] += 0.5
+        other.groups["powmod|packed"]["a"] += 0.5
         assert model.digest() != other.digest()
 
 

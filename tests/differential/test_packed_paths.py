@@ -313,7 +313,7 @@ class TestPowmodEntryPoints:
         params = _powmod_params(limbs, parity, 30 + limbs)
         truth = pow(params["base"], params["exp"], params["mod"])
         operands = [to_nat(params[key]) for key in ("base", "exp", "mod")]
-        for backend in ("auto", "packed", "limb", "rns"):
+        for backend in ("auto", "packed", "limb"):
             assert from_nat(mpn.powmod(*operands, backend=backend)) \
                 == truth, backend
         assert run(plan_for_job("powmod", params), params)["value"] \

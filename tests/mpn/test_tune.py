@@ -164,18 +164,21 @@ class TestThresholdsPersistence:
         assert active_thresholds() == default_thresholds()
 
     def test_v2_file_with_retired_crossover_loads_none(self, isolated):
-        """A version-2 file still carries ``rns_powmod_limbs``; it is
-        rejected by its version, and the defaults take over."""
-        v2 = dict(karatsuba_limbs=20, toom3_limbs=90, toom4_limbs=300,
+        """Version-2 and version-3 files still carry ``rns_powmod_limbs``
+        and ``rns_mul_limbs``; each is rejected by its version, and the
+        defaults take over."""
+        v3 = dict(karatsuba_limbs=20, toom3_limbs=90, toom4_limbs=300,
                   toom6_limbs=1200, ssa_limbs=5000, bz_limbs=64,
                   barrett_limbs=8, packed_mul_limbs=4,
-                  packed_div_limbs=4, rns_mul_limbs=4,
-                  rns_powmod_limbs=5, repeats=3, max_limbs=0, version=2)
-        (isolated / "thresholds.json").write_text(json.dumps(v2),
-                                                  encoding="utf-8")
-        assert load_thresholds() is None
-        assert active_thresholds() == default_thresholds()
+                  packed_div_limbs=4, rns_mul_limbs=4, repeats=3,
+                  max_limbs=0, version=3)
+        for retired in (dict(v3, rns_powmod_limbs=5, version=2), v3):
+            (isolated / "thresholds.json").write_text(json.dumps(retired),
+                                                      encoding="utf-8")
+            assert load_thresholds() is None
+            assert active_thresholds() == default_thresholds()
         assert not hasattr(default_thresholds(), "rns_powmod_limbs")
+        assert not hasattr(default_thresholds(), "rns_mul_limbs")
 
     def test_active_prefers_persisted(self):
         persisted = Thresholds(karatsuba_limbs=17, toom3_limbs=70,

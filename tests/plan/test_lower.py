@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import mpn
+from repro.cli import main
 from repro.core.model import DEFAULT_CONFIG
 from repro.plan import OpSpec, PlanError
 from repro.plan.lowering import (PLAN_SCHEMA_VERSION, Plan, lower,
@@ -78,6 +80,29 @@ class TestBackendResolution:
     def test_non_mul_device_request_rejected(self):
         with pytest.raises(PlanError):
             lower(OpSpec("div", 4096, 64, backend="device"))
+
+
+#: Every entry point that once accepted the retired residue-number
+#: backend, and the error it must raise for that name now.
+_RETIRED_BACKEND_CALLS = {
+    "mpn.mul": (lambda: mpn.mul([3], [5], backend="rns"), ValueError),
+    "mpn.powmod": (lambda: mpn.powmod([3], [5], [7], backend="rns"),
+                   ValueError),
+    "lower": (lambda: lower(OpSpec.for_mul(64, 64, backend="rns")),
+              PlanError),
+    "repro plan": (lambda: main(["plan", "mul", "--backend", "rns"]),
+                   SystemExit),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RETIRED_BACKEND_CALLS))
+def test_retired_backend_name_fails_cleanly(entry, capsys):
+    call, error = _RETIRED_BACKEND_CALLS[entry]
+    with pytest.raises(error) as raised:
+        call()
+    if error is SystemExit:                 # argparse's usage error
+        assert raised.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 #: Mul widths ``auto`` must serve from host kernels: one-limb, limb

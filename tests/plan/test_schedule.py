@@ -63,7 +63,7 @@ class TestDerivation:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ScheduleError):
-            derive_schedule("mul", 64, backend="rns")
+            derive_schedule("mul", 64, backend="abacus")
 
     def test_key_is_structural_identity(self):
         a = derive_schedule("mul", 512, backend="limb")

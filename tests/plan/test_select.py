@@ -68,9 +68,8 @@ class TestFingerprint:
                       thresholds.toom6_limbs, thresholds.ssa_limbs,
                       thresholds.bz_limbs, thresholds.barrett_limbs,
                       thresholds.packed_mul_limbs,
-                      thresholds.packed_div_limbs,
-                      thresholds.rns_mul_limbs)
-        assert len(fp) == 11
+                      thresholds.packed_div_limbs)
+        assert len(fp) == 10
 
     def test_thresholds_method_delegates(self):
         thresholds = select.active()

@@ -252,7 +252,7 @@ class TestHostKernelMul:
         finally:
             hosted.stop()
         assert len(backends) == 4
-        assert set(backends.values()) <= {"library", "packed", "rns"}
+        assert set(backends.values()) <= {"library", "packed"}
 
 
 class TestTracing:

@@ -3,22 +3,22 @@
 from repro.bench.kernels import check_report
 
 
-def _powmod(bits: int, limb: int, packed: int, rns: int) -> dict:
+def _powmod(bits: int, limb: int, packed: int) -> dict:
     return {"op": "powmod", "bits": bits,
-            "ns": {"limb": limb, "packed": packed, "rns": rns},
-            "speedup": {"packed": limb / packed, "rns": limb / rns}}
+            "ns": {"limb": limb, "packed": packed},
+            "speedup": {"packed": limb / packed}}
 
 
 def test_packed_powmod_gate_passes_when_packed_wins_everywhere():
-    report = {"entries": [_powmod(1024, 60, 3, 10),
-                          _powmod(4096, 900, 20, 100)]}
+    report = {"entries": [_powmod(1024, 60, 3),
+                          _powmod(4096, 900, 20)]}
     assert check_report(report) == []
 
 
-def test_packed_powmod_gate_checks_every_size_not_only_the_top():
-    report = {"entries": [_powmod(1024, 60, 12, 10),
-                          _powmod(4096, 900, 20, 100)]}
+def test_packed_powmod_gate_fails_below_its_floor_at_the_top_modulus():
+    report = {"entries": [_powmod(1024, 60, 3),
+                          _powmod(4096, 1100, 1000)]}
     failures = check_report(report)
     assert len(failures) == 1
-    assert "powmod at 1024 bits: packed is 1.20x slower than rns" \
+    assert "powmod at 4096 bits: packed is 1.10x the limb backend" \
         in failures[0]
