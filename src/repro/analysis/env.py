@@ -162,22 +162,23 @@ CACHE_DIR = declare(
 
 THRESHOLDS = declare(
     "REPRO_THRESHOLDS", "<cache root>/thresholds.json", "path",
-    "Explicit path of the tuned-thresholds file read by the plan "
-    "selector and written by ``repro tune``.",
+    "Explicit path of the tuned-thresholds file read once per "
+    "process by the plan selector and written by ``repro tune``.",
     "mpn")
 
 PACKED = declare(
     "REPRO_PACKED", "on", "killswitch",
     "Set to 0 to force the limb backend everywhere (disables the "
-    "block-packed kernels; differential-triage aid).",
+    "block-packed kernels; differential-triage aid; read once per "
+    "process).",
     "plan")
 
 COST = declare(
     "REPRO_COST", "on", "killswitch",
-    "Set to 0 to disable the learned ns cost model everywhere (plan "
-    "selection refinement, predicted-wait admission pricing, and "
-    "service-rate seeding all fall back to the analytic Plan.cost() "
-    "path, bit-identical to a build without the model).",
+    "Set to 0 to disable the learned ns cost model everywhere "
+    "(predicted-wait admission pricing and service-rate seeding fall "
+    "back to the analytic Plan.cost() path, bit-identical to a build "
+    "without the model).",
     "cost")
 
 COST_DATASET = declare(
@@ -200,19 +201,6 @@ SERVE_MAX_WAIT_MS = declare(
 SERVE_BATCH = declare(
     "REPRO_SERVE_BATCH", "16", "int",
     "Dynamic-batch size bound of the serve batcher.",
-    "serve")
-
-SERVE_BATCH_MS = declare(
-    "REPRO_SERVE_BATCH_MS", "5", "float",
-    "Latency window (milliseconds) the batcher waits to coalesce "
-    "compatible jobs into a batch that runs in parallel on a worker "
-    "pool (REPRO_WORKERS > 0); serial batches dispatch at once.",
-    "serve")
-
-SERVE_TIMEOUT_S = declare(
-    "REPRO_SERVE_TIMEOUT_S", "120", "float",
-    "Per-batch execution deadline (seconds) enforced through the "
-    "executor.",
     "serve")
 
 SERVE_MAX_BITS = declare(

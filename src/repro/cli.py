@@ -315,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=None,
                        help="dynamic-batch bound "
                             "(default: $REPRO_SERVE_BATCH or 16)")
-    serve.add_argument("--batch-ms", type=float, default=None,
-                       help="batching latency window "
-                            "(default: $REPRO_SERVE_BATCH_MS or 5)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="executor workers (default: $REPRO_WORKERS)")
     serve.add_argument("--shards", type=int, default=None,
                        help="shard worker processes behind the "
                             "plan-aware router; 0 = single process "
@@ -389,6 +384,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.mpn.tune import save_thresholds, tune
+    from repro.plan import select
     result = tune(max_limbs=args.max_limbs, repeats=args.repeats,
                   measure_division=not args.no_division,
                   measure_packed=not args.no_packed)
@@ -403,6 +399,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         output = Path(args.output) if args.output else None
         target = save_thresholds(result.thresholds, output)
         print("thresholds persisted to %s" % target)
+        select.reload()
     return 0
 
 
@@ -747,8 +744,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return run_router(router_config, announce=announce)
     config = ServeConfig.from_env(
         host=args.host, port=args.port, queue_capacity=args.queue,
-        max_batch=args.max_batch, batch_ms=args.batch_ms,
-        workers=args.workers)
+        max_batch=args.max_batch)
     return run_server(config, announce=announce)
 
 

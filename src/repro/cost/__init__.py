@@ -2,12 +2,10 @@
 
 The package maps a plan fingerprint — (op, resolved backend, limb
 count) under the active tuned thresholds — to predicted nanoseconds,
-and feeds those predictions to every consumer of the analytic
-:meth:`Plan.cost`:
+and feeds those predictions to the consumers of the analytic
+:meth:`Plan.cost` (backend selection itself stays on the tuned
+thresholds alone):
 
-* ``plan.select``/``plan.lowering`` — inside a guard band around each
-  tuned crossover, ``auto`` backend resolution asks the model which
-  side actually measures faster (:func:`refine_backend`);
 * serve admission — ``estimated_wait`` prices pending work from
   predicted ns (:func:`predict_plan_ns`) and the queue's service rate
   is seeded before the first batch completes
@@ -28,23 +26,16 @@ and its fingerprint-salted persistence.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.cost import model as _model
 from repro.cost.features import plan_backend_name, plan_features
 
 __all__ = [
-    "GUARD_BAND", "enabled", "invalidate", "plan_backend_name",
-    "plan_features", "predict_ns", "predict_plan_ns", "refine_backend",
-    "seed_rate_cycles_per_ms", "selection_salt",
+    "enabled", "invalidate", "plan_backend_name", "plan_features",
+    "predict_ns", "predict_plan_ns", "seed_rate_cycles_per_ms",
+    "selection_salt",
 ]
-
-#: Multiplicative half-width of the crossover guard band: auto
-#: resolution only second-guesses the analytic choice when the operand
-#: sits within this factor of a tuned crossover (where bisection noise
-#: makes the threshold least trustworthy).  Far from every crossover
-#: the tuned answer stands unconditionally.
-GUARD_BAND = 1.5
 
 enabled = _model.enabled
 
@@ -55,13 +46,11 @@ def invalidate() -> None:
 
 
 def selection_salt() -> Tuple[str, ...]:
-    """Extra plan-cache key parts when the model can steer selection.
+    """The live model's identity, for run provenance.
 
-    Empty — leaving cache keys byte-identical to the analytic build —
-    whenever the killswitch is off or no fitted model matches the
-    active thresholds; otherwise the model digest, so refitting (or
-    stranding a fit by retuning) can never serve a plan cached under a
-    different model's choices."""
+    Empty whenever the killswitch is off or no fitted model matches
+    the active thresholds; otherwise ``("cost", digest)``, so two runs
+    can tell whether they priced admission under the same fit."""
     model = _model.active_model()
     if model is None:
         return ()
@@ -103,42 +92,3 @@ def seed_rate_cycles_per_ms() -> Optional[float]:
     if model is None:
         return None
     return model.rate_cycles_per_ns * 1e6
-
-
-def refine_backend(op: str, limbs: int, analytic: str,
-                   candidates: Sequence[str],
-                   crossovers: Sequence[int]) -> str:
-    """The measured-fastest backend near a crossover, else ``analytic``.
-
-    ``analytic`` is the tuned-threshold choice (a *plan*-vocabulary
-    backend name, e.g. ``"library"``); ``candidates`` the plan-level
-    alternatives ``auto`` was choosing among; ``crossovers`` the tuned
-    thresholds separating them.  The answer differs from ``analytic``
-    only when every one of these holds:
-
-    * the killswitch is on and a fitted model matches the thresholds,
-    * ``limbs`` sits within :data:`GUARD_BAND` of a live crossover,
-    * the model covers the analytic choice *and* the winner (an
-      unfitted group is never preferred and never demoted), and
-    * a candidate's predicted ns strictly beats the analytic choice's.
-    """
-    model = _model.active_model()
-    if model is None:
-        return analytic
-    in_band = any(
-        crossover and crossover / GUARD_BAND <= limbs
-        <= crossover * GUARD_BAND
-        for crossover in crossovers)
-    if not in_band:
-        return analytic
-    base_ns = model.predict_ns(op, analytic, limbs)
-    if base_ns is None:
-        return analytic
-    best, best_ns = analytic, base_ns
-    for candidate in candidates:
-        if candidate == analytic:
-            continue
-        predicted = model.predict_ns(op, candidate, limbs)
-        if predicted is not None and predicted < best_ns:
-            best, best_ns = candidate, predicted
-    return best

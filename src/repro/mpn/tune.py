@@ -25,6 +25,7 @@ Persistence (the ``repro tune`` CLI drives this):
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -282,31 +283,17 @@ def default_thresholds() -> Thresholds:
     )
 
 
-#: (file stamp, Thresholds) memo for :func:`active_thresholds`.
-_ACTIVE_CACHE: Tuple[Optional[Tuple], Optional[Thresholds]] = (None, None)
-
-
+@functools.lru_cache(maxsize=None)
 def active_thresholds() -> Thresholds:
     """Persisted thresholds when available, checked-in defaults else.
 
-    Memoized on the persisted file's (path, mtime, size) stamp: the
-    mpn dispatchers consult the active thresholds per operation for
-    backend selection, so an unconditional disk read here would
-    dominate small kernels.  A retune (new mtime), file removal, or
-    ``$REPRO_THRESHOLDS`` retarget changes the stamp and refreshes.
+    Read once per process: the mpn dispatchers consult the active
+    thresholds per operation for backend selection, so even a ``stat``
+    here would cost more than a small kernel.  A retune, file removal
+    or ``$REPRO_THRESHOLDS`` retarget takes effect in a new process or
+    after :func:`repro.plan.select.reload`.
     """
-    global _ACTIVE_CACHE
-    target = thresholds_path()
-    try:
-        stat = target.stat()
-        stamp = (str(target), stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        stamp = (str(target), -1, -1)
-    if _ACTIVE_CACHE[0] == stamp and _ACTIVE_CACHE[1] is not None:
-        return _ACTIVE_CACHE[1]
-    thresholds = load_thresholds(target) or default_thresholds()
-    _ACTIVE_CACHE = (stamp, thresholds)
-    return thresholds
+    return load_thresholds() or default_thresholds()
 
 
 def tuned_policy() -> MulPolicy:

@@ -43,7 +43,9 @@ from repro.plan.spec import OpSpec, PlanError
 #: powmod crossover.
 #: v8: the rns backend and its ``rns-crt``/``rns-montgomery`` lowerings
 #: are gone; the fingerprint dropped the rns batch-mul crossover.
-PLAN_SCHEMA_VERSION = 8
+#: v9: the learned cost model no longer refines ``auto`` backends, and
+#: its digest left the plan-cache key.
+PLAN_SCHEMA_VERSION = 9
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -207,14 +209,8 @@ def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
     tuning, policy_name = _tuning_for(thresholds)
     if not use_cache:
         return _lower_uncached(spec, thresholds, tuning, policy_name)
-    from repro import cost as _cost
     cache = plan_cache()
-    # selection_salt() is () without a live cost model, keeping the key
-    # byte-identical to the analytic build; with one, the model digest
-    # keys the cache so refits/retunes can never serve a plan chosen
-    # under another model's predictions.
-    key = cache.key(spec.key(), tuning, policy_name,
-                    *_cost.selection_salt())
+    key = cache.key(spec.key(), tuning, policy_name)
     payload = cache.lookup(
         key,
         lambda: _lower_uncached(spec, thresholds, tuning,
@@ -244,10 +240,8 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
         if spec.backend == "auto":
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
-            analytic = "packed" if _select.mul_backend(
+            return "packed" if _select.mul_backend(
                 min_limbs, thresholds) == "packed" else "library"
-            return _select.cost_refined("mul", min_limbs, analytic,
-                                        thresholds)
         return spec.backend
     if spec.backend == "device":
         raise PlanError("backend=device supports only mul streams; "
@@ -255,10 +249,8 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
     if spec.op in ("div", "mod"):
         if spec.backend == "auto":
             divisor_limbs = -(-max(spec.bits_b, 1) // LIMB_BITS)
-            analytic = "packed" if _select.div_backend(
+            return "packed" if _select.div_backend(
                 divisor_limbs, thresholds) == "packed" else "library"
-            return _select.cost_refined(spec.op, divisor_limbs,
-                                        analytic, thresholds)
         return spec.backend
     if spec.op == "powmod":
         if spec.backend == "auto":

@@ -16,13 +16,14 @@ monkeypatched kernel and a freshly lowered plan can never disagree.
 
 The tuned :class:`~repro.mpn.tune.Thresholds` record is the single
 source of truth for policy-level selection; :func:`active` loads it
-(persisted file first, checked-in defaults otherwise) and
-:func:`fingerprint` condenses it into the tuple that salts plan memo
-keys.
+(persisted file first, checked-in defaults otherwise) once per process,
+:func:`reload` re-reads it, and :func:`fingerprint` condenses it into
+the tuple that salts plan memo keys.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from repro.analysis import env as _env
@@ -80,7 +81,9 @@ def mul_chain(min_limbs: int, policy) -> List[Tuple[str, int]]:
             limbs = min(limbs - 1, max(1, policy.ssa_limbs - 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _packed_enabled() -> bool:
+    """The ``REPRO_PACKED`` kill switch, read once per process."""
     return _env.enabled(_env.PACKED)
 
 
@@ -123,55 +126,6 @@ def powmod_backend() -> str:
     only under the ``REPRO_PACKED=0`` kill switch.
     """
     return "packed" if _packed_enabled() else "limb"
-
-
-def _refinement_space(op: str, thresholds) -> Tuple[List[str],
-                                                    List[int]]:
-    """The ``auto`` alternatives and live crossovers for one op.
-
-    A backend is an alternative only when its path is actually
-    reachable: crossover tuned non-zero and kill switch on — the
-    learned refinement must never resurrect a backend the analytic
-    path could not have chosen."""
-    candidates = ["library"]
-    crossovers: List[int] = []
-    if op in ("mul", "sqr", "div", "mod"):
-        packed_attr = "packed_mul_limbs" if op in ("mul", "sqr") \
-            else "packed_div_limbs"
-        packed = getattr(thresholds, packed_attr, 0) \
-            if _packed_enabled() else 0
-        if packed:
-            candidates.append("packed")
-            crossovers.append(packed)
-    return candidates, crossovers
-
-
-def cost_refined(op: str, limbs: int, analytic: str,
-                 thresholds=None) -> str:
-    """Measured-ns second opinion on one ``auto`` backend choice.
-
-    ``analytic`` is the tuned-threshold answer; it stands unchanged
-    unless the learned cost model (:mod:`repro.cost`) is live for the
-    *active* thresholds, ``limbs`` sits in the guard band around a
-    tuned crossover, and the model predicts a reachable alternative
-    measurably faster.  With ``REPRO_COST=0`` or no fitted model this
-    is an identity function — the bit-identity the killswitch
-    promises.  Ad-hoc tunings (bare MulPolicy, tests pinning their own
-    thresholds) are never refined: the fitted model only speaks for
-    the tuning it was trained under.
-    """
-    if thresholds is None:
-        thresholds = active()
-    from repro import cost as _cost
-    if not _cost.enabled():
-        return analytic
-    if fingerprint(thresholds) != fingerprint():
-        return analytic
-    candidates, crossovers = _refinement_space(op, thresholds)
-    if len(candidates) < 2 or not crossovers:
-        return analytic
-    return _cost.refine_backend(op, limbs, analytic, candidates,
-                                crossovers)
 
 
 def packed_chain(min_limbs: int) -> List[Tuple[str, int]]:
@@ -235,6 +189,20 @@ def active():
     """The tuned :class:`~repro.mpn.tune.Thresholds` for this host."""
     from repro.mpn.tune import active_thresholds
     return active_thresholds()
+
+
+def reload() -> None:
+    """Re-read the thresholds file and the ``REPRO_PACKED`` switch.
+
+    Both are read once per process, so that no ``auto`` dispatch and
+    no :func:`~repro.plan.lowering.lower` touches the disk or the
+    environment; ``repro tune`` calls this after persisting, and tests
+    call it after retargeting either.  A running server keeps the
+    tuning it booted with until it restarts.
+    """
+    from repro.mpn.tune import active_thresholds
+    active_thresholds.cache_clear()
+    _packed_enabled.cache_clear()
 
 
 def fingerprint(thresholds=None) -> Tuple[int, ...]:

@@ -7,7 +7,7 @@ The serving pipeline, front to back:
 * :mod:`repro.serve.queue` — bounded, admission-controlled priority
   queue that sheds load explicitly (``rejected:overloaded``);
 * :mod:`repro.serve.batcher` — dynamic batcher coalescing compatible
-  jobs into host-kernel executor batches;
+  jobs into batches it runs on the event loop;
 * :mod:`repro.serve.jobs` — validation, pricing, and the correctness
   oracle (:func:`~repro.serve.jobs.evaluate`);
 * :mod:`repro.serve.metrics` / :mod:`repro.serve.trace` — lock-free

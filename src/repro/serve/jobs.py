@@ -7,7 +7,7 @@ lowering.Plan` (admission cost = ``plan.cost()``, batch compatibility
 = ``plan.compat_key``, cache salting = ``plan.memo_key``), an optional
 deadline, and a priority.  Validation happens entirely at the front
 door so nothing malformed, oversized, or divide-by-zero ever reaches
-the batching executor; the error codes here are the service's public
+the batcher; the error codes here are the service's public
 vocabulary (``invalid:*`` for rejected inputs).
 
 :func:`evaluate` is the ground truth: it runs the *direct library
@@ -116,9 +116,8 @@ class Job:
         """Memo key for idempotent, parameter-pure job types.
 
         Includes the plan's memo key (thresholds fingerprint +
-        algorithm choice), so a ``repro tune`` retune in a running
-        server changes every cache key and can never serve a result
-        computed under the old plan.
+        algorithm choice), so a result is never served under a plan
+        other than the one it was computed under.
         """
         if self.op in ("pi_digits", "model_cycles"):
             salt = self.plan.memo_key if self.plan is not None else ()
@@ -283,10 +282,9 @@ def estimated_cycles(op: str, params: Dict[str, Any]) -> float:
 def evaluate(task: Tuple[str, Dict[str, Any]]) -> Dict[str, Any]:
     """Run one ``(op, params)`` job through the direct library call.
 
-    Top-level and picklable so :class:`repro.parallel.ParallelExecutor`
-    can fan batches across worker processes.  This function *is* the
-    service's correctness oracle: every server response must be
-    bit-identical to its output for the same canonical parameters.
+    This function *is* the service's correctness oracle: every server
+    response must be bit-identical to its output for the same
+    canonical parameters.
     """
     op, params = task
     if op == "mul":

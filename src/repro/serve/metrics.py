@@ -2,8 +2,8 @@
 
 "Lock-free" is literal: every write is a single integer/float add or
 list-slot increment, atomic under the GIL, and no code path here ever
-takes a lock.  Writers are the server's event loop and the batcher's
-execution thread; readers (the ``/metrics`` scrape) tolerate the
+takes a lock.  The one writer is the server's event loop (batcher
+included); readers (the ``/metrics`` scrape) tolerate the
 instant-in-time skew that lock-freedom implies — a scrape races a
 concurrent increment by at most one observation, never sees torn
 state, and never stalls the hot path.

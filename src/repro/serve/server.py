@@ -41,8 +41,6 @@ from repro.serve.queue import AdmissionQueue
 QUEUE_ENV = _env.SERVE_QUEUE.name
 MAX_WAIT_ENV = _env.SERVE_MAX_WAIT_MS.name
 BATCH_ENV = _env.SERVE_BATCH.name
-BATCH_MS_ENV = _env.SERVE_BATCH_MS.name
-TIMEOUT_ENV = _env.SERVE_TIMEOUT_S.name
 
 _MAX_BODY_BYTES = 8 << 20
 _MAX_HEADER_LINES = 64
@@ -57,9 +55,6 @@ class ServeConfig:
     queue_capacity: int = 256
     max_wait_ms: float = 10_000.0
     max_batch: int = 16
-    batch_ms: float = 5.0
-    workers: Optional[int] = None
-    exec_timeout_s: Optional[float] = 120.0
     max_body_bytes: int = _MAX_BODY_BYTES
 
     @classmethod
@@ -70,10 +65,6 @@ class ServeConfig:
             max_wait_ms=_env.float_value(_env.SERVE_MAX_WAIT_MS,
                                          10_000.0, minimum=1.0),
             max_batch=_env.int_value(_env.SERVE_BATCH, 16, minimum=1),
-            batch_ms=_env.float_value(_env.SERVE_BATCH_MS, 5.0,
-                                      minimum=0.0),
-            exec_timeout_s=_env.float_value(_env.SERVE_TIMEOUT_S, 120.0,
-                                            minimum=0.1),
         )
         for name, value in overrides.items():
             if value is not None:
@@ -176,10 +167,7 @@ class ReproServer:
             max_wait_ms=self.config.max_wait_ms)
         self.batcher = DynamicBatcher(
             self.queue, self.registry,
-            max_batch=self.config.max_batch,
-            batch_ms=self.config.batch_ms,
-            workers=self.config.workers,
-            exec_timeout_s=self.config.exec_timeout_s)
+            max_batch=self.config.max_batch)
         self.host = self.config.host
         self.port = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
@@ -544,10 +532,10 @@ async def _serve_main(config: Optional[ServeConfig],
             break
     if announce is not None:
         announce("repro-serve listening on %s:%d" % (host, port))
-        announce("  queue=%d max_wait_ms=%g max_batch=%d batch_ms=%g"
+        announce("  queue=%d max_wait_ms=%g max_batch=%d"
                  % (server.config.queue_capacity,
                     server.config.max_wait_ms,
-                    server.config.max_batch, server.config.batch_ms))
+                    server.config.max_batch))
     await server.wait_terminated()
     if announce is not None:
         announce("repro-serve drained: %d served, %d shed, %d batches"

@@ -57,7 +57,6 @@ def main(requests: int = 200, concurrency: int = 8,
     src = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.setdefault("REPRO_SERVE_BATCH_MS", "2")
     if shards:
         # Keep the smoke hermetic: no disk-warmed cross-shard cache.
         env.setdefault("REPRO_SHARD_CACHE", "0")

@@ -5,9 +5,9 @@ Each shard is one OS process running today's single-event-loop
 --port 0 --shards 0``) on an ephemeral port parsed from its announce
 line.  The supervisor owns the fleet lifecycle, reusing
 :mod:`repro.parallel`'s env conventions — the child environment is the
-parent's (``REPRO_WORKERS``, killswitches, tuned thresholds all
-propagate) with ``REPRO_SHARDS`` forced to ``0`` so a shard can never
-recursively boot its own router.
+parent's (killswitches and tuned thresholds propagate) with
+``REPRO_SHARDS`` forced to ``0`` so a shard can never recursively boot
+its own router.
 
 * **restart-on-crash** — a watcher task per shard observes the process
   exit; an unexpected death marks the shard ``dead``, counts
@@ -97,8 +97,8 @@ class ShardHandle:
 def shard_environment() -> Dict[str, str]:
     """Child environment for one shard worker.
 
-    The parent's environment verbatim (tuning, killswitches, and
-    ``REPRO_WORKERS`` propagate) plus the repro source root on
+    The parent's environment verbatim (tuning and killswitches
+    propagate) plus the repro source root on
     ``PYTHONPATH`` and ``REPRO_SHARDS`` pinned to ``0`` — a shard is
     always a plain single-process server, never a nested router.
     """

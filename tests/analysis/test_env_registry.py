@@ -63,11 +63,11 @@ class TestTypedAccessors:
             env.int_value(env.SERVE_BATCH, 16)
 
     def test_float_value_and_string(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MS", "2.5")
-        assert env.float_value(env.SERVE_BATCH_MS, 5.0) == 2.5
-        monkeypatch.setenv("REPRO_SERVE_BATCH_MS", "soon")
+        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "2.5")
+        assert env.float_value(env.SERVE_MAX_WAIT_MS, 5.0) == 2.5
+        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "soon")
         with pytest.raises(ValueError, match="must be a number"):
-            env.float_value(env.SERVE_BATCH_MS, 5.0)
+            env.float_value(env.SERVE_MAX_WAIT_MS, 5.0)
         monkeypatch.delenv("REPRO_TRACE_FILE", raising=False)
         assert env.string(env.TRACE_FILE, "fallback.jsonl") \
             == "fallback.jsonl"

@@ -8,12 +8,27 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.mpn import nat
+from repro.plan import select
 
 
 @pytest.fixture
 def rng() -> random.Random:
     """A deterministic RNG per test."""
     return random.Random(0xCA_B1)
+
+
+@pytest.fixture
+def reselect(monkeypatch):
+    """``reselect(name, value)`` sets ``REPRO_THRESHOLDS`` or
+    ``REPRO_PACKED`` and re-reads the selection (read once per process);
+    teardown restores and re-reads the process's own setting."""
+    def retarget(name: str, value: str) -> None:
+        monkeypatch.setenv(name, value)
+        select.reload()
+
+    yield retarget
+    monkeypatch.undo()
+    select.reload()
 
 
 # -- hypothesis strategies ----------------------------------------------------

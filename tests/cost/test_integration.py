@@ -2,21 +2,26 @@
 
 The contract under test: with ``REPRO_COST=0`` — or simply no fitted
 model for the active thresholds — every cost-model entry point returns
-its absent value and plan selection / admission behave exactly as the
-analytic build, even when a (deliberately biased) fit sits on disk.
+its absent value and admission behaves exactly as the analytic build,
+even when a (deliberately biased) fit sits on disk; plan selection
+never consults the model at all.
 """
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
 from repro import cost
+from repro.cost import dataset
 from repro.cost import model as model_mod
 from repro.cost.model import CostModel
 from repro.plan import OpSpec, select
-from repro.plan.lowering import lower
-from repro.serve.jobs import make_job
+from repro.plan.execute import plan_for_job
+from repro.plan.lowering import lower, plan_cache
+from repro.serve.client import build_jobs
+from repro.serve.jobs import make_job, validate_params
 
 COST_ENV = "REPRO_COST"
 
@@ -71,121 +76,45 @@ class TestActivationAndSalt:
         assert cost.predict_ns("mul", "limb", 64) is None
         assert cost.seed_rate_cycles_per_ms() is None
 
-    def test_retune_strands_the_fit(self, tmp_path, monkeypatch):
+    def test_retune_strands_the_fit(self, tmp_path, reselect):
         from repro.mpn import tune as tune_mod
         save_model({"mul|limb": flat_group(100.0)})
         assert model_mod.active_model() is not None
         # A retune = different thresholds file = new fingerprint.
-        monkeypatch.setenv(tune_mod.THRESHOLDS_ENV,
-                           str(tmp_path / "thresholds.json"))
+        reselect(tune_mod.THRESHOLDS_ENV, str(tmp_path / "thresholds.json"))
         retuned = dataclasses.replace(
             select.active(),
             karatsuba_limbs=select.active().karatsuba_limbs + 1)
         tune_mod.save_thresholds(retuned)
+        select.reload()
         cost.invalidate()
         assert model_mod.active_model() is None
         assert cost.selection_salt() == ()
 
 
-class TestRefineBackend:
-    def test_faster_candidate_wins_in_band(self):
-        save_model({"mul|limb": flat_group(1000.0),
-                    "mul|packed": flat_group(10.0)})
-        assert cost.refine_backend("mul", 100, "library",
-                                   ["library", "packed"],
-                                   [100]) == "packed"
-
-    def test_out_of_band_keeps_analytic(self):
-        save_model({"mul|limb": flat_group(1000.0),
-                    "mul|packed": flat_group(10.0)})
-        far = int(100 * cost.GUARD_BAND * 4)
-        assert cost.refine_backend("mul", far, "library",
-                                   ["library", "packed"],
-                                   [100]) == "library"
-
-    def test_uncovered_analytic_never_demoted(self):
-        save_model({"mul|packed": flat_group(10.0)})
-        assert cost.refine_backend("mul", 100, "library",
-                                   ["library", "packed"],
-                                   [100]) == "library"
-
-    def test_slower_candidates_never_adopted(self):
-        save_model({"mul|limb": flat_group(10.0),
-                    "mul|packed": flat_group(1000.0)})
-        assert cost.refine_backend("mul", 100, "library",
-                                   ["library", "packed"],
-                                   [100]) == "library"
-
-    def test_without_model_is_identity(self):
-        assert cost.refine_backend("mul", 100, "library",
-                                   ["library", "packed"],
-                                   [100]) == "library"
-
-
-class TestCostRefinedDifferential:
-    """select.cost_refined: the auto-resolution hook itself."""
-
-    def _crossover(self):
-        candidates, crossovers = select._refinement_space(
-            "mul", select.active())
-        if len(candidates) < 2 or not crossovers:
-            pytest.skip("no reachable mul alternatives on this host")
-        return candidates, crossovers
-
-    def test_model_steers_at_the_crossover(self):
-        candidates, crossovers = self._crossover()
-        winner = candidates[1]
-        from repro.cost.features import canonical_backend
-        save_model({"mul|limb": flat_group(1e9),
-                    "mul|%s" % canonical_backend(winner):
-                        flat_group(1.0)})
-        assert select.cost_refined("mul", crossovers[0], "library") \
-            == winner
-
-    def test_killswitch_restores_analytic(self, monkeypatch):
-        candidates, crossovers = self._crossover()
-        from repro.cost.features import canonical_backend
-        save_model({"mul|limb": flat_group(1e9),
-                    "mul|%s" % canonical_backend(candidates[1]):
-                        flat_group(1.0)})
-        monkeypatch.setenv(COST_ENV, "0")
-        cost.invalidate()
-        assert select.cost_refined("mul", crossovers[0], "library") \
-            == "library"
-
-    def test_adhoc_thresholds_never_refined(self):
-        candidates, crossovers = self._crossover()
-        from repro.cost.features import canonical_backend
-        save_model({"mul|limb": flat_group(1e9),
-                    "mul|%s" % canonical_backend(candidates[1]):
-                        flat_group(1.0)})
-        adhoc = dataclasses.replace(
-            select.active(),
-            karatsuba_limbs=select.active().karatsuba_limbs + 1)
-        assert select.cost_refined("mul", crossovers[0], "library",
-                                   thresholds=adhoc) == "library"
-
-
 class TestLoweringBitIdentity:
-    SWEEP = [64, 4096, 1 << 15, 1 << 16, 1 << 17]
-
-    def _decisions(self):
-        return [(plan.backend, plan.algorithm) for plan in
-                (lower(OpSpec.for_mul(bits, bits), use_cache=False)
-                 for bits in self.SWEEP)]
-
     def test_killswitch_off_matches_modelless_baseline(self,
                                                        monkeypatch):
-        baseline = self._decisions()
-        # A fit biased hard toward the library path at every size...
-        save_model({"mul|limb": flat_group(1.0),
-                    "mul|packed": flat_group(1e9),
-                    "mul|device": flat_group(1e9)})
+        """The first 2000 seed-7 serve jobs lower to the same backends
+        with a model fitted from the committed dataset live and under
+        ``REPRO_COST=0``: only the tuned thresholds select."""
+        jobs = [(job["op"], validate_params(job["op"], job["params"]))
+                for job in build_jobs(2000, seed=7)]
+
+        def census():
+            plan_cache().clear()
+            return [plan_for_job(op, params).backend
+                    for op, params in jobs]
+
+        rows = dataset.load_rows(
+            Path(__file__).parents[2] / "results" / "COST_dataset.jsonl")
+        model_mod.save(model_mod.fit(rows, select.fingerprint()))
+        assert model_mod.active_model() is not None
+        live = census()
         monkeypatch.setenv(COST_ENV, "0")
         cost.invalidate()
-        # ...changes nothing once the killswitch is thrown.
-        assert self._decisions() == baseline
-        assert cost.selection_salt() == ()
+        assert model_mod.active_model() is None
+        assert census() == live
 
 
 class TestAdmissionConsumers:

@@ -104,17 +104,17 @@ class TestMulCrossover:
             == sqr(an, GMP_POLICY)
         assert from_nat(sqr(an, GMP_POLICY)) == a * a
 
-    def test_auto_resolution_flips_exactly_at_threshold(self, monkeypatch):
+    def test_auto_resolution_flips_exactly_at_threshold(self, reselect):
         # Pin the killswitch on: CI runs this suite under REPRO_PACKED=0
         # too, where auto legitimately never resolves to packed.
-        monkeypatch.setenv(select.PACKED_ENV, "1")
+        reselect(select.PACKED_ENV, "1")
         threshold = select.active().packed_mul_limbs
         assert threshold > 0, "container tuning should enable packed"
         assert select.mul_backend(threshold - 1) == "limb"
         assert select.mul_backend(threshold) == "packed"
 
-    def test_kill_switch_forces_limb(self, monkeypatch):
-        monkeypatch.setenv(select.PACKED_ENV, "0")
+    def test_kill_switch_forces_limb(self, reselect):
+        reselect(select.PACKED_ENV, "0")
         threshold = select.active().packed_mul_limbs
         assert select.mul_backend(threshold + 100) == "limb"
         assert select.div_backend(threshold + 100) == "limb"
@@ -152,10 +152,10 @@ class TestDivCrossover:
         quotient, remainder = packed
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
-    def test_auto_resolution_flips_exactly_at_threshold(self, monkeypatch):
+    def test_auto_resolution_flips_exactly_at_threshold(self, reselect):
         # Pin the killswitch on: CI runs this suite under REPRO_PACKED=0
         # too, where auto legitimately never resolves to packed.
-        monkeypatch.setenv(select.PACKED_ENV, "1")
+        reselect(select.PACKED_ENV, "1")
         threshold = select.active().packed_div_limbs
         assert threshold > 0, "container tuning should enable packed"
         assert select.div_backend(threshold - 1) == "limb"
@@ -323,8 +323,9 @@ class TestPowmodEntryPoints:
     @pytest.mark.parametrize("killswitch,expected",
                              [("1", "packed"), ("0", "library")])
     def test_plan_backend_is_what_auto_runs(self, killswitch, expected,
-                                            monkeypatch, fresh_plans):
-        monkeypatch.setenv(select.PACKED_ENV, killswitch)
+                                            monkeypatch, reselect,
+                                            fresh_plans):
+        reselect(select.PACKED_ENV, killswitch)
         ran = []
 
         def recording(kernel, backend):

@@ -74,13 +74,13 @@ class TestMulAcrossCrossovers:
                          use_cache=False)
             assert plan.backend == "library"
 
-    def test_auto_past_limit_prefers_packed(self, monkeypatch):
+    def test_auto_past_limit_prefers_packed(self, reselect):
         import dataclasses
 
         from repro.plan import select
 
         # Pinned on: CI also runs this suite under REPRO_PACKED=0.
-        monkeypatch.setenv(select.PACKED_ENV, "1")
+        reselect(select.PACKED_ENV, "1")
         tuned = dataclasses.replace(select.active(), packed_mul_limbs=2)
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
                      tuned, use_cache=False)

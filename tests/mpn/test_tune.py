@@ -18,6 +18,7 @@ from repro.mpn.tune import (THRESHOLDS_VERSION, Thresholds,
                             find_crossover, load_thresholds,
                             save_thresholds, thresholds_path, tune,
                             tuned_policy)
+from repro.plan import select
 
 from tests.conftest import from_nat
 
@@ -103,9 +104,9 @@ class TestTimer:
 
 class TestThresholdsPersistence:
     @pytest.fixture(autouse=True)
-    def isolated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(tune_mod.THRESHOLDS_ENV,
-                           str(tmp_path / "thresholds.json"))
+    def isolated(self, tmp_path, reselect):
+        reselect(tune_mod.THRESHOLDS_ENV,
+                 str(tmp_path / "thresholds.json"))
         yield tmp_path
 
     def test_path_env_override(self, isolated):
@@ -147,6 +148,7 @@ class TestThresholdsPersistence:
                                                   encoding="utf-8")
         assert load_thresholds() is None
         # active_thresholds falls back to the checked-in defaults.
+        select.reload()
         assert active_thresholds() == default_thresholds()
 
     def test_v1_file_with_retired_crossover_loads_none(self, isolated):
@@ -161,6 +163,7 @@ class TestThresholdsPersistence:
         (isolated / "thresholds.json").write_text(json.dumps(v1),
                                                   encoding="utf-8")
         assert load_thresholds() is None
+        select.reload()
         assert active_thresholds() == default_thresholds()
 
     def test_v2_file_with_retired_crossover_loads_none(self, isolated):
@@ -176,6 +179,7 @@ class TestThresholdsPersistence:
             (isolated / "thresholds.json").write_text(json.dumps(retired),
                                                       encoding="utf-8")
             assert load_thresholds() is None
+            select.reload()
             assert active_thresholds() == default_thresholds()
         assert not hasattr(default_thresholds(), "rns_powmod_limbs")
         assert not hasattr(default_thresholds(), "rns_mul_limbs")
@@ -184,7 +188,10 @@ class TestThresholdsPersistence:
         persisted = Thresholds(karatsuba_limbs=17, toom3_limbs=70,
                                toom4_limbs=280, toom6_limbs=1100,
                                ssa_limbs=4400)
+        assert active_thresholds() == default_thresholds()
         save_thresholds(persisted)
+        assert active_thresholds() != persisted   # until a reload
+        select.reload()
         assert active_thresholds() == persisted
         assert tuned_policy().karatsuba_limbs == 17
 
@@ -223,11 +230,10 @@ class TestTuneCli:
         assert loader.returncode == 0, loader.stderr
         assert int(loader.stdout.strip()) >= 2
 
-    def test_dry_run_does_not_persist(self, tmp_path, monkeypatch,
-                                      capsys):
+    def test_dry_run_does_not_persist(self, tmp_path, reselect, capsys):
         from repro import cli
         target = tmp_path / "thresholds.json"
-        monkeypatch.setenv(tune_mod.THRESHOLDS_ENV, str(target))
+        reselect(tune_mod.THRESHOLDS_ENV, str(target))
         assert cli.main(["tune", "--max-limbs", "32", "--repeats", "1",
                          "--dry-run"]) == 0
         assert not target.exists()

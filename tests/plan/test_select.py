@@ -1,12 +1,18 @@
 """plan.select: the one crossover-lookup module, checked against the
 kernel-side constants and policies it replaced."""
 
+import os
+
 import pytest
 
+from repro import mpn
+from repro.apps import pi
 from repro.mpn import burnikel_ziegler as bz_mod
 from repro.mpn import div as div_mod
 from repro.mpn.mul import GMP_POLICY, MPAPCA_POLICY, PYTHON_POLICY
-from repro.plan import select
+from repro.mpn.nat import nat_from_int
+from repro.plan import OpSpec, select
+from repro.plan.lowering import lower
 
 
 class TestMulLadder:
@@ -79,3 +85,43 @@ class TestFingerprint:
         fp = select.fingerprint(MPAPCA_POLICY)
         assert fp[0] == 0 and fp[-2:] == (0, 0)
         assert fp[1] == MPAPCA_POLICY.karatsuba_limbs
+
+
+class TestReadOncePerProcess:
+    """The thresholds file and ``REPRO_PACKED`` are read once per
+    process: the served path does no file or environment I/O."""
+
+    def test_no_stat_and_no_selection_env_read_per_call(self,
+                                                        monkeypatch):
+        a, b = nat_from_int(3 ** 160), nat_from_int(7 ** 90)  # 8, 8 limbs
+
+        def served_path():
+            lower(OpSpec.for_mul(4096, 4096))
+            lower(OpSpec.for_mul(256, 256), use_cache=False)
+            mpn.mul(a, b)
+            mpn.divmod_nat(a, b)
+            mpn.powmod(a, b, b)
+            pi.run(50)
+
+        served_path()                       # warm-up: first reads here
+        stats, reads = [], []
+        real_stat, real_get = os.stat, os.environ.get
+        monkeypatch.setattr(os, "stat", lambda *args, **kwargs: (
+            stats.append(args), real_stat(*args, **kwargs))[1])
+        monkeypatch.setattr(os.environ, "get", lambda name, *default: (
+            reads.append(name), real_get(name, *default))[1])
+        served_path()
+        monkeypatch.undo()
+        assert stats == []
+        assert {"REPRO_PACKED", "REPRO_THRESHOLDS"}.isdisjoint(reads)
+
+    def test_killswitch_applies_only_after_reload(self, monkeypatch,
+                                                  reselect):
+        # The thresholds-file half: test_tune's active-prefers-persisted.
+        reselect(select.PACKED_ENV, "1")
+        crossover = select.active().packed_mul_limbs
+        assert select.mul_backend(crossover) == "packed"
+        monkeypatch.setenv(select.PACKED_ENV, "0")
+        assert select.mul_backend(crossover) == "packed"
+        select.reload()
+        assert select.mul_backend(crossover) == "limb"

@@ -22,7 +22,7 @@ from repro.serve.trace import Tracer
 @pytest.fixture()
 def server():
     config = ServeConfig(port=0, queue_capacity=64, max_batch=8,
-                         batch_ms=2.0, max_wait_ms=60_000.0)
+                         max_wait_ms=60_000.0)
     with ServerThread(config) as hosted:
         yield hosted
 
@@ -113,8 +113,7 @@ class TestOverload:
     def test_4x_capacity_burst_sheds_explicitly_and_stays_bounded(self):
         capacity = 8
         config = ServeConfig(port=0, queue_capacity=capacity,
-                             max_batch=4, batch_ms=1.0,
-                             max_wait_ms=1e9)
+                             max_batch=4, max_wait_ms=1e9)
         with ServerThread(config) as hosted:
             client = ServeClient(hosted.host, hosted.port)
             total = 4 * capacity
@@ -180,8 +179,7 @@ class TestDeadlinesAndPriorities:
 
 class TestShutdownDrain:
     def test_queued_work_is_answered_then_clean_exit(self):
-        config = ServeConfig(port=0, queue_capacity=64, max_batch=4,
-                             batch_ms=1.0)
+        config = ServeConfig(port=0, queue_capacity=64, max_batch=4)
         hosted = ServerThread(config)
         hosted.start()
         client = ServeClient(hosted.host, hosted.port)
@@ -233,7 +231,7 @@ class TestHostKernelMul:
         monkeypatch.setenv("REPRO_TRACE_FILE",
                            str(tmp_path / "drain.jsonl"))
         config = ServeConfig(port=0, queue_capacity=16, max_batch=4,
-                             batch_ms=1.0, max_wait_ms=60_000.0)
+                             max_wait_ms=60_000.0)
         hosted = ServerThread(config, tracer=Tracer(enabled=True))
         hosted.start()
         try:
@@ -261,8 +259,7 @@ class TestTracing:
         # inside the test sandbox.
         monkeypatch.setenv("REPRO_TRACE_FILE",
                            str(tmp_path / "drain.jsonl"))
-        config = ServeConfig(port=0, queue_capacity=16, max_batch=4,
-                             batch_ms=1.0)
+        config = ServeConfig(port=0, queue_capacity=16, max_batch=4)
         tracer = Tracer(enabled=True)
         hosted = ServerThread(config, tracer=tracer)
         hosted.start()

@@ -17,7 +17,7 @@ def run(coro):
 
 
 def _config():
-    return ServeConfig(port=0, queue_capacity=8, batch_ms=1.0)
+    return ServeConfig(port=0, queue_capacity=8)
 
 
 def _queued_job(loop, queue, job_id="j1"):
@@ -93,8 +93,7 @@ class TestDeadlineAccounting:
         async def scenario():
             queue = AdmissionQueue(capacity=8)
             registry = MetricsRegistry()
-            batcher = DynamicBatcher(queue, registry, max_batch=4,
-                                     batch_ms=1.0)
+            batcher = DynamicBatcher(queue, registry, max_batch=4)
             loop = asyncio.get_running_loop()
             job = _queued_job(loop, queue)
             job.future.cancel()

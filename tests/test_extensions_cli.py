@@ -110,12 +110,11 @@ class TestCliExtras:
         assert main(["info", "--selftest"]) == 0
         assert "selftest: all passed" in capsys.readouterr().out
 
-    def test_tune(self, capsys, tmp_path, monkeypatch):
+    def test_tune(self, capsys, tmp_path, monkeypatch, reselect):
         # Isolate the persisted outputs: without this, the test retunes
         # the *host's* thresholds file — and appends its bisection
         # probes to the checked-in cost dataset — on every suite run.
-        monkeypatch.setenv("REPRO_THRESHOLDS",
-                           str(tmp_path / "thresholds.json"))
+        reselect("REPRO_THRESHOLDS", str(tmp_path / "thresholds.json"))
         monkeypatch.setenv("REPRO_COST_DATASET",
                            str(tmp_path / "cost.jsonl"))
         assert main(["tune", "--max-limbs", "96"]) == 0
