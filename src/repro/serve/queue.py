@@ -251,19 +251,6 @@ class AdmissionQueue:
         taken.sort(key=lambda job: (-job.priority, job.seq))
         return taken
 
-    async def wait_for_item(self, timeout: float) -> bool:
-        """Block until something is queued (or ``timeout`` seconds)."""
-        if self._items:
-            return True
-        if self.closed:
-            return False
-        self._event.clear()
-        try:
-            await asyncio.wait_for(self._event.wait(), max(0.0, timeout))
-        except asyncio.TimeoutError:
-            return False
-        return bool(self._items)
-
     def drain(self) -> List[Job]:
         """Pop every queued job at once (the crash path).
 
