@@ -6,9 +6,11 @@ what the memo key describes.  The device backend allocs operands into
 a driver's shared LLC and retires the plan's instruction stream
 (:mod:`repro.plan.streams`).
 
-Results are raw Python values (ints, floats, app result records) —
-transport encoding (hex strings for the serve protocol) stays with the
-caller.
+:func:`run` is the one executor: the serve batcher runs every job's
+admission-lowered plan through it, so the backend a trace reports is
+the backend that ran.  Results are raw Python values (ints, floats,
+app result records) — transport encoding (hex strings for the serve
+protocol) stays with the caller.
 """
 
 from __future__ import annotations
@@ -84,9 +86,11 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
         return {"digits": result.digits, "terms": result.terms,
                 "precision_bits": result.precision_bits}
     if op == "model_cycles":
+        from repro.core.model import DEFAULT_CONFIG
         cycles = model_query(params["op"], int(params.get("bits_a", 0)),
                              int(params.get("bits_b", 0)))
-        return {"cycles": cycles}
+        return {"cycles": cycles,
+                "seconds": cycles / DEFAULT_CONFIG.frequency_hz}
     raise PlanError("no executor for operator %r" % (op,))
 
 

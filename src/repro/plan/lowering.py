@@ -15,7 +15,9 @@ A :class:`Plan` is the one execution IR every layer consumes:
 
 Lowered plans themselves memoize in a version-salted
 :func:`repro.parallel.cache.named_cache` ("plans"), so the admission
-path prices a repeated (op, width) without re-walking selection.
+path prices a repeated (op, width) without re-walking selection.  The
+cache holds the frozen :class:`Plan` itself and lives in memory only:
+a hit returns the very object the miss lowered.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from repro.plan.spec import OpSpec, PlanError
 #: are gone; the fingerprint dropped the rns batch-mul crossover.
 #: v9: the learned cost model no longer refines ``auto`` backends, and
 #: its digest left the plan-cache key.
-PLAN_SCHEMA_VERSION = 9
+#: v10: the plan cache holds frozen Plan objects, not JSON payloads; a
+#: persisted v9 ``plans.json`` of payloads must never load into it.
+PLAN_SCHEMA_VERSION = 10
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -127,37 +131,6 @@ class Plan:
                          toom6_limbs=self.tuning[4],
                          ssa_limbs=self.tuning[5])
 
-    # -- serialization (plan-cache JSON round-trip) --------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "spec": {"op": self.spec.op, "bits_a": self.spec.bits_a,
-                     "bits_b": self.spec.bits_b,
-                     "backend": self.spec.backend,
-                     "detail": [list(pair) for pair in self.spec.detail]},
-            "backend": self.backend,
-            "algorithm": self.algorithm,
-            "steps": [[step.kind, step.algorithm, step.note]
-                      for step in self.steps],
-            "cost_cycles": self.cost_cycles,
-            "tuning": list(self.tuning),
-            "policy_name": self.policy_name,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Plan":
-        raw_spec = payload["spec"]
-        spec = OpSpec(raw_spec["op"], raw_spec["bits_a"],
-                      raw_spec["bits_b"], raw_spec["backend"],
-                      tuple((str(k), v) for k, v in raw_spec["detail"]))
-        return cls(spec=spec, backend=payload["backend"],
-                   algorithm=payload["algorithm"],
-                   steps=tuple(PlanStep(*step)
-                               for step in payload["steps"]),
-                   cost_cycles=payload["cost_cycles"],
-                   tuning=tuple(payload["tuning"]),
-                   policy_name=payload["policy_name"])
-
     # -- display -------------------------------------------------------------
 
     def describe(self) -> str:
@@ -211,11 +184,9 @@ def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
         return _lower_uncached(spec, thresholds, tuning, policy_name)
     cache = plan_cache()
     key = cache.key(spec.key(), tuning, policy_name)
-    payload = cache.lookup(
-        key,
-        lambda: _lower_uncached(spec, thresholds, tuning,
-                                policy_name).to_payload())
-    return Plan.from_payload(payload)
+    return cache.lookup(
+        key, lambda: _lower_uncached(spec, thresholds, tuning,
+                                     policy_name))
 
 
 #: Ops the block-packed backend can execute.

@@ -7,14 +7,14 @@ The serving pipeline, front to back:
 * :mod:`repro.serve.queue` — bounded, admission-controlled priority
   queue that sheds load explicitly (``rejected:overloaded``);
 * :mod:`repro.serve.batcher` — dynamic batcher coalescing compatible
-  jobs into batches it runs on the event loop;
-* :mod:`repro.serve.jobs` — validation, pricing, and the correctness
-  oracle (:func:`~repro.serve.jobs.evaluate`);
+  jobs into batches it runs on the event loop, each member through the
+  plan admission lowered for it (:func:`repro.plan.execute.run`);
+* :mod:`repro.serve.jobs` — validation and pricing (the lowered plan);
 * :mod:`repro.serve.metrics` / :mod:`repro.serve.trace` — lock-free
   counters and histograms at ``/metrics``, span traces under
   ``REPRO_TRACE=1``;
-* :mod:`repro.serve.client` — load-generating, verifying client
-  (``repro bench-serve``).
+* :mod:`repro.serve.client` — load-generating client (``repro
+  bench-serve``) that verifies every answer against Python ``int``.
 
 :mod:`repro.shard` scales this pipeline across OS processes: a
 plan-aware router in front of N supervised shard workers, each one a
@@ -24,7 +24,7 @@ See ``docs/SERVING.md`` for the protocol and capacity knobs.
 """
 
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.jobs import JOB_OPS, Job, JobError, evaluate, make_job
+from repro.serve.jobs import JOB_OPS, Job, JobError, make_job
 from repro.serve.metrics import (Counter, Gauge, Histogram,
                                  MetricsRegistry, merge_snapshots,
                                  parse_exposition, render_snapshot)
@@ -50,7 +50,6 @@ __all__ = [
     "SHED_WAIT_EXCEEDED",
     "ServeConfig",
     "Tracer",
-    "evaluate",
     "make_job",
     "merge_snapshots",
     "parse_exposition",

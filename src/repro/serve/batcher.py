@@ -4,7 +4,11 @@ The consumer half of the serve pipeline.  A single asyncio task pulls
 the highest-priority job off the :class:`~repro.serve.queue.
 AdmissionQueue`, takes the queued jobs sharing its plan compatibility
 key (``Job.compat_key()`` — op + lowered backend) up to ``max_batch``,
-and runs the batch on the event loop itself, one member after another:
+and runs the batch on the event loop itself, one member after another.
+Each member runs the plan admission lowered for it
+(:func:`repro.plan.execute.run` on ``job.plan``), so the backend its
+trace and the census report is the backend that ran; the integer
+results of mul, div and powmod are then hex-encoded for the wire.
 
 * every member's own deadline is checked just before it runs, so a
   job whose deadline lapsed while an earlier member ran is answered
@@ -21,9 +25,9 @@ member's kernel, which the admission ceilings bound
 (``docs/SERVING.md``).  Scale-out comes from shards, not from threads
 inside one server.
 
-Results always return in request order and are bit-identical to
-:func:`repro.serve.jobs.evaluate` for the same parameters — batching
-never changes a result.
+Results always return in request order, and batching never changes a
+result: every answer equals Python ``int`` arithmetic
+(:func:`repro.serve.client.expected_result`).
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.plan.execute import run as run_plan
 from repro.serve import trace as tracing
-from repro.serve.jobs import Job, evaluate
+from repro.serve.jobs import Job
 from repro.serve.metrics import (BATCH_SIZE_BOUNDS, MetricsRegistry)
 from repro.serve.queue import AdmissionQueue
 
@@ -46,6 +51,10 @@ from repro.serve.queue import AdmissionQueue
 #: waiting behind the next one.  ``tests/serve/test_batcher.py`` pins
 #: it with a real listener.
 ADMIT_YIELDS = 6
+
+#: Ops whose integer results travel as hex strings; pi's ``terms`` and
+#: ``precision_bits`` and the cycle model's figures stay JSON numbers.
+HEX_OPS = ("mul", "div", "powmod")
 
 
 class DynamicBatcher:
@@ -129,7 +138,7 @@ class DynamicBatcher:
         tracing.mark(job.trace, "execute_start")
         started = time.monotonic()
         try:
-            payload, cached = self._evaluate(job)
+            payload, cached = self._execute(job)
         except Exception as error:
             self.registry.counter("execute_error_total", op=job.op).inc()
             tracing.mark(job.trace, "execute_end")
@@ -164,13 +173,15 @@ class DynamicBatcher:
 
     # -- execution --------------------------------------------------------------
 
-    def _evaluate(self, job: Job) -> Tuple[Dict[str, Any], bool]:
+    def _execute(self, job: Job) -> Tuple[Dict[str, Any], bool]:
         """One member's ``(payload, cached)``."""
         key = job.cache_key()
         if key is not None and key in self._cache:
             self._cache.move_to_end(key)
             return self._cache[key], True
-        payload = evaluate((job.op, job.params))
+        payload = run_plan(job.plan, job.params)
+        if job.op in HEX_OPS:
+            payload = {name: hex(value) for name, value in payload.items()}
         if key is not None:
             self._cache[key] = payload
             while len(self._cache) > self._cache_size:

@@ -4,16 +4,17 @@
 ``http.client`` connection per request, mirroring the server's
 ``Connection: close`` framing).  :func:`run_load` drives a seeded,
 deterministic mix of all five job types at a configurable concurrency,
-verifies every successful answer bit-for-bit against the in-process
-oracle (:func:`repro.serve.jobs.evaluate`), and reports honest
-latency/throughput numbers — exact sorted-sample percentiles, not the
-server's interpolated histogram — plus the machine context (CPU
-count, worker count) the numbers were measured under.  The report also
-tallies, per op, which backend (library/packed — never device, which
-only an explicit request reaches) the plan lowering resolved for each
-verified job — the same :func:`~repro.plan.execute.plan_for_job` the
-server's admission path runs — so a serve benchmark records the
-packed-vs-limb split of its workload.
+verifies every successful answer bit-for-bit against
+:func:`expected_result` (Python ``int`` for mul/div/powmod), and
+reports honest latency/throughput numbers — exact sorted-sample
+percentiles, not the server's interpolated histogram — plus the
+machine context (CPU count, worker count) the numbers were measured
+under.  The report also tallies, per op, which backend (library/packed
+— never device, which only an explicit request reaches) the plan
+lowering resolved for each verified job — the same
+:func:`~repro.plan.execute.plan_for_job` the server's admission path
+runs, and so the backend the server ran — so a serve benchmark records
+the packed-vs-limb split of its workload.
 
 ``repro bench-serve`` wires this to ``results/BENCH_serve.json``.
 """
@@ -28,7 +29,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.parallel import available_cpus
-from repro.serve.jobs import JOB_OPS, evaluate, validate_params
+from repro.serve.jobs import JOB_OPS, validate_params
 from repro.serve.metrics import parse_exposition
 
 #: Weighted op mix for generated load (mul-heavy, like the paper's
@@ -132,19 +133,34 @@ def build_jobs(count: int, seed: int = 0,
 
 
 def expected_result(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The oracle's answer for one job payload (direct library call)."""
-    params = validate_params(payload["op"], payload["params"])
-    return evaluate((payload["op"], params))
+    """The exact result object a correct server returns for one job.
 
-
-def plan_backend(payload: Dict[str, Any]) -> str:
-    """The backend the plan lowering resolves for one job payload.
-
-    Mirrors the server's admission path (same ``plan_for_job``), so the
-    tally reflects what the server actually executed; ops without a
-    lowered backend report ``"-"``.
+    mul, div and powmod are checked against Python's ``a*b``,
+    ``divmod`` and ``pow``, never the ``repro.mpn`` kernels the server
+    runs; pi_digits against :mod:`repro.apps.pi`, and model_cycles
+    against the cycle model it prices
+    (:func:`repro.plan.execute.model_query`).
     """
-    return plan_key(payload)[0]
+    op = payload["op"]
+    params = validate_params(op, payload["params"])
+    if op == "mul":
+        return {"product": hex(params["a"] * params["b"])}
+    if op == "div":
+        quotient, remainder = divmod(params["a"], params["b"])
+        return {"quotient": hex(quotient), "remainder": hex(remainder)}
+    if op == "powmod":
+        return {"value": hex(pow(params["base"], params["exp"],
+                                 params["mod"]))}
+    if op == "pi_digits":
+        from repro.apps import pi
+        result = pi.run(params["digits"])
+        return {"digits": result.digits, "terms": result.terms,
+                "precision_bits": result.precision_bits}
+    from repro.core.model import DEFAULT_CONFIG
+    from repro.plan.execute import model_query
+    cycles = model_query(params["op"], params["bits_a"], params["bits_b"])
+    return {"cycles": cycles,
+            "seconds": cycles / DEFAULT_CONFIG.frequency_hz}
 
 
 def plan_key(payload: Dict[str, Any]

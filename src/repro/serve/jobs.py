@@ -1,4 +1,4 @@
-"""Job model for the serve layer: parse, validate, price, evaluate.
+"""Job model for the serve layer: parse, validate, price.
 
 A *job* is one client-requested operation — ``mul``, ``div``,
 ``powmod``, ``pi_digits``, or ``model_cycles`` — with canonicalized
@@ -10,11 +10,11 @@ door so nothing malformed, oversized, or divide-by-zero ever reaches
 the batcher; the error codes here are the service's public
 vocabulary (``invalid:*`` for rejected inputs).
 
-:func:`evaluate` is the ground truth: it runs the *direct library
-call* for a job (mpn kernels, the pi application, the MPApca cycle
-model).  The server's answers must be bit-identical to it — the
-end-to-end property tests and the load-generating client both verify
-against this single definition.
+The plan lowered here is the plan that runs: the batcher executes
+``job.plan`` through :func:`repro.plan.execute.run`, so the backend
+that prices a job and labels its trace is the backend that computes
+its answer.  Answers are checked against Python ``int``
+(:func:`repro.serve.client.expected_result`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis import env as _env
-from repro.core.model import DEFAULT_CONFIG
-from repro.plan import PlanError
-from repro.plan.execute import model_query, plan_for_job
-from repro.runtime import mpapca
+from repro.plan.execute import plan_for_job
 
 #: The service's job vocabulary.
 JOB_OPS = ("mul", "div", "powmod", "pi_digits", "model_cycles")
@@ -79,6 +76,7 @@ class Job:
 
     op: str
     params: Dict[str, Any]
+    plan: Any                        # lowered repro.plan Plan
     priority: int = 0
     deadline_ms: Optional[float] = None
     job_id: str = ""
@@ -92,7 +90,6 @@ class Job:
     seq: int = 0                     # assigned by the admission queue
     future: Any = None               # asyncio.Future, attached by server
     trace: Any = None                # RequestTrace when tracing is on
-    plan: Any = None                 # lowered repro.plan Plan
 
     def expired(self, now: Optional[float] = None) -> bool:
         """Has this job's deadline passed?"""
@@ -108,9 +105,7 @@ class Job:
 
     def compat_key(self) -> Tuple[str, str]:
         """Batch-compatibility key (jobs sharing it may coalesce)."""
-        if self.plan is not None:
-            return self.plan.compat_key
-        return (self.op, "library")
+        return self.plan.compat_key
 
     def cache_key(self) -> Optional[Tuple]:
         """Memo key for idempotent, parameter-pure job types.
@@ -120,9 +115,8 @@ class Job:
         other than the one it was computed under.
         """
         if self.op in ("pi_digits", "model_cycles"):
-            salt = self.plan.memo_key if self.plan is not None else ()
             return (self.op,) + tuple(sorted(self.params.items())) \
-                + tuple(salt)
+                + tuple(self.plan.memo_key)
         return None
 
 
@@ -162,10 +156,10 @@ def make_job(payload: Dict[str, Any]) -> Job:
         raise JobError("invalid:id", "id must be a short string")
     plan = plan_for_job(op, params)
     from repro import cost as _cost
-    job = Job(op=op, params=params, priority=priority,
+    job = Job(op=op, params=params, plan=plan, priority=priority,
               deadline_ms=deadline_ms, job_id=job_id,
               cost_cycles=plan.cost(),
-              cost_ns=_cost.predict_plan_ns(plan), plan=plan)
+              cost_ns=_cost.predict_plan_ns(plan))
     if deadline_ms is not None:
         job.deadline_at = job.created_at + deadline_ms / 1000.0
     return job
@@ -262,73 +256,3 @@ def _parse_count(params: Dict[str, Any], name: str,
         raise JobError("invalid:bad-int",
                        "%s must be >= %d" % (name, minimum))
     return value
-
-
-# -- admission pricing --------------------------------------------------------
-
-def estimated_cycles(op: str, params: Dict[str, Any]) -> float:
-    """Modeled service cost of one job, for queue-wait estimation.
-
-    A thin view over the plan lowering: the estimate *is* the lowered
-    plan's cost, priced by the one
-    :class:`~repro.core.model.CambriconPModel` — there is no serve-side
-    copy of the cycle math to drift from it.
-    """
-    return plan_for_job(op, params).cost()
-
-
-# -- evaluation (the direct library call) -------------------------------------
-
-def evaluate(task: Tuple[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Run one ``(op, params)`` job through the direct library call.
-
-    This function *is* the service's correctness oracle: every server
-    response must be bit-identical to its output for the same
-    canonical parameters.
-    """
-    op, params = task
-    if op == "mul":
-        return {"product": hex(_library_mul(params["a"], params["b"]))}
-    if op == "div":
-        quotient, remainder = _library_divmod(params["a"], params["b"])
-        return {"quotient": hex(quotient), "remainder": hex(remainder)}
-    if op == "powmod":
-        value = _library_powmod(params["base"], params["exp"],
-                                params["mod"])
-        return {"value": hex(value)}
-    if op == "pi_digits":
-        from repro.apps import pi
-        result = pi.run(params["digits"])
-        return {"digits": result.digits, "terms": result.terms,
-                "precision_bits": result.precision_bits}
-    if op == "model_cycles":
-        cycles = model_cycles(params["op"], params["bits_a"],
-                              params["bits_b"])
-        return {"cycles": cycles,
-                "seconds": cycles / DEFAULT_CONFIG.frequency_hz}
-    raise JobError("invalid:unknown-op", "unknown op %r" % op)
-
-
-def _library_mul(a: int, b: int) -> int:
-    from repro.mpn import mul, nat_from_int, nat_to_int
-    return nat_to_int(mul(nat_from_int(a), nat_from_int(b)))
-
-
-def _library_divmod(a: int, b: int) -> Tuple[int, int]:
-    from repro.mpn import divmod_nat, nat_from_int, nat_to_int
-    quotient, remainder = divmod_nat(nat_from_int(a), nat_from_int(b))
-    return nat_to_int(quotient), nat_to_int(remainder)
-
-
-def _library_powmod(base: int, exponent: int, modulus: int) -> int:
-    from repro.mpn import nat_from_int, nat_to_int, powmod
-    return nat_to_int(powmod(nat_from_int(base), nat_from_int(exponent),
-                             nat_from_int(modulus)))
-
-
-def model_cycles(model_op: str, bits_a: int, bits_b: int) -> float:
-    """The queryable MPApca cycle model (``model_cycles`` jobs)."""
-    try:
-        return model_query(model_op, bits_a, bits_b)
-    except PlanError as error:
-        raise JobError("invalid:unknown-model-op", str(error)) from None

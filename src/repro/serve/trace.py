@@ -94,14 +94,15 @@ def annotate_plan(trace: Optional[RequestTrace], plan,
                   cost_ns: Optional[float] = None) -> None:
     """Stamp a trace with its lowered plan's identity.
 
-    Records the resolved backend, the ``memo_key`` fingerprint, the
-    canonical limb-count feature, and the analytic/predicted prices —
-    everything :func:`repro.cost.dataset.harvest_trace` needs to join
-    a span dump into the training dataset without re-lowering the
-    request (which, after a retune, would not even reproduce the plan
-    the span actually measured).
+    Records the resolved backend (the one the batcher runs the plan
+    on), the ``memo_key`` fingerprint, the canonical limb-count
+    feature, and the analytic/predicted prices — everything
+    :func:`repro.cost.dataset.harvest_trace` needs to join a span dump
+    into the training dataset without re-lowering the request (which,
+    after a retune, would not even reproduce the plan the span
+    actually measured).
     """
-    if trace is None or plan is None:
+    if trace is None:
         return
     from repro.cost.features import plan_features
     features = plan_features(plan)

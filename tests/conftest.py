@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.mpn import nat
 from repro.plan import select
+from repro.plan.lowering import plan_cache
 
 
 @pytest.fixture
@@ -29,6 +30,15 @@ def reselect(monkeypatch):
     yield retarget
     monkeypatch.undo()
     select.reload()
+
+
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache around a test that flips a kill switch (the
+    cache keys on the tuning, not on the environment)."""
+    plan_cache().clear()
+    yield
+    plan_cache().clear()
 
 
 # -- hypothesis strategies ----------------------------------------------------

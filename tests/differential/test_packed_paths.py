@@ -28,8 +28,7 @@ from repro.mpn.mul import GMP_POLICY, mul, sqr
 from repro.mpn.packed import LINEAR_PACK_MIN_LIMBS
 from repro.plan import OpSpec, select
 from repro.plan.execute import plan_for_job, run
-from repro.plan.lowering import lower, plan_cache
-from repro.serve.jobs import evaluate
+from repro.plan.lowering import lower
 
 from tests.conftest import from_nat, to_nat
 from tests.differential.conftest import diff_examples, naturals_of_bits
@@ -288,15 +287,6 @@ def _powmod_params(limbs: int, parity: str, seed: int):
             "exp": _operand(1, seed + 2) & 0xFFFF | 1, "mod": modulus}
 
 
-@pytest.fixture
-def fresh_plans():
-    """An empty plan cache around a test that flips a kill switch (the
-    cache keys on the tuning, not on the environment)."""
-    plan_cache().clear()
-    yield
-    plan_cache().clear()
-
-
 #: The plan algorithm of each (backend, modulus parity).
 POWMOD_ALGORITHMS = {
     ("packed", "odd"): "packed-montgomery",
@@ -318,7 +308,6 @@ class TestPowmodEntryPoints:
                 == truth, backend
         assert run(plan_for_job("powmod", params), params)["value"] \
             == truth
-        assert int(evaluate(("powmod", params))["value"], 16) == truth
 
     @pytest.mark.parametrize("killswitch,expected",
                              [("1", "packed"), ("0", "library")])

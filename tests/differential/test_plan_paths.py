@@ -142,7 +142,7 @@ class TestPowmodAndApps:
 
 
 class TestServeOraclesAgree:
-    """The refactored serve path (plan-lowered) vs the library oracle."""
+    """The serve path (a job's lowered plan) vs the ``int`` oracle."""
 
     @pytest.mark.parametrize("op,params", [
         ("mul", {"a": 3 ** 300, "b": 7 ** 211}),
@@ -151,12 +151,11 @@ class TestServeOraclesAgree:
                     "mod": (1 << 127) - 1}),
     ])
     def test_job_evaluation_is_bit_identical(self, op, params):
-        from repro.serve.jobs import evaluate
-        oracle = evaluate((op, params))
+        from repro.serve.client import expected_result
         payload = run(plan_for_job(op, params,
                                    backend="library"), params)
-        for field, value in payload.items():
-            assert int(oracle[field], 16) == value
+        assert {field: hex(value) for field, value in payload.items()} \
+            == expected_result({"op": op, "params": params})
 
 
 class TestPlanCacheBitIdentity:

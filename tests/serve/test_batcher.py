@@ -6,10 +6,12 @@ import socket
 import threading
 import time
 
+from repro.plan.execute import run as run_plan
 from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
 from repro.serve import batcher as batcher_module
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.jobs import evaluate, make_job
+from repro.serve.client import expected_result
+from repro.serve.jobs import make_job
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.queue import AdmissionQueue
 from repro.serve.server import ReproServer, ServeConfig
@@ -32,6 +34,10 @@ async def _drain(queue, batcher_task):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def _expected(job):
+    return expected_result({"op": job.op, "params": job.params})
 
 
 def _batch(specs, max_batch):
@@ -59,8 +65,7 @@ class TestBatching:
         for index, (job, body) in enumerate(zip(jobs, bodies)):
             assert body["ok"], body
             assert body["id"] == "m%d" % index
-            expected = evaluate(("mul", job.params))
-            assert body["result"] == expected
+            assert body["result"] == _expected(job)
         # All six lowered to one host compat key and coalesced into few
         # batches.
         registry = batcher.registry
@@ -78,7 +83,7 @@ class TestBatching:
                               "bits_b": 1024})], max_batch=4)
         for job, body in zip(jobs, bodies):
             assert body["ok"], body
-            assert body["result"] == evaluate((job.op, job.params))
+            assert body["result"] == _expected(job)
 
     def test_oversized_mul_takes_library_path(self):
         # Far above MONOLITHIC_MAX_BITS (35904): library path.
@@ -86,15 +91,15 @@ class TestBatching:
         (job,), (body,), _ = _batch([("mul", {"a": big, "b": big + 2})],
                                     max_batch=2)
         assert body["ok"]
-        assert body["result"] == evaluate(("mul", job.params))
+        assert body["result"] == _expected(job)
 
     def test_every_op_runs_on_the_event_loop(self, monkeypatch):
         """No batch leaves the loop's thread: a model query, pi, powmod
         and a mul too wide for the monolithic multiplier all run
         inline."""
         threads = []
-        monkeypatch.setattr(batcher_module, "evaluate", lambda task: (
-            threads.append(threading.get_ident()), evaluate(task))[1])
+        monkeypatch.setattr(batcher_module, "run_plan", lambda *task: (
+            threads.append(threading.get_ident()), run_plan(*task))[1])
         _, bodies, _ = _batch([
             ("model_cycles", {"op": "mul", "bits_a": 1 << 20,
                               "bits_b": 64}),
@@ -110,8 +115,8 @@ class TestBatching:
         """A member whose deadline passes while an earlier member of
         its batch runs is answered ``rejected:deadline``, not run."""
         ran = []
-        monkeypatch.setattr(batcher_module, "evaluate", lambda task: (
-            ran.append(task), time.sleep(0.5), evaluate(task))[2])
+        monkeypatch.setattr(batcher_module, "run_plan", lambda *task: (
+            ran.append(task), time.sleep(0.5), run_plan(*task))[2])
         _, (first, second), batcher = _batch([
             ("mul", {"a": 3 ** 90, "b": 7}),
             ("mul", {"a": 5 ** 90, "b": 7}, {"deadline_ms": 250})],
@@ -136,16 +141,16 @@ class TestBatching:
         async def scenario():
             server = ReproServer(ServeConfig(port=0))
 
-            def evaluate_holding_the_loop(task):
+            def run_holding_the_loop(plan, params):
                 if not clients:       # the loop is held: both wait in
                     clients.append(   # the listen backlog
                         socket.create_connection((server.host, server.port)))
                     clients[0].sendall(request)
-                depths.append((task[0], server.queue.depth))
-                return evaluate(task)
+                depths.append((plan.spec.op, server.queue.depth))
+                return run_plan(plan, params)
 
-            monkeypatch.setattr(batcher_module, "evaluate",
-                                evaluate_holding_the_loop)
+            monkeypatch.setattr(batcher_module, "run_plan",
+                                run_holding_the_loop)
             loop = asyncio.get_running_loop()
             jobs = [_submit(server.queue, loop, "mul", {"a": a, "b": 7})
                     for a in (3 ** 90, 5 ** 90)]

@@ -1,9 +1,10 @@
-"""Job parsing, validation vocabulary, pricing, and the oracle."""
+"""Job parsing, validation vocabulary, pricing, and the plan that runs."""
 
 import pytest
 
-from repro.serve.jobs import (JOB_OPS, JobError, estimated_cycles,
-                              evaluate, make_job, validate_params)
+from repro.plan.execute import plan_for_job, run
+from repro.serve.client import expected_result
+from repro.serve.jobs import JOB_OPS, JobError, make_job, validate_params
 
 
 def _job(op, params, **extra):
@@ -87,7 +88,7 @@ class TestPricing:
         }
         assert set(samples) == set(JOB_OPS)
         for op, raw in samples.items():
-            cost = estimated_cycles(op, validate_params(op, raw))
+            cost = plan_for_job(op, validate_params(op, raw)).cost()
             assert cost > 0
 
     def test_admission_estimate_is_the_one_model(self):
@@ -119,43 +120,45 @@ class TestPricing:
         # Small monolithic muls fill a single PE wave, so the modeled
         # device latency is flat there; compare across sizes where the
         # wave count (and then the library fallback) actually grows.
-        small = estimated_cycles(
-            "mul", validate_params("mul", {"a": 1 << 64, "b": 1 << 64}))
-        medium = estimated_cycles(
-            "mul", validate_params(
-                "mul", {"a": 1 << 35900, "b": 1 << 35900}))
-        large = estimated_cycles(
-            "mul", validate_params(
-                "mul", {"a": 1 << (1 << 17), "b": 1 << (1 << 17)}))
+        small, medium, large = (
+            plan_for_job("mul", {"a": 1 << bits, "b": 1 << bits}).cost()
+            for bits in (64, 35900, 1 << 17))
         assert small < medium < large
+
+
+def _served(op, params):
+    """What the batcher computes for a job: its lowered plan, run."""
+    job = _job(op, params)
+    return run(job.plan, job.params)
 
 
 class TestOracle:
     def test_mul_matches_python(self):
         a, b = 3 ** 120, 7 ** 95
-        result = evaluate(("mul", {"a": a, "b": b}))
-        assert int(result["product"], 16) == a * b
+        assert _served("mul", {"a": a, "b": b}) == {"product": a * b}
 
     def test_div_matches_python(self):
         a, b = 10 ** 60 + 12345, 997
-        result = evaluate(("div", {"a": a, "b": b}))
-        assert int(result["quotient"], 16) == a // b
-        assert int(result["remainder"], 16) == a % b
+        assert _served("div", {"a": a, "b": b}) \
+            == {"quotient": a // b, "remainder": a % b}
 
     def test_powmod_matches_python(self):
         base, exp, mod = 0xABCDEF, 65537, (1 << 127) - 1
-        result = evaluate(("powmod", {"base": base, "exp": exp,
-                                      "mod": mod}))
-        assert int(result["value"], 16) == pow(base, exp, mod)
+        assert _served("powmod", {"base": base, "exp": exp, "mod": mod}) \
+            == {"value": pow(base, exp, mod)}
 
     def test_pi_digits(self):
-        result = evaluate(("pi_digits", {"digits": 20}))
+        payload = {"op": "pi_digits", "params": {"digits": 20}}
+        result = _served(**payload)
+        assert result == expected_result(payload)
         assert result["digits"].startswith("3.14159265358979")
 
     def test_model_cycles_matches_runtime_model(self):
         from repro.runtime import mpapca
-        result = evaluate(("model_cycles",
-                           {"op": "mul", "bits_a": 4096, "bits_b": 0}))
+        payload = {"op": "model_cycles",
+                   "params": {"op": "mul", "bits_a": 4096, "bits_b": 0}}
+        result = _served(**payload)
+        assert result == expected_result(payload)
         assert result["cycles"] == mpapca.mul_cycles(4096, 4096)
         assert result["seconds"] > 0
 

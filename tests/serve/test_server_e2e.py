@@ -7,14 +7,18 @@ agreeing with the load generator's ground truth, and a graceful drain
 that answers queued work before exiting.
 """
 
+import functools
+import importlib
 import json
+import random
 import threading
 import time
 
 import pytest
 
-from repro.serve.client import ServeClient, build_jobs, run_load
-from repro.serve.jobs import evaluate, validate_params
+from repro.plan import select
+from repro.serve.client import (ServeClient, build_jobs, expected_result,
+                                run_load)
 from repro.serve.server import ServeConfig, ServerThread
 from repro.serve.trace import Tracer
 
@@ -51,14 +55,7 @@ class TestEndToEnd:
             status, body = client.request(payload)
             assert status == 200, body
             assert body["ok"]
-            expected = evaluate((payload["op"], validate_params(
-                payload["op"], payload["params"])))
-            assert body["result"] == expected
-            if payload["op"] == "powmod":
-                params = payload["params"]
-                assert int(body["result"]["value"], 16) == pow(
-                    int(params["base"], 0), int(params["exp"], 0),
-                    int(params["mod"], 0))
+            assert body["result"] == expected_result(payload)
 
     def test_32_concurrent_clients_zero_wrong_answers(self, server):
         report = run_load(server.host, server.port, requests=96,
@@ -251,6 +248,80 @@ class TestHostKernelMul:
             hosted.stop()
         assert len(backends) == 4
         assert set(backends.values()) <= {"library", "packed"}
+
+
+#: Every mpn kernel entry a served mul, div or powmod reaches, with the
+#: backend it belongs to.
+KERNEL_ENTRIES = (("repro.mpn.mul", "mul_packed", "packed"),
+                  ("repro.mpn.mul", "_walk_mul", "library"),
+                  ("repro.mpn.div", "divmod_packed", "packed"),
+                  ("repro.mpn.div", "divmod_schoolbook", "library"),
+                  ("repro.mpn.div", "divmod_newton", "library"),
+                  ("repro.mpn.packed", "powmod_packed", "packed"),
+                  ("repro.mpn.montgomery", "powmod", "library"))
+
+
+def _recording(kernel, backend, ran, *args):
+    ran.add(backend)
+    return kernel(*args)
+
+
+def _operand(limbs, seed):
+    return random.Random(seed).getrandbits(32 * limbs) \
+        | 1 << (32 * limbs - 1)
+
+
+class TestLabelIsTheKernelThatRan:
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_trace_backend_is_the_kernel_that_ran(
+            self, killswitch, tmp_path, monkeypatch, reselect,
+            fresh_plans):
+        """Served mul and div across the packed crossover (1-4 limbs,
+        where the limb kernels still win at the low end) and powmod at
+        odd and even moduli: each request's trace ``backend`` is the
+        one kernel family that computed it."""
+        # No thresholds file: the checked-in 4-limb packed crossovers,
+        # whatever this host tuned.
+        reselect("REPRO_THRESHOLDS", str(tmp_path / "thresholds.json"))
+        reselect(select.PACKED_ENV, killswitch)
+        monkeypatch.setenv("REPRO_TRACE_FILE",
+                           str(tmp_path / "drain.jsonl"))
+        ran, kernels = set(), {}
+        for module_name, name, backend in KERNEL_ENTRIES:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, name, functools.partial(
+                _recording, getattr(module, name), backend, ran))
+        payloads = [{"op": op, "params": {
+            "a": hex(_operand(limbs * width, limbs)),
+            "b": hex(_operand(limbs, limbs + 9))}}
+            for limbs in (1, 2, 3, 4)
+            for op, width in (("mul", 1), ("div", 2))]
+        payloads += [{"op": "powmod", "params": {
+            "base": hex(_operand(limbs + 1, limbs)), "exp": "0x10001",
+            "mod": hex(_operand(limbs, limbs + 9) & ~1 | odd)}}
+            for limbs in (2, 9) for odd in (0, 1)]
+        hosted = ServerThread(ServeConfig(port=0, max_batch=1),
+                              tracer=Tracer(enabled=True))
+        hosted.start()
+        try:
+            client = ServeClient(hosted.host, hosted.port)
+            for index, payload in enumerate(payloads):
+                payload["id"] = "k%d" % index
+                ran.clear()
+                status, body = client.request(payload)
+                assert status == 200 and body["ok"], body
+                assert body["result"] == expected_result(payload)
+                kernels[payload["id"]] = set(ran)
+            status, raw = client.raw("GET", "/traces")
+        finally:
+            hosted.stop()
+        labels = {trace["id"]: trace["meta"]["backend"]
+                  for trace in json.loads(raw)["traces"]}
+        assert labels.keys() == kernels.keys()
+        for job_id, backend in labels.items():
+            assert kernels[job_id] == {backend}, job_id
+        assert set(labels.values()) == (
+            {"library", "packed"} if killswitch == "1" else {"library"})
 
 
 class TestTracing:

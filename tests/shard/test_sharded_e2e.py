@@ -15,8 +15,7 @@ import json
 
 import pytest
 
-from repro.serve.client import ServeClient, run_load
-from repro.serve.jobs import evaluate, validate_params
+from repro.serve.client import ServeClient, expected_result, run_load
 from repro.shard.cache import ShardResultCache
 from repro.shard.router import RouterConfig, RouterThread
 
@@ -50,9 +49,7 @@ class TestShardedEndToEnd:
             status, body = client.request(payload)
             assert status == 200, body
             assert body["ok"]
-            expected = evaluate((payload["op"], validate_params(
-                payload["op"], payload["params"])))
-            assert body["result"] == expected
+            assert body["result"] == expected_result(payload)
 
     def test_mixed_load_zero_wrong_answers(self, fleet):
         report = run_load(fleet.host, fleet.port, requests=48,
