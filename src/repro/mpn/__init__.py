@@ -173,7 +173,8 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
         if backend != "limb":
             raise MpnError("unknown powmod backend %r (expected auto, "
                            "limb, or packed)" % (backend,))
-        return _montgomery.powmod(base, exponent, modulus, _unprofiled_mul)
+        return _montgomery.powmod(base, exponent, modulus, _unprofiled_mul,
+                                  "limb")
 
 
 def gcd(a: Nat, b: Nat) -> Nat:

@@ -37,19 +37,24 @@ class MontgomeryContext:
     mul_fn:
         Multiplier used for domain entry/exit reductions (the hot
         per-step work is the limb-level CIOS loop, which needs none).
+    backend:
+        Division backend of those reductions (see
+        :func:`repro.mpn.div.divmod_nat`); a limb-pinned caller passes
+        ``"limb"`` so no packed division runs.
     """
 
-    def __init__(self, modulus: Nat, mul_fn: Optional[MulFn] = None) -> None:
+    def __init__(self, modulus: Nat, mul_fn: Optional[MulFn] = None,
+                 backend: str = "auto") -> None:
         if nat.is_zero(modulus) or (modulus[0] & 1) == 0:
             raise MpnError("Montgomery requires an odd modulus")
         self.modulus = list(modulus)
         self.num_limbs = len(modulus)
         self.neg_inverse = (-_inverse_limb(modulus[0])) & LIMB_MASK
         self._mul_fn = mul_fn
+        self._backend = backend
         r_squared = nat.shl([1], 2 * self.num_limbs * LIMB_BITS)
-        self.r_squared = divmod_nat(r_squared, self.modulus, mul_fn)[1]
-        self.one = divmod_nat(nat.shl([1], self.num_limbs * LIMB_BITS),
-                              self.modulus, mul_fn)[1]
+        self.r_squared = self.reduce(r_squared)
+        self.one = self.reduce(nat.shl([1], self.num_limbs * LIMB_BITS))
 
     def mont_mul(self, a: Nat, b: Nat) -> Nat:
         """Montgomery product: a*b*R^-1 mod modulus (CIOS loop)."""
@@ -98,7 +103,8 @@ class MontgomeryContext:
 
     def reduce(self, value: Nat) -> Nat:
         """Plain modular reduction into [0, modulus)."""
-        return divmod_nat(value, self.modulus, self._mul_fn)[1]
+        return divmod_nat(value, self.modulus, self._mul_fn,
+                          self._backend)[1]
 
     def pow(self, base: Nat, exponent: Nat) -> Nat:
         """Modular exponentiation with a 4-bit window."""
@@ -125,26 +131,29 @@ class MontgomeryContext:
 
 
 def powmod(base: Nat, exponent: Nat, modulus: Nat,
-           mul_fn: Optional[MulFn] = None) -> Nat:
+           mul_fn: Optional[MulFn] = None, backend: str = "auto") -> Nat:
     """base**exponent mod modulus for any modulus > 0.
 
     Odd moduli use Montgomery; even moduli fall back to square-and-multiply
     with division-based reduction (RSA and zkcm only ever need odd).
+    ``backend`` is the division backend of every reduction.
     """
     if nat.is_zero(modulus):
         raise MpnError("zero modulus")
     if nat.cmp(modulus, [1]) == 0:
         return []
     if modulus[0] & 1:
-        return MontgomeryContext(modulus, mul_fn).pow(base, exponent)
+        return MontgomeryContext(modulus, mul_fn, backend).pow(base,
+                                                              exponent)
     result: Nat = [1]
-    factor = divmod_nat(base, modulus, mul_fn)[1]
+    factor = divmod_nat(base, modulus, mul_fn, backend)[1]
     square_mul = mul_fn if mul_fn is not None else _default_mul
     for index in range(nat.bit_length(exponent)):
         if nat.get_bit(exponent, index):
             result = divmod_nat(square_mul(result, factor),
-                                modulus, mul_fn)[1]
-        factor = divmod_nat(square_mul(factor, factor), modulus, mul_fn)[1]
+                                modulus, mul_fn, backend)[1]
+        factor = divmod_nat(square_mul(factor, factor), modulus, mul_fn,
+                            backend)[1]
     return result
 
 

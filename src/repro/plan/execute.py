@@ -78,7 +78,8 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
             value = powmod_packed(*operands)
         else:
             from repro.mpn.montgomery import powmod
-            value = powmod(*operands, _plan_mul_fn(plan))
+            value = powmod(*operands, _plan_mul_fn(plan),
+                           _plan_backend(plan))
         return {"value": nat_to_int(value)}
     if op == "pi_digits":
         from repro.apps import pi

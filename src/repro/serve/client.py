@@ -1,8 +1,10 @@
 """Load-generating client and benchmark harness for ``repro serve``.
 
-:class:`ServeClient` is a minimal stdlib HTTP client (one
-``http.client`` connection per request, mirroring the server's
-``Connection: close`` framing).  :func:`run_load` drives a seeded,
+:class:`ServeClient` is a minimal stdlib HTTP client: one
+``http.client`` connection per request, sent with ``Connection:
+close``.  The server would keep an HTTP/1.1 connection open (the
+router's shard pool relies on that); this client closes it so each
+request measures a full connect.  :func:`run_load` drives a seeded,
 deterministic mix of all five job types at a configurable concurrency,
 verifies every successful answer bit-for-bit against
 :func:`expected_result` (Python ``int`` for mul/div/powmod), and

@@ -1,8 +1,11 @@
 """Asyncio TCP/HTTP front-end: ``repro serve --port N``.
 
-A stdlib-only, single-event-loop HTTP/1.1 server.  Every connection
-carries one request (``Connection: close``), which keeps the parser
-trivial and the drain logic exact:
+A stdlib-only, single-event-loop HTTP/1.1 server with persistent
+connections.  A connection answers requests one after another until
+the client sends ``Connection: close``, the client speaks HTTP/1.0, a
+request is malformed (answered 400, then closed), or the server
+drains; every response's ``Connection`` header says whether the
+connection stays open.  Bodies are ``Content-Length`` framed.
 
 * ``POST /v1/job`` (or ``POST /``) — submit one JSON job
   (``{"op": "mul", "params": {...}, "priority": 0-9,
@@ -15,11 +18,16 @@ trivial and the drain logic exact:
 * ``GET /traces`` — collected span traces (404 unless ``REPRO_TRACE``
   is enabled).
 
+:class:`HttpFrontDoor` is the connection loop; the shard router
+(:mod:`repro.shard.router`) runs the same one, so both front doors
+follow one keep-alive rule.
+
 Shutdown (SIGTERM/SIGINT through :meth:`ReproServer.trigger_shutdown`)
-is graceful and bounded: the listener closes, new admissions shed with
-``shutting-down``, queued work drains through the batcher (partial
-batches forced out via the driver's ``flush``), in-flight responses
-complete, and only then does the process exit.
+is graceful and bounded: the listener closes, idle kept-alive
+connections close at once, new admissions shed with
+``shutting-down``, queued work drains through the batcher, in-flight
+responses complete with ``Connection: close``, and only then does the
+process exit.
 """
 
 from __future__ import annotations
@@ -78,29 +86,47 @@ class _HttpRequest:
     path: str
     body: bytes
     headers: Dict[str, str] = field(default_factory=dict)
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """An HTTP/1.1 request keeps its connection open unless it
+        says ``Connection: close``; anything older closes it."""
+        if self.version != "HTTP/1.1":
+            return False
+        tokens = self.headers.get("connection", "").lower().split(",")
+        return "close" not in (token.strip() for token in tokens)
+
+
+@dataclass(frozen=True)
+class Response:
+    """One HTTP answer, before its ``Connection`` header is chosen."""
+
+    status: int
+    body: bytes
+    content_type: str = "application/json"
 
 
 class _BadRequest(Exception):
-    """Malformed transport-level request (connection is answered 400)."""
+    """Malformed transport-level request (answered 400, then closed)."""
 
 
 # -- transport helpers (shared with the shard router) -------------------------
 
 async def read_http_request(reader: asyncio.StreamReader,
+                            request_line: bytes,
                             max_body_bytes: int = _MAX_BODY_BYTES
                             ) -> _HttpRequest:
-    """Parse one ``Connection: close`` HTTP/1.1 request.
+    """Parse the rest of one HTTP/1.x request after its first line.
 
-    Raises :class:`_BadRequest` on malformed transport; module-level so
-    :mod:`repro.shard.router` speaks byte-identical framing."""
-    request_line = (await reader.readline()).decode(
-        "latin-1", "replace").strip()
-    if not request_line:
+    Raises :class:`_BadRequest` on malformed transport."""
+    parts = request_line.decode("latin-1", "replace").split()
+    if not parts:
         raise _BadRequest("empty request")
-    parts = request_line.split()
     if len(parts) < 2:
         raise _BadRequest("malformed request line")
     method, path = parts[0].upper(), parts[1]
+    version = parts[2].upper() if len(parts) > 2 else "HTTP/0.9"
     headers: Dict[str, str] = {}
     for _ in range(_MAX_HEADER_LINES):
         line = (await reader.readline()).decode("latin-1", "replace")
@@ -110,6 +136,10 @@ async def read_http_request(reader: asyncio.StreamReader,
         headers[name.strip().lower()] = value.strip()
     else:
         raise _BadRequest("too many headers")
+    if "transfer-encoding" in headers:
+        # Only Content-Length framing is spoken; an unframed body
+        # would be read as the next request on a kept-alive connection.
+        raise _BadRequest("transfer-encoding is not supported")
     body = b""
     length = headers.get("content-length")
     if length is not None:
@@ -120,38 +150,150 @@ async def read_http_request(reader: asyncio.StreamReader,
         if size < 0 or size > max_body_bytes:
             raise _BadRequest("body too large")
         body = await reader.readexactly(size)
-    return _HttpRequest(method, path, body, headers)
+    return _HttpRequest(method, path, body, headers, version)
 
 
-async def respond_json(writer: asyncio.StreamWriter, status: int,
-                       body: Dict[str, Any]) -> None:
-    data = json.dumps(body).encode("utf-8")
-    await respond_raw(writer, status, data, "application/json")
+def json_response(status: int, body: Dict[str, Any]) -> Response:
+    return Response(status, json.dumps(body).encode("utf-8"))
 
 
-async def respond_text(writer: asyncio.StreamWriter, status: int,
-                       text: str) -> None:
-    await respond_raw(writer, status, text.encode("utf-8"),
-                      "text/plain; charset=utf-8")
+def text_response(status: int, text: str) -> Response:
+    return Response(status, text.encode("utf-8"),
+                    "text/plain; charset=utf-8")
 
 
-async def respond_raw(writer: asyncio.StreamWriter, status: int,
-                      data: bytes, content_type: str) -> None:
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              500: "Internal Server Error",
-              502: "Bad Gateway",
-              503: "Service Unavailable",
-              504: "Gateway Timeout"}.get(status, "OK")
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            500: "Internal Server Error", 502: "Bad Gateway",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
+
+
+async def respond(writer: asyncio.StreamWriter, response: Response,
+                  keep_alive: bool) -> None:
+    """Write one response; its ``Connection`` header is ``keep_alive``."""
     head = ("HTTP/1.1 %d %s\r\n"
             "Content-Type: %s\r\n"
             "Content-Length: %d\r\n"
-            "Connection: close\r\n\r\n"
-            % (status, reason, content_type, len(data)))
-    writer.write(head.encode("latin-1") + data)
+            "Connection: %s\r\n\r\n"
+            % (response.status, _REASONS.get(response.status, "OK"),
+               response.content_type, len(response.body),
+               "keep-alive" if keep_alive else "close"))
+    writer.write(head.encode("latin-1") + response.body)
     await writer.drain()
 
 
-class ReproServer:
+class HttpFrontDoor:
+    """The persistent-connection loop both front doors run.
+
+    :class:`ReproServer` and :class:`repro.shard.router.ShardRouter`
+    subclass it and supply :meth:`_route`, which maps one request to
+    one :class:`Response`.  The loop owns the keep-alive rule: a
+    connection stays open after an answer unless the request asked to
+    close it (``Connection: close`` or HTTP/1.0), was malformed, or the
+    front door is draining.  A connection waiting for its next request
+    is *idle*; :meth:`_close_front_door` closes those at once, while
+    one mid-request still gets its answer, sent with
+    ``Connection: close``.
+    """
+
+    def __init__(self, registry: MetricsRegistry,
+                 max_body_bytes: int = _MAX_BODY_BYTES) -> None:
+        self.registry = registry
+        self._max_body_bytes = max_body_bytes
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._draining = False
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    async def _listen(self, host: str, port: int) -> Tuple[str, int]:
+        """Bind the listener; returns the bound (host, port)."""
+        self._server = await asyncio.start_server(
+            self._on_connection, host, port)
+        sockname = self._server.sockets[0].getsockname()
+        return sockname[0], sockname[1]
+
+    async def _close_front_door(self) -> None:
+        """Stop accepting and close every idle kept-alive connection.
+
+        Call after setting ``_draining``: a connection finishing an
+        answer then closes instead of going idle again."""
+        if self._server is not None:
+            self._server.close()
+        for writer in tuple(self._idle):
+            writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    async def _await_connections(self) -> None:
+        """Wait for every open connection's last answer."""
+        if self._connections:
+            await asyncio.gather(*tuple(self._connections),
+                                 return_exceptions=True)
+
+    def _on_connection(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.ensure_future(self._handle(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
+    async def _handle(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        try:
+            line = await reader.readline()
+            while line:
+                if not await self._answer(reader, writer, line) \
+                        or self._draining:
+                    return
+                self._idle.add(writer)
+                try:
+                    line = await reader.readline()
+                finally:
+                    self._idle.discard(writer)
+        except (asyncio.IncompleteReadError, ConnectionError,
+                asyncio.LimitOverrunError):
+            return
+        except Exception as error:
+            self.registry.counter("internal_error_total").inc()
+            try:
+                await respond(writer, json_response(
+                    500, {"ok": False, "error": "error:internal",
+                          "message": str(error)}), keep_alive=False)
+            except Exception:
+                self.registry.counter(
+                    "connection_close_error_total").inc()
+        finally:
+            try:
+                writer.close()
+            except Exception:
+                self.registry.counter(
+                    "connection_close_error_total").inc()
+
+    async def _answer(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter,
+                      request_line: bytes) -> bool:
+        """Read, route and answer one request; whether the connection
+        stays open."""
+        try:
+            request = await read_http_request(reader, request_line,
+                                              self._max_body_bytes)
+        except _BadRequest as error:
+            await respond(writer, json_response(
+                400, {"ok": False, "error": "invalid:http",
+                      "message": str(error)}), keep_alive=False)
+            return False
+        response = await self._route(request)
+        keep_alive = request.keep_alive and not self._draining
+        await respond(writer, response, keep_alive)
+        return keep_alive
+
+    async def _route(self, request: _HttpRequest) -> Response:
+        raise NotImplementedError
+
+
+class ReproServer(HttpFrontDoor):
     """The serve subsystem wired together: queue → batcher → HTTP."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
@@ -159,8 +301,9 @@ class ReproServer:
                  tracer: Optional[tracing.Tracer] = None) -> None:
         self.config = config if config is not None else \
             ServeConfig.from_env()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        super().__init__(registry if registry is not None
+                         else MetricsRegistry(),
+                         self.config.max_body_bytes)
         self.tracer = tracer if tracer is not None else tracing.Tracer()
         self.queue = AdmissionQueue(
             capacity=self.config.queue_capacity,
@@ -170,10 +313,7 @@ class ReproServer:
             max_batch=self.config.max_batch)
         self.host = self.config.host
         self.port = self.config.port
-        self._server: Optional[asyncio.AbstractServer] = None
         self._batcher_task: Optional[asyncio.Task] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._draining = False
         self._shutdown_task: Optional[asyncio.Task] = None
         self._terminated = asyncio.Event()
 
@@ -197,10 +337,8 @@ class ReproServer:
     async def start(self) -> Tuple[str, int]:
         """Bind the listener and start the batcher; returns (host, port)."""
         self.seed_service_rate()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        self.host, self.port = await self._listen(self.config.host,
+                                                  self.config.port)
         self._batcher_task = asyncio.ensure_future(self.batcher.run())
         self._batcher_task.add_done_callback(self._on_batcher_done)
         return self.host, self.port
@@ -240,126 +378,73 @@ class ReproServer:
             self._terminated.set()
 
     async def shutdown(self) -> None:
-        """Drain: stop accepting, shed new work, finish queued work."""
+        """Drain: stop accepting, close idle connections, shed new
+        work, finish queued work."""
         if self._draining:
             await self._terminated.wait()
             return
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._close_front_door()
         self.queue.close()
         if self._batcher_task is not None:
             try:
                 await self._batcher_task
             except Exception:  # repro: noqa=broad-except -- observed and counted by _on_batcher_done; the drain must still terminate
                 pass
-        if self._connections:
-            await asyncio.gather(*tuple(self._connections),
-                                 return_exceptions=True)
+        await self._await_connections()
         self.tracer.dump()
         self._terminated.set()
 
     async def wait_terminated(self) -> None:
         await self._terminated.wait()
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    # -- routing --------------------------------------------------------------
 
-    # -- connection handling --------------------------------------------------
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._handle(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                request = await self._read_request(reader)
-            except _BadRequest as error:
-                await self._respond_json(
-                    writer, 400, {"ok": False, "error": "invalid:http",
-                                  "message": str(error)})
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                return
-            await self._route(request, writer)
-        except Exception as error:
-            self.registry.counter("internal_error_total").inc()
-            await self._try_respond_error(writer, error)
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                self.registry.counter("connection_close_error_total").inc()
-
-    async def _read_request(self,
-                            reader: asyncio.StreamReader) -> _HttpRequest:
-        return await read_http_request(reader,
-                                       self.config.max_body_bytes)
-
-    async def _route(self, request: _HttpRequest,
-                     writer: asyncio.StreamWriter) -> None:
+    async def _route(self, request: _HttpRequest) -> Response:
         if request.method == "GET" and request.path == "/metrics":
-            await self._respond_text(writer, 200, self.registry.render())
-            return
+            return text_response(200, self.registry.render())
         if request.method == "GET" and request.path == "/metrics.json":
             # The shard wire form: the router scrapes this and folds
             # snapshots with metrics.merge_snapshots.
-            await self._respond_json(
-                writer, 200, {"ok": True,
-                              "snapshot": self.registry.snapshot()})
-            return
+            return json_response(200, {"ok": True,
+                                       "snapshot":
+                                           self.registry.snapshot()})
         if request.method == "GET" and request.path == "/statz":
-            await self._respond_json(writer, 200, self.statz())
-            return
+            return json_response(200, self.statz())
         if request.method == "GET" and request.path == "/healthz":
-            await self._respond_text(
-                writer, 200, "draining\n" if self._draining else "ok\n")
-            return
+            return text_response(
+                200, "draining\n" if self._draining else "ok\n")
         if request.method == "GET" and request.path == "/traces":
             if not self.tracer.enabled:
-                await self._respond_json(
-                    writer, 404, {"ok": False,
-                                  "error": "invalid:tracing-disabled"})
-                return
-            await self._respond_json(
-                writer, 200, {"ok": True,
-                              "traces": self.tracer.to_json()})
-            return
+                return json_response(
+                    404, {"ok": False,
+                          "error": "invalid:tracing-disabled"})
+            return json_response(200, {"ok": True,
+                                       "traces": self.tracer.to_json()})
         if request.method == "POST" and request.path in ("/", "/v1/job"):
-            await self._handle_job(request, writer)
-            return
-        await self._respond_json(
-            writer, 404, {"ok": False, "error": "invalid:route",
-                          "message": "%s %s not found"
-                          % (request.method, request.path)})
+            return await self._handle_job(request)
+        return json_response(
+            404, {"ok": False, "error": "invalid:route",
+                  "message": "%s %s not found"
+                  % (request.method, request.path)})
 
     # -- the job path ---------------------------------------------------------
 
-    async def _handle_job(self, request: _HttpRequest,
-                          writer: asyncio.StreamWriter) -> None:
+    async def _handle_job(self, request: _HttpRequest) -> Response:
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             self.registry.counter("invalid_total").inc()
-            await self._respond_json(
-                writer, 400, {"ok": False, "error": "invalid:bad-json",
-                              "message": "body is not valid JSON"})
-            return
+            return json_response(
+                400, {"ok": False, "error": "invalid:bad-json",
+                      "message": "body is not valid JSON"})
         try:
             job = make_job(payload)
         except JobError as error:
             self.registry.counter("invalid_total").inc()
-            await self._respond_json(
-                writer, 400, {"ok": False, "error": error.code,
-                              "message": error.message})
-            return
+            return json_response(
+                400, {"ok": False, "error": error.code,
+                      "message": error.message})
         self.registry.counter("requests_total", op=job.op).inc()
         job.trace = self.tracer.begin(job.job_id, job.op)
         tracing.annotate_plan(job.trace, job.plan, cost_ns=job.cost_ns)
@@ -373,13 +458,10 @@ class ReproServer:
             self.registry.gauge("queue_depth").set(self.queue.depth)
             tracing.mark(job.trace, "responded")
             self.tracer.record(job.trace)
-            await self._respond_json(
-                writer, 503, {"ok": False, "id": job.job_id,
-                              "op": job.op,
-                              "error": "rejected:overloaded",
-                              "reason": reason,
-                              "queue_depth": self.queue.depth})
-            return
+            return json_response(
+                503, {"ok": False, "id": job.job_id, "op": job.op,
+                      "error": "rejected:overloaded", "reason": reason,
+                      "queue_depth": self.queue.depth})
         tracing.mark(job.trace, "admitted")
         self.registry.gauge("queue_depth").set(self.queue.depth)
         self.registry.gauge("queue_max_depth").set_max(
@@ -391,7 +473,7 @@ class ReproServer:
         if not body.get("ok"):
             error = str(body.get("error", ""))
             status = 504 if error == "rejected:deadline" else 500
-        await self._respond_json(writer, status, body)
+        return json_response(status, body)
 
     async def _await_result(self, job) -> Dict[str, Any]:
         """Wait for the batcher's answer, bounded by the deadline."""
@@ -430,25 +512,6 @@ class ReproServer:
             "jobs_completed": self.batcher.jobs_completed,
             "batches_dispatched": self.batcher.batches_dispatched,
         }
-
-    # -- responses ------------------------------------------------------------
-
-    async def _respond_json(self, writer: asyncio.StreamWriter,
-                            status: int, body: Dict[str, Any]) -> None:
-        await respond_json(writer, status, body)
-
-    async def _respond_text(self, writer: asyncio.StreamWriter,
-                            status: int, text: str) -> None:
-        await respond_text(writer, status, text)
-
-    async def _try_respond_error(self, writer: asyncio.StreamWriter,
-                                 error: Exception) -> None:
-        try:
-            await self._respond_json(
-                writer, 500, {"ok": False, "error": "error:internal",
-                              "message": str(error)})
-        except Exception:
-            self.registry.counter("connection_close_error_total").inc()
 
 
 class ServerThread:

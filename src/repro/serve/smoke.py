@@ -14,7 +14,9 @@ sequence:
 3. scrape ``/metrics`` and require the core series to be present and
    consistent with the load generator's own counts (the sharded scrape
    must carry both the merged ``repro_serve_*`` shard series and the
-   router's own ``repro_router_*`` series);
+   router's own ``repro_router_*`` series, and the router must have
+   opened fewer shard connections than it proxied jobs — it keeps
+   them open);
 4. send SIGTERM and require a graceful drain (exit code 0) — sharded,
    that proves the router propagated the drain to every worker within
    the bounded deadline.
@@ -117,11 +119,20 @@ def main(requests: int = 200, concurrency: int = 8,
         if shards and not any(key.startswith("repro_router_")
                               for key in values):
             return _fail("merged /metrics missing router series")
-        served = sum(value for key, value in values.items()
-                     if key.startswith("%s_requests_total" % front))
+        served = _series_sum(values, "%s_requests_total" % front)
         if served < requests:
             return _fail("%s_requests_total=%g < %d driven"
                          % (front, served, requests))
+        if shards:
+            connects = _series_sum(values,
+                                   "repro_router_shard_connect_total")
+            routed = _series_sum(values, "repro_router_routed_total")
+            if connects >= routed:
+                return _fail("router opened %g shard connections for "
+                             "%g proxied jobs (no reuse)"
+                             % (connects, routed))
+            print("smoke: shard connections reused (%g opened for %g "
+                  "proxied jobs)" % (connects, routed))
         print("smoke: metrics ok (%d series, requests_total=%g)"
               % (len(values), served))
 
@@ -140,6 +151,12 @@ def main(requests: int = 200, concurrency: int = 8,
         if process.poll() is None:
             process.kill()
             process.wait()
+
+
+def _series_sum(values, name: str) -> float:
+    """Sum of every labelled series of one metric."""
+    return sum(value for key, value in values.items()
+               if key.startswith(name))
 
 
 def _await_listening(process: "subprocess.Popen[str]",

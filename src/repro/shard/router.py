@@ -1,10 +1,10 @@
 """Plan-aware front-door router: ``repro serve --shards N``.
 
 The router is the one address clients see.  It speaks the exact
-HTTP/JSON job protocol of :mod:`repro.serve.server` (same parser, same
-``Connection: close`` framing — the transport helpers are imported,
-not reimplemented) and scales it across N supervised shard worker
-processes:
+HTTP/JSON job protocol of :mod:`repro.serve.server` — it runs the same
+:class:`~repro.serve.server.HttpFrontDoor` connection loop, so its
+front door keeps connections open by the same rule — and scales it
+across N supervised shard worker processes:
 
 * **plan-aware routing** — jobs are validated and lowered at the front
   door (the same :func:`~repro.serve.jobs.make_job` the single-process
@@ -32,6 +32,16 @@ processes:
   (counters sum, histograms merge bucket-wise) and appends the
   router's own series under the ``repro_router`` prefix; ``/healthz``
   aggregates shard states; ``/traces`` concatenates shard traces.
+* **persistent shard connections** — proxied jobs, ``/statz`` polls
+  and the ``/metrics.json`` and ``/traces`` scrapes all reuse HTTP/1.1
+  keep-alive connections from a per-shard pool of at most
+  ``_POOL_SIZE`` idle ones.  A connection is tagged with the shard's
+  generation and reused only within it; it returns to the pool only
+  after a complete ``Content-Length`` answer that said ``keep-alive``;
+  an error, timeout or cancellation closes it.  The supervisor drops a
+  shard's pool when the shard dies or restarts, and the router drops
+  every pool on drain before the shards get SIGTERM.
+  ``shard_connect_total{shard=...}`` counts the connections opened.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import hashlib
 import json
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import env as _env
 from repro.serve.jobs import Job, JobError, make_job
@@ -49,9 +59,8 @@ from repro.serve.metrics import (MetricsRegistry, merge_snapshots,
                                  render_snapshot)
 from repro.serve.queue import (SHED_QUEUE_FULL, SHED_SHUTTING_DOWN,
                                SHED_WAIT_EXCEEDED)
-from repro.serve.server import (_BadRequest, _HttpRequest,
-                                read_http_request, respond_json,
-                                respond_raw, respond_text)
+from repro.serve.server import (HttpFrontDoor, Response, _HttpRequest,
+                                json_response, text_response)
 from repro.shard.cache import ShardResultCache
 from repro.shard.supervisor import ShardHandle, ShardSupervisor
 
@@ -67,6 +76,9 @@ _POLL_INTERVAL_S = 0.5
 
 #: Ceiling on one proxied shard exchange (connect + compute + answer).
 _PROXY_TIMEOUT_S = 300.0
+
+#: Idle keep-alive connections the router keeps open to each shard.
+_POOL_SIZE = 8
 
 
 @dataclass
@@ -125,7 +137,7 @@ def rank_shards(compat_key: str,
                   reverse=True)
 
 
-class ShardRouter:
+class ShardRouter(HttpFrontDoor):
     """The sharded front door: route, admit, proxy, aggregate."""
 
     def __init__(self, config: Optional[RouterConfig] = None,
@@ -134,8 +146,8 @@ class ShardRouter:
                  announce=None) -> None:
         self.config = config if config is not None \
             else RouterConfig.from_env()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry(prefix="repro_router")
+        super().__init__(registry if registry is not None
+                         else MetricsRegistry(prefix="repro_router"))
         self.cache = cache if cache is not None else ShardResultCache()
         self.announce = announce
         self.supervisor = ShardSupervisor(
@@ -145,10 +157,7 @@ class ShardRouter:
         self.port = self.config.port
         self.routed = 0
         self.shed = 0
-        self._server: Optional[asyncio.AbstractServer] = None
         self._poll_task: Optional[asyncio.Task] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._draining = False
         self._shutdown_task: Optional[asyncio.Task] = None
         self._terminated = asyncio.Event()
 
@@ -158,10 +167,8 @@ class ShardRouter:
         """Warm the cache, boot the fleet, bind the front door."""
         self.cache.load()
         await self.supervisor.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port)
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        self.host, self.port = await self._listen(self.config.host,
+                                                  self.config.port)
         self._poll_task = asyncio.ensure_future(self._poll_loop())
         self._poll_task.add_done_callback(self._on_poll_done)
         return self.host, self.port
@@ -190,8 +197,9 @@ class ShardRouter:
     async def shutdown(self) -> None:
         """Drain router-first, then shards, each step bounded.
 
-        Order matters: the listener closes (no new admissions), then
-        every proxied in-flight response completes, and only then do
+        Order matters: the listener and idle client connections close
+        (no new admissions), then every proxied in-flight response
+        completes, the shard connection pools close, and only then do
         the shards get SIGTERM — so a drain never turns healthy
         in-flight work into connection errors.
         """
@@ -199,26 +207,20 @@ class ShardRouter:
             await self._terminated.wait()
             return
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            await asyncio.gather(*tuple(self._connections),
-                                 return_exceptions=True)
+        await self._close_front_door()
+        await self._await_connections()
         if self._poll_task is not None:
             self._poll_task.cancel()
             await asyncio.gather(self._poll_task,
                                  return_exceptions=True)
+        for handle in self.supervisor.handles:
+            handle.drop_pool()
         await self.supervisor.drain(self.config.drain_s)
         self.cache.save()
         self._terminated.set()
 
     async def wait_terminated(self) -> None:
         await self._terminated.wait()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # -- shard stats polling --------------------------------------------------
 
@@ -313,7 +315,9 @@ class ShardRouter:
                              path: str, body: bytes = b"",
                              timeout: Optional[float] = None
                              ) -> Tuple[int, bytes]:
-        """One ``Connection: close`` exchange with a shard."""
+        """One exchange with a shard over a pooled keep-alive
+        connection (a fresh one when the pool has none), bounded by
+        ``timeout``; returns ``(status, body)``."""
         return await asyncio.wait_for(
             self._shard_exchange(handle, method, path, body),
             timeout if timeout is not None
@@ -322,25 +326,39 @@ class ShardRouter:
     async def _shard_exchange(self, handle: ShardHandle, method: str,
                               path: str, body: bytes
                               ) -> Tuple[int, bytes]:
-        reader, writer = await asyncio.open_connection(
-            handle.host, handle.port)
+        generation = handle.generation
+        connection = handle.checkout()
+        if connection is None:
+            self.registry.counter("shard_connect_total",
+                                  shard=str(handle.index)).inc()
+            connection = await asyncio.open_connection(handle.host,
+                                                       handle.port)
+        reader, writer = connection
+        reusable = False
         try:
             head = ("%s %s HTTP/1.1\r\n"
                     "Host: %s:%d\r\n"
-                    "Connection: close\r\n"
                     % (method, path, handle.host, handle.port))
             if body:
                 head += ("Content-Type: application/json\r\n"
                          "Content-Length: %d\r\n" % len(body))
             writer.write(head.encode("latin-1") + b"\r\n" + body)
             await writer.drain()
-            return await self._read_response(reader)
+            status, payload, reusable = await self._read_response(reader)
+            return status, payload
         finally:
-            writer.close()
+            # Any error, timeout or cancellation leaves reusable False:
+            # a half-read answer must never be pooled.
+            if reusable and not self._draining:
+                handle.checkin(generation, reader, writer, _POOL_SIZE)
+            else:
+                writer.close()
 
     @staticmethod
     async def _read_response(reader: asyncio.StreamReader
-                             ) -> Tuple[int, bytes]:
+                             ) -> Tuple[int, bytes, bool]:
+        """``(status, body, reusable)``: reusable only for a complete
+        ``Content-Length`` answer that said ``keep-alive``."""
         status_line = (await reader.readline()).decode(
             "latin-1", "replace")
         parts = status_line.split()
@@ -349,143 +367,96 @@ class ShardRouter:
                 status_line.encode("latin-1"), None)
         status = int(parts[1])
         length = None
+        keep_alive = False
         while True:
             line = (await reader.readline()).decode("latin-1",
                                                     "replace")
             if line in ("\r\n", "\n", ""):
                 break
             name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 length = int(value.strip())
-        if length is not None:
-            payload = await reader.readexactly(length)
-        else:
-            payload = await reader.read()
-        return status, payload
+            elif name == "connection":
+                keep_alive = value.strip().lower() == "keep-alive"
+        if length is None:
+            return status, await reader.read(), False
+        return status, await reader.readexactly(length), keep_alive
 
-    # -- connection handling --------------------------------------------------
+    # -- routing --------------------------------------------------------------
 
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._handle(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                request = await read_http_request(reader)
-            except _BadRequest as error:
-                await respond_json(
-                    writer, 400, {"ok": False, "error": "invalid:http",
-                                  "message": str(error)})
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.LimitOverrunError):
-                return
-            await self._route(request, writer)
-        except Exception as error:
-            self.registry.counter("internal_error_total").inc()
-            try:
-                await respond_json(
-                    writer, 500, {"ok": False,
-                                  "error": "error:internal",
-                                  "message": str(error)})
-            except Exception:
-                self.registry.counter(
-                    "connection_close_error_total").inc()
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                self.registry.counter(
-                    "connection_close_error_total").inc()
-
-    async def _route(self, request: _HttpRequest,
-                     writer: asyncio.StreamWriter) -> None:
+    async def _route(self, request: _HttpRequest) -> Response:
         if request.method == "GET" and request.path == "/metrics":
-            await respond_text(writer, 200,
-                               await self._merged_metrics())
-            return
+            return text_response(200, await self._merged_metrics())
         if request.method == "GET" and request.path == "/metrics.json":
-            await respond_json(
-                writer, 200, {"ok": True,
-                              "snapshot": await
-                              self._merged_snapshot(),
-                              "router": self.registry.snapshot()})
-            return
+            return json_response(
+                200, {"ok": True,
+                      "snapshot": await self._merged_snapshot(),
+                      "router": self.registry.snapshot()})
         if request.method == "GET" and request.path == "/statz":
-            await respond_json(writer, 200, self.statz())
-            return
+            return json_response(200, self.statz())
         if request.method == "GET" and request.path == "/healthz":
-            await respond_text(writer, 200, self.health_text())
-            return
+            return text_response(200, self.health_text())
         if request.method == "GET" and request.path == "/traces":
-            await self._merged_traces(writer)
-            return
+            return await self._merged_traces()
         if request.method == "POST" and request.path in ("/", "/v1/job"):
-            await self._handle_job(request, writer)
-            return
-        await respond_json(
-            writer, 404, {"ok": False, "error": "invalid:route",
-                          "message": "%s %s not found"
-                          % (request.method, request.path)})
+            return await self._handle_job(request)
+        return json_response(
+            404, {"ok": False, "error": "invalid:route",
+                  "message": "%s %s not found"
+                  % (request.method, request.path)})
 
     # -- the job path ---------------------------------------------------------
 
-    async def _handle_job(self, request: _HttpRequest,
-                          writer: asyncio.StreamWriter) -> None:
+    async def _handle_job(self, request: _HttpRequest) -> Response:
         try:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             self.registry.counter("invalid_total").inc()
-            await respond_json(
-                writer, 400, {"ok": False, "error": "invalid:bad-json",
-                              "message": "body is not valid JSON"})
-            return
+            return json_response(
+                400, {"ok": False, "error": "invalid:bad-json",
+                      "message": "body is not valid JSON"})
         try:
             job = make_job(payload)
         except JobError as error:
             self.registry.counter("invalid_total").inc()
-            await respond_json(
-                writer, 400, {"ok": False, "error": error.code,
-                              "message": error.message})
-            return
+            return json_response(
+                400, {"ok": False, "error": error.code,
+                      "message": error.message})
         self.registry.counter("requests_total", op=job.op).inc()
-        cached = self.cache.get(job)
-        if cached is not None:
-            self.registry.counter("cache_hits_total").inc()
-            await respond_json(
-                writer, 200, {"ok": True, "id": job.job_id,
-                              "op": job.op, "result": cached,
-                              "batch_size": 1, "cached": True,
-                              "queue_ms": 0.0})
-            return
+        cacheable = self.cache.enabled and job.cache_key() is not None
+        if cacheable:
+            cached = self.cache.get(job)
+            if cached is not None:
+                self.registry.counter("cache_hits_total").inc()
+                return json_response(
+                    200, {"ok": True, "id": job.job_id, "op": job.op,
+                          "result": cached, "batch_size": 1,
+                          "cached": True, "queue_ms": 0.0})
+            self.registry.counter("cache_misses_total").inc()
         live = self.supervisor.live()
         reason = self.admission_reason(job, live)
         if reason is not None:
             self.shed += 1
             self.registry.counter("shed_total", reason=reason).inc()
-            await respond_json(
-                writer, 503, {"ok": False, "id": job.job_id,
-                              "op": job.op,
-                              "error": "rejected:overloaded",
-                              "reason": reason,
-                              "queue_depth": self.fleet_inflight()})
-            return
+            return json_response(
+                503, {"ok": False, "id": job.job_id, "op": job.op,
+                      "error": "rejected:overloaded", "reason": reason,
+                      "queue_depth": self.fleet_inflight()})
         handle = self.pick_shard(job, live)
-        await self._proxy_job(job, handle, request.body, writer)
+        return await self._proxy_job(job, handle, request.body,
+                                     cacheable)
 
     async def _proxy_job(self, job: Job, handle: ShardHandle,
-                         body: bytes,
-                         writer: asyncio.StreamWriter) -> None:
+                         body: bytes, cacheable: bool) -> Response:
         """Forward one admitted job and relay the shard's exact answer.
 
         A dead shard surfaces here as an immediate socket error (the
-        OS refuses the connect or resets mid-read), so in-flight jobs
-        on a crashed shard *fail fast* with ``error:internal`` — the
-        client retries or reports; nothing ever hangs on a corpse.
+        OS refuses the connect, or a pooled connection reads EOF or a
+        reset), so in-flight jobs on a crashed shard *fail fast* with
+        a 502 ``error:internal`` — the client retries or reports;
+        nothing ever hangs on a corpse.  Only a cacheable job's answer
+        is decoded, to store its result.
         """
         handle.inflight += 1
         handle.inflight_cycles += job.cost_cycles
@@ -497,12 +468,11 @@ class ShardRouter:
                 asyncio.IncompleteReadError):
             self.registry.counter("proxy_error_total",
                                   shard=str(handle.index)).inc()
-            await respond_json(
-                writer, 502, {"ok": False, "id": job.job_id,
-                              "op": job.op, "error": "error:internal",
-                              "message": "shard %d connection failed"
-                              % handle.index})
-            return
+            return json_response(
+                502, {"ok": False, "id": job.job_id, "op": job.op,
+                      "error": "error:internal",
+                      "message": "shard %d connection failed"
+                      % handle.index})
         finally:
             if handle.generation == generation:
                 handle.inflight = max(0, handle.inflight - 1)
@@ -512,8 +482,7 @@ class ShardRouter:
         handle.served += 1
         self.registry.counter("routed_total",
                               shard=str(handle.index)).inc()
-        if status == 200:
-            self.registry.counter("cache_misses_total").inc()
+        if status == 200 and cacheable:
             try:
                 decoded = json.loads(answer.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -521,7 +490,7 @@ class ShardRouter:
             if decoded is not None and decoded.get("ok") \
                     and "result" in decoded:
                 self.cache.put(job, decoded["result"])
-        await respond_raw(writer, status, answer, "application/json")
+        return Response(status, answer)
 
     # -- aggregation ----------------------------------------------------------
 
@@ -559,8 +528,7 @@ class ShardRouter:
         own = self.registry.render()
         return merged + own
 
-    async def _merged_traces(self,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _merged_traces(self) -> Response:
         live = self.supervisor.live()
         results = await asyncio.gather(
             *[self._shard_request(handle, "GET", "/traces",
@@ -581,11 +549,9 @@ class ShardRouter:
                 continue
             traces.extend(decoded.get("traces", ()))
         if not any_enabled:
-            await respond_json(
-                writer, 404, {"ok": False,
-                              "error": "invalid:tracing-disabled"})
-            return
-        await respond_json(writer, 200, {"ok": True, "traces": traces})
+            return json_response(404, {"ok": False,
+                                       "error": "invalid:tracing-disabled"})
+        return json_response(200, {"ok": True, "traces": traces})
 
     # -- introspection --------------------------------------------------------
 

@@ -12,9 +12,10 @@ its own router.
 * **restart-on-crash** — a watcher task per shard observes the process
   exit; an unexpected death marks the shard ``dead``, counts
   ``shard_crash_total``, and respawns it (fresh port, bumped
-  generation) up to ``REPRO_SHARD_RESTARTS`` times.  Requests in
-  flight to the dead shard fail fast at the router's proxy socket —
-  they are answered ``error:internal``, never hung.
+  generation) up to ``REPRO_SHARD_RESTARTS`` times, closing the
+  router's pooled keep-alive connections to it.  Requests in flight
+  to the dead shard fail fast at the router's proxy socket — they are
+  answered ``error:internal``, never hung.
 * **bounded graceful drain** — :meth:`ShardSupervisor.drain` forwards
   SIGTERM to every live shard (each runs its own graceful drain:
   listener closed, queued work answered) and waits at most
@@ -29,7 +30,7 @@ import re
 import signal
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serve.metrics import MetricsRegistry
 
@@ -69,11 +70,41 @@ class ShardHandle:
     served: int = 0
     #: Last polled ``/statz`` payload (EWMA rate, queue depth, ...).
     stats: Dict[str, Any] = field(default_factory=dict)
+    #: The router's idle keep-alive connections to this shard, each
+    #: tagged with the generation it was opened to:
+    #: ``(generation, reader, writer)``.
+    pool: List[Tuple[int, Any, Any]] = field(default_factory=list)
 
     @property
     def alive(self) -> bool:
         return self.process is not None \
             and self.process.returncode is None
+
+    def checkout(self) -> Optional[Tuple[Any, Any]]:
+        """An idle pooled ``(reader, writer)`` to the current
+        generation, or ``None``; stale or closed ones are closed."""
+        while self.pool:
+            generation, reader, writer = self.pool.pop()
+            if generation == self.generation and not reader.at_eof() \
+                    and not writer.is_closing():
+                return reader, writer
+            writer.close()
+        return None
+
+    def checkin(self, generation: int, reader: Any, writer: Any,
+                limit: int) -> None:
+        """Pool one idle connection, or close it if it belongs to an
+        older generation or the pool already holds ``limit``."""
+        if generation == self.generation and len(self.pool) < limit:
+            self.pool.append((generation, reader, writer))
+        else:
+            writer.close()
+
+    def drop_pool(self) -> None:
+        """Close every pooled connection (restart, death, drain)."""
+        for _, _, writer in self.pool:
+            writer.close()
+        self.pool.clear()
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able view for the router's ``/statz``."""
@@ -152,6 +183,7 @@ class ShardSupervisor:
     async def _spawn(self, handle: ShardHandle) -> None:
         handle.state = STATE_STARTING
         handle.generation += 1
+        handle.drop_pool()
         # Router-side accounting from the dead generation must not
         # haunt the fresh process (stale inflight skews routing and
         # the fleet depth bound).
@@ -210,6 +242,7 @@ class ShardSupervisor:
         if handle.process is not process:
             return          # a newer generation took over this handle
         handle.state = STATE_DEAD
+        handle.drop_pool()
         if self._draining:
             return
         self.registry.counter("shard_crash_total",

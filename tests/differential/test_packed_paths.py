@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import mpn
-from repro.mpn import montgomery, packed as packed_kernels
+from repro.mpn import div as div_kernels, montgomery, packed as packed_kernels
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import GMP_POLICY, mul, sqr
 from repro.mpn.packed import LINEAR_PACK_MIN_LIMBS
@@ -338,3 +338,28 @@ class TestPowmodEntryPoints:
                 assert ran == [plan.backend] == [expected], (limbs,
                                                              parity)
                 assert plan.algorithm == POWMOD_ALGORITHMS[expected, parity]
+
+    @pytest.mark.parametrize("parity", ("odd", "even"))
+    def test_library_plan_runs_no_packed_division(self, parity,
+                                                  monkeypatch, reselect,
+                                                  fresh_plans):
+        # Packed is live, so an ``auto`` division of a 600-bit modulus
+        # would run block division; a library plan must reduce on the
+        # limb kernels it priced.
+        reselect(select.PACKED_ENV, "1")
+        packed_divisions = []
+
+        def recording(*args, **kwargs):
+            packed_divisions.append(len(args[1]))
+            return packed_kernels.divmod_packed(*args, **kwargs)
+
+        monkeypatch.setattr(div_kernels, "divmod_packed", recording)
+        modulus = _bits_operand(600, 7)
+        modulus = modulus | 1 if parity == "odd" else modulus & ~1
+        params = {"base": _bits_operand(700, 8), "exp": 0xABCDEF,
+                  "mod": modulus}
+        plan = plan_for_job("powmod", params, backend="library")
+        assert plan.algorithm == POWMOD_ALGORITHMS["library", parity]
+        assert run(plan, params)["value"] \
+            == pow(params["base"], params["exp"], modulus)
+        assert packed_divisions == []

@@ -138,3 +138,54 @@ class TestShardedEndToEnd:
         # All sixteen share one compat key -> exactly one shard gains
         # (the idle fleet never crosses the spill margin).
         assert sorted(gains) == [0, 16]
+
+    def test_router_cache_counters_agree_with_statz(self, fleet):
+        # Only cacheable jobs (pi_digits, model_cycles) are counted as
+        # cache hits or misses, on both planes.
+        client = ServeClient(fleet.host, fleet.port)
+        report = run_load(fleet.host, fleet.port, requests=40,
+                          concurrency=4, seed=17, verify=True)
+        assert report["wrong_answers"] == 0 and report["errors"] == 0
+        cache = client.statz()["cache"]
+        values = client.metrics_values()
+        assert values.get("repro_router_cache_hits_total", 0.0) \
+            == cache["hits"]
+        assert values.get("repro_router_cache_misses_total", 0.0) \
+            == cache["misses"]
+        assert cache["hits"] + cache["misses"] < 40
+
+    def test_router_reuses_shard_connections(self, fleet):
+        client = ServeClient(fleet.host, fleet.port)
+        report = run_load(fleet.host, fleet.port, requests=32,
+                          concurrency=4, seed=19, verify=True)
+        assert report["wrong_answers"] == 0 and report["errors"] == 0
+        values = client.metrics_values()
+        connects = sum(value for key, value in values.items()
+                       if key.startswith(
+                           "repro_router_shard_connect_total"))
+        routed = sum(value for key, value in values.items()
+                     if key.startswith("repro_router_routed_total"))
+        assert routed >= 32 // 2
+        assert 0 < connects < routed
+
+    def test_front_door_keeps_the_connection_open(self, fleet):
+        import http.client
+        connection = http.client.HTTPConnection(fleet.host, fleet.port,
+                                                timeout=60.0)
+        sockets = []
+        try:
+            for a in (6, 7):
+                connection.request(
+                    "POST", "/v1/job", body=json.dumps(
+                        {"op": "mul", "params": {"a": a, "b": 7}}),
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                sockets.append(connection.sock)
+                assert response.status == 200
+                assert response.getheader("Connection") == "keep-alive"
+                assert body["result"]["product"] == hex(a * 7)
+            # Both answers came over the one socket.
+            assert sockets[0] is not None and sockets[0] is sockets[1]
+        finally:
+            connection.close()
