@@ -11,10 +11,11 @@ least-squares line in log-log space::
     log(ns) = a + b * log(limbs)
 
 Pure stdlib, two coefficients per group, closed-form fit.  The slope
-is clamped to be non-negative so predictions are finite, positive, and
-monotone non-decreasing in limbs by construction — properties the
-hypothesis suite asserts and the selection/admission consumers rely
-on.
+is clamped to be non-negative and a prediction's log is clamped to
+:data:`LOG_NS_BOUNDS` before ``exp``, so predictions are finite,
+positive, and monotone non-decreasing in limbs by construction, however
+steep a fit is — properties the hypothesis suite asserts and the
+selection/admission consumers rely on.
 
 Fitted models persist in the version-salted disk cache under a key
 that includes the tuned-thresholds fingerprint: ``repro tune`` changes
@@ -43,6 +44,12 @@ MIN_GROUP_SIZES = 3
 #: serve layer's RSA-shaped jobs use 64-bit exponents; what matters for
 #: the eval gate is that model and analytic price the *same* job).
 POWMOD_EXP_BITS = 64
+
+#: ``(low, high)`` bounds on a prediction's natural log.  A steep fit
+#: extrapolated far from its sizes (say slope 88 over 5210-5656 limbs,
+#: asked at 1 limb) would otherwise underflow ``exp`` to 0 or overflow
+#: it; ``exp`` of either bound is a finite positive float.
+LOG_NS_BOUNDS = (-700.0, 700.0)
 
 
 def enabled() -> bool:
@@ -96,10 +103,11 @@ class CostModel:
         group = self.groups.get(_group_key(kind, resolved))
         if group is None:
             return None
-        value = math.exp(group["a"] + group["b"] * math.log(limbs))
-        if not math.isfinite(value) or value <= 0.0:
+        low, high = LOG_NS_BOUNDS
+        log_ns = group["a"] + group["b"] * math.log(limbs)
+        if math.isnan(log_ns):
             return None
-        return value
+        return math.exp(min(max(log_ns, low), high))
 
     def covers(self, op: str, backend: str) -> bool:
         kind = canonical_op(op)

@@ -49,23 +49,37 @@ from typing import Callable, Iterable, List, Tuple
 
 from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
 
-#: Limbs packed per block.  k=8 -> 256-bit blocks (radix 2^256): large
-#: enough to cut interpreter iterations ~8x, small enough that block
-#: products stay cheap single C calls.
-PACK_LIMBS = 8
+#: Limbs packed per block for mul, sqr, div/mod, add/sub and shift.
+#: k=32 -> 1024-bit blocks (radix 2^1024): one interpreter iteration
+#: per 32 limbs, while a block product is still one C call below
+#: CPython's own Karatsuba cutoff.  Against 256-bit blocks (best of 15,
+#: ms, a over a half-width b): mul 1.65 -> 0.74 at 36 kbit and 7.52 ->
+#: 3.00 at 96 kbit, div 1.35 -> 0.60 and 8.18 -> 3.42.
+PACK_LIMBS = 32
+
+#: Limbs per block for :func:`powmod_packed`: 256-bit blocks.  Served
+#: moduli are odd and at most 512 bits wide, and there the wider block
+#: loses: over serve-mix's 628 seed-7 powmods, 1024-bit blocks took
+#: 169-268 us per call against 153-249 us at 256 bits, slower in 3 of
+#: 4 alternating rounds (a rerun: 261-282 against 245-255 us, 4 of 4).
+#: From 1024-bit moduli up the wider block wins (2.1x at 1024 bits).
+POWMOD_PACK_LIMBS = 8
 
 #: Bytes per limb (limbs are base 2^32).
 _LIMB_BYTES = LIMB_BITS // 8
 
 #: Block counts below which the packed multiplier uses the row
 #: convolution basecase; at or above, one level of block Karatsuba
-#: splitting.
-KARATSUBA_BLOCKS = 16
+#: splitting.  Measured at 1024-bit blocks over 40 serve-large shapes
+#: (n x n/2 blocks, 36-96 kbit), geometric mean of best-of-7: 2.18 ms
+#: at 6 against 2.25 at 5 and 8, 2.38 at 10 and 2.62 at 16.
+KARATSUBA_BLOCKS = 6
 
 #: Limb count at/above which the O(n) kernels (add/shift) are worth
-#: packing; below it the pack/unpack round trip eats the win (measured:
-#: shifts ~1.2-2.4x and add ~1.2x at 512 limbs, both <1x under 256).
-LINEAR_PACK_MIN_LIMBS = 512
+#: packing; below it the pack/unpack round trip eats the win (measured
+#: at 1024-bit blocks: add 1.3-1.4x, shl 1.5-1.6x, shr 2.5x at 128
+#: limbs; add at parity at 64 and <1x under 48).
+LINEAR_PACK_MIN_LIMBS = 128
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -261,8 +275,8 @@ def _bmul(a: List[int], b: List[int], bits: int, mask: int) -> List[int]:
 
     The shape of Cambricon-P's carry-parallel gathering: the inner
     products accumulate without carries and the carries resolve once,
-    at the top.  With 256-bit blocks, n blocks stand for 8n limbs, so
-    one Karatsuba scheme over C-speed block products beats every
+    at the top.  With 1024-bit blocks, n blocks stand for 32n limbs,
+    so one Karatsuba scheme over C-speed block products beats every
     limb-level regime at the sizes reached in practice.
     """
     if not a or not b:
@@ -534,7 +548,7 @@ def _bpow(x: List[int], exponent: int,
 
 
 def powmod_packed(base: Nat, exponent: Nat, modulus: Nat,
-                  k: int = PACK_LIMBS) -> Nat:
+                  k: int = POWMOD_PACK_LIMBS) -> Nat:
     """``base**exponent mod modulus`` as a ladder on packed blocks.
 
     The base and modulus pack once, every ladder step stays on block

@@ -49,7 +49,12 @@ from repro.plan.spec import OpSpec, PlanError
 #: its digest left the plan-cache key.
 #: v10: the plan cache holds frozen Plan objects, not JSON payloads; a
 #: persisted v9 ``plans.json`` of payloads must never load into it.
-PLAN_SCHEMA_VERSION = 10
+#: v11: the packed multiplier's block is 1024 bits (powmod's stays
+#: 256) and Karatsuba starts at 6 blocks: ``packed_chain`` block counts
+#: changed, packed muls whose smaller operand has 3841-5120 bits now
+#: lower to ``packed-basecase``, and the powmod note counts blocks at
+#: powmod's own width.
+PLAN_SCHEMA_VERSION = 11
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -289,9 +294,10 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
     elif op == "powmod":
         odd = bool(spec.detail_value("mod_odd", 1))
         if backend == "packed":
-            from repro.mpn.packed import PACK_LIMBS
+            from repro.mpn.packed import POWMOD_PACK_LIMBS
             algorithm = "packed-montgomery" if odd else "packed-division"
-            blocks = -(-max(spec.bits_a, 1) // (LIMB_BITS * PACK_LIMBS))
+            blocks = -(-max(spec.bits_a, 1)
+                       // (LIMB_BITS * POWMOD_PACK_LIMBS))
             note = ("odd modulus: block Montgomery REDC, %d blocks"
                     if odd else "even modulus: block product + "
                     "block division, %d blocks") % blocks

@@ -134,9 +134,10 @@ def packed_chain(min_limbs: int) -> List[Tuple[str, int]]:
     The packed multiplier is a carry-free block convolution with exactly
     two regimes — a Karatsuba split above ``KARATSUBA_BLOCKS`` blocks, a
     row-convolution basecase below — and one carry sweep at the top, so
-    the chain is short; the unit is *blocks* (``PACK_LIMBS`` limbs
-    each).  Karatsuba sums stay raw coefficients (no carry block), so
-    each level halves the count exactly.
+    the chain is short; the unit is the multiplier's own *block*
+    (``PACK_LIMBS`` limbs, 1024 bits; powmod's narrower block never
+    reaches this chain).  Karatsuba sums stay raw coefficients (no
+    carry block), so each level halves the count exactly.
     """
     from repro.mpn.packed import KARATSUBA_BLOCKS, PACK_LIMBS
     blocks = max(1, -(-max(1, min_limbs) // PACK_LIMBS))

@@ -72,8 +72,10 @@ def _check_bits(name: str, bits: int, minimum: int = 0) -> None:
 
 
 # Bounded because clients choose the widths.  The Toom/SSA recursion
-# makes one call per level, so an eviction never compounds.
-@lru_cache(maxsize=4096)
+# makes one call per level, so an eviction never compounds.  Typed,
+# because ``True == 1``: a cached 1-bit price must not answer a bool
+# width that ``_check_bits`` rejects.
+@lru_cache(maxsize=4096, typed=True)
 def mul_cycles(bits_a: int, bits_b: int = 0) -> float:
     """Accelerator cycles for an (a x b)-bit MPApca multiplication."""
     _check_bits("bits_a", bits_a)

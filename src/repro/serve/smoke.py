@@ -10,7 +10,9 @@ sequence:
 2. drive ~200 mixed requests through :func:`repro.serve.client.
    run_load` with bit-identical verification against the oracle, and
    require every mul to lower to a host kernel, never the device
-   simulator;
+   simulator; then serve a few wide mul and div requests
+   (:data:`WIDE_BLOCKS`), each past at least one block-Karatsuba split
+   of the packed multiplier, and verify them against Python ``int``;
 3. scrape ``/metrics`` and require the core series to be present and
    consistent with the load generator's own counts (the sharded scrape
    must carry both the merged ``repro_serve_*`` shard series and the
@@ -29,13 +31,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
 
-from repro.serve.client import ServeClient, run_load
+from repro.mpn.nat import LIMB_BITS
+from repro.mpn.packed import KARATSUBA_BLOCKS, PACK_LIMBS
+from repro.serve.client import ServeClient, expected_result, run_load
 
 _LISTEN_RE = re.compile(
     r"repro-serve listening on (?P<host>[0-9.]+):(?P<port>\d+)")
@@ -46,6 +51,14 @@ _ROUTER_LISTEN_RE = re.compile(
 _BOOT_TIMEOUT_S = 30.0
 #: How long SIGTERM may take to drain (sharded: router + workers).
 _DRAIN_TIMEOUT_S = 60.0
+
+#: Widths, in packed blocks, of ``b`` in the wide requests (``a`` is
+#: twice as wide): one, two and three levels of block-Karatsuba
+#: splitting above the basecase.  The widest (a 51-kbit ``a`` over a
+#: 26-kbit ``b``) takes the limb kernels under a second when packed is
+#: killswitched.
+WIDE_BLOCKS = (KARATSUBA_BLOCKS + 1, 2 * KARATSUBA_BLOCKS + 1,
+               4 * KARATSUBA_BLOCKS + 1)
 
 
 def _fail(message: str) -> int:
@@ -108,6 +121,11 @@ def main(requests: int = 200, concurrency: int = 8,
         if "device" in mul_backends:
             return _fail("served muls lowered to the device simulator: "
                          "%r" % mul_backends)
+        wrong = _serve_wide(client)
+        if wrong:
+            return _fail(wrong)
+        print("smoke: %d wide mul/div requests verified"
+              % (2 * len(WIDE_BLOCKS)))
 
         text = client.metrics_text()
         if "repro_serve_requests_total" not in text:
@@ -151,6 +169,26 @@ def main(requests: int = 200, concurrency: int = 8,
         if process.poll() is None:
             process.kill()
             process.wait()
+
+
+def _serve_wide(client: ServeClient) -> str:
+    """Serve one mul and one div per :data:`WIDE_BLOCKS` width; the
+    first mismatch against Python ``int``, or ``""``."""
+    block_bits = LIMB_BITS * PACK_LIMBS
+    for blocks in WIDE_BLOCKS:
+        bits = blocks * block_bits
+        rng = random.Random(bits)
+        a = rng.getrandbits(2 * bits) | (1 << (2 * bits - 1))
+        b = rng.getrandbits(bits) | (1 << (bits - 1))
+        for op in ("mul", "div"):
+            payload = {"op": op, "params": {"a": hex(a), "b": hex(b)},
+                       "id": "smoke-wide-%s-%d" % (op, bits)}
+            status, body = client.request(payload)
+            if status != 200 or body.get("result") \
+                    != expected_result(payload):
+                return ("wide %s at %d-bit b answered %d, not the int "
+                        "result" % (op, bits, status))
+    return ""
 
 
 def _series_sum(values, name: str) -> float:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cost import model as model_mod
@@ -34,6 +34,7 @@ point_sets = st.lists(
 class TestFitProperties:
     @settings(max_examples=50, deadline=None)
     @given(point_sets)
+    @example([(5210, 1.0), (5651, 1308.0), (5656, 1314.0)])
     def test_predictions_finite_positive_monotone(self, points):
         model = fit(rows_for("mul", "limb", points), FP)
         assert model is not None

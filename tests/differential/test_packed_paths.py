@@ -25,10 +25,13 @@ from repro import mpn
 from repro.mpn import div as div_kernels, montgomery, packed as packed_kernels
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import GMP_POLICY, mul, sqr
-from repro.mpn.packed import LINEAR_PACK_MIN_LIMBS
+from repro.mpn.nat import LIMB_BITS
+from repro.mpn.packed import LINEAR_PACK_MIN_LIMBS, POWMOD_PACK_LIMBS
 from repro.plan import OpSpec, select
 from repro.plan.execute import plan_for_job, run
 from repro.plan.lowering import lower
+from repro.serve.client import ServeClient, expected_result
+from repro.serve.server import ServeConfig, ServerThread
 
 from tests.conftest import from_nat, to_nat
 from tests.differential.conftest import diff_examples, naturals_of_bits
@@ -54,9 +57,10 @@ SERVE_LARGE_BITS = (16384, 35905, 65536, 98304)
 #: Widest operand checked against the limb kernels as well as ints.
 LIMB_ORACLE_MAX_BITS = 16384
 
-#: powmod modulus widths (limbs): inside one 8-limb block, exactly one
-#: and two blocks, and one limb past each.
-POWMOD_LIMBS = (1, 2, 8, 9, 16, 17)
+#: powmod modulus widths (limbs): inside one of powmod's blocks,
+#: exactly one and two blocks, and one limb past each.
+POWMOD_LIMBS = (1, 2, POWMOD_PACK_LIMBS, POWMOD_PACK_LIMBS + 1,
+                2 * POWMOD_PACK_LIMBS, 2 * POWMOD_PACK_LIMBS + 1)
 
 
 def _bits_operand(bits: int, seed: int) -> int:
@@ -213,6 +217,48 @@ class TestServeLargeWidths:
             assert packed == divmod_nat(an, bn, limb_mul, backend="limb")
 
 
+class TestServeLargeServedPath:
+    """Requests shaped as serve-large sends them, an ``a`` of
+    ``SERVE_LARGE_BITS`` over a ``b`` half as wide, checked against
+    Python ``int`` through the executor the server runs
+    (:func:`repro.plan.execute.run` on the lowered plan) and through
+    the HTTP front door.  Under ``REPRO_PACKED=0`` the same requests
+    run the limb kernels."""
+
+    @staticmethod
+    def _payloads():
+        for bits in SERVE_LARGE_BITS:
+            a = _bits_operand(bits, 21)
+            b = _bits_operand(bits // 2, 22) | 1
+            for op in ("mul", "div"):
+                yield {"op": op, "params": {"a": hex(a), "b": hex(b)},
+                       "id": "large-%s-%d" % (op, bits)}
+
+    def test_executor_matches_int(self):
+        for payload in self._payloads():
+            params = {name: int(value, 16)
+                      for name, value in payload["params"].items()}
+            plan = plan_for_job(payload["op"], params)
+            resolve = select.mul_backend if payload["op"] == "mul" \
+                else select.div_backend
+            kernel = resolve(-(-params["b"].bit_length() // LIMB_BITS))
+            assert plan.backend == {"packed": "packed",
+                                    "limb": "library"}[kernel]
+            got = {name: hex(value)
+                   for name, value in run(plan, params).items()}
+            assert got == expected_result(payload), payload["id"]
+
+    def test_front_door_matches_int(self):
+        config = ServeConfig(port=0, max_wait_ms=60_000.0)
+        with ServerThread(config) as server:
+            client = ServeClient(server.host, server.port)
+            for payload in self._payloads():
+                status, body = client.request(payload)
+                assert status == 200, (payload["id"], body)
+                assert body["result"] == expected_result(payload), \
+                    payload["id"]
+
+
 class TestLinearKernelRouting:
     """add/shl/shr auto-route to packed above LINEAR_PACK_MIN_LIMBS;
     either way the dispatcher result must match bigints."""
@@ -228,7 +274,7 @@ class TestLinearKernelRouting:
         assert from_nat(mpn.add(to_nat(ones), to_nat(1))) == ones + 1
 
     @pytest.mark.parametrize("count", (0, 1, 31, 32, 255, 256, 257,
-                                       5000))
+                                       1023, 1024, 1025, 5000))
     def test_shifts_straddle_the_gate(self, count):
         for limbs in (LINEAR_PACK_MIN_LIMBS - 1,
                       LINEAR_PACK_MIN_LIMBS + 1):
@@ -338,6 +384,27 @@ class TestPowmodEntryPoints:
                 assert ran == [plan.backend] == [expected], (limbs,
                                                              parity)
                 assert plan.algorithm == POWMOD_ALGORITHMS[expected, parity]
+
+    @pytest.mark.parametrize("parity", ("odd", "even"))
+    def test_plan_counts_powmod_blocks(self, parity, reselect,
+                                       fresh_plans):
+        """Across powmod's own one-block/two-block boundary the packed
+        plan's note counts blocks of powmod's width (not the
+        multiplier's wider one), and every plan answers ``pow``."""
+        reselect(select.PACKED_ENV, "1")
+        width = LIMB_BITS * POWMOD_PACK_LIMBS
+        for bits, blocks in ((width - 1, 1), (width, 1), (width + 1, 2),
+                             (2 * width, 2), (2 * width + 1, 3)):
+            modulus = _bits_operand(bits, 23)
+            modulus = modulus | 1 if parity == "odd" else modulus & ~1
+            params = {"base": _bits_operand(bits + 40, 24),
+                      "exp": 0x10001, "mod": modulus}
+            plan = plan_for_job("powmod", params)
+            assert plan.algorithm == POWMOD_ALGORITHMS["packed", parity]
+            assert plan.steps[0].note.endswith("%d blocks" % blocks), \
+                (bits, plan.steps[0].note)
+            assert run(plan, params)["value"] \
+                == pow(params["base"], params["exp"], modulus)
 
     @pytest.mark.parametrize("parity", ("odd", "even"))
     def test_library_plan_runs_no_packed_division(self, parity,

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from repro.mpn import nat
 from repro.mpn.nat import LIMB_BITS, MpnError
 from repro.mpn.packed import (KARATSUBA_BLOCKS, PACK_LIMBS,
-                              WINDOW_BITS_MAX, WINDOW_TABLE, _window_bits,
+                              POWMOD_PACK_LIMBS, WINDOW_BITS_MAX,
+                              WINDOW_TABLE, _window_bits,
                               add_packed, divmod_packed, mul_packed,
                               pack_blocks, powmod_packed, shl_packed,
                               shr_packed, sqr_packed, sub_packed,
@@ -28,8 +29,9 @@ from tests.conftest import from_nat, to_nat
 from tests.differential.conftest import diff_examples
 
 #: Block widths exercised everywhere: degenerate (k=1 is the limb
-#: representation itself), odd, the default, and wider-than-default.
-PACK_WIDTHS = (1, 2, 3, PACK_LIMBS, 13)
+#: representation itself), odd, powmod's default, odd and wider than
+#: it, and the default of every other kernel.
+PACK_WIDTHS = (1, 2, 3, POWMOD_PACK_LIMBS, 13, PACK_LIMBS)
 
 #: Raw limb lists with interesting shapes: empty, odd tails
 #: (``len % k != 0`` for every k above), saturated limbs, zero limbs
@@ -41,6 +43,10 @@ limb_lists = st.lists(
 
 #: Block base at the default width.
 _B = 1 << (LIMB_BITS * PACK_LIMBS)
+
+#: Width in bits and base of powmod's own default block.
+_W = LIMB_BITS * POWMOD_PACK_LIMBS
+_PB = 1 << _W
 
 #: (blocks of a, blocks of b) around the convolution's regime changes.
 #: ``(2K+1, K+1)`` and ``(2K, K)`` take the unbalanced branch (the
@@ -284,7 +290,7 @@ class TestArithmeticKernels:
 
     def test_single_block_divisor_path(self):
         a = (1 << 4096) - 123
-        b = (1 << 200) - 1  # one 256-bit block at the default k
+        b = (1 << 200) - 1  # one block at the default k
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
@@ -319,14 +325,18 @@ class TestArithmeticKernels:
         assert shr_packed([], 40) == []
 
 
-#: Moduli at block boundaries and with all-ones blocks, both parities.
+#: Moduli at powmod's block boundaries and with all-ones blocks, both
+#: parities.  Ids spell powmod's block base ``2^W`` in bits, so they
+#: follow ``POWMOD_PACK_LIMBS``.
 POWMOD_MODULI = [
     pytest.param(value, id=name) for name, value in (
         ("1", 1), ("2", 2), ("3", 3),
-        ("2^256-1", _B - 1), ("2^256+1", _B + 1), ("2^512-1", _B ** 2 - 1),
-        ("2^255", _B // 2), ("2^256", _B), ("2^257", 2 * _B),
-        ("2^512", _B ** 2), ("2^32", 1 << 32), ("3*2^256", 3 * _B),
-        ("mixed-3-blocks", (_B - 1) * _B ** 2 + 5),
+        ("2^%d-1" % _W, _PB - 1), ("2^%d+1" % _W, _PB + 1),
+        ("2^%d-1" % (2 * _W), _PB ** 2 - 1),
+        ("2^%d" % (_W - 1), _PB // 2), ("2^%d" % _W, _PB),
+        ("2^%d" % (_W + 1), 2 * _PB), ("2^%d" % (2 * _W), _PB ** 2),
+        ("2^32", 1 << 32), ("3*2^%d" % _W, 3 * _PB),
+        ("mixed-3-blocks", (_PB - 1) * _PB ** 2 + 5),
     )]
 
 
@@ -337,7 +347,7 @@ class TestPowmodPacked:
     @pytest.mark.parametrize("modulus", POWMOD_MODULI)
     def test_edge_bases_and_exponents(self, modulus):
         bases = (0, 1, 2, modulus - 1, modulus, modulus + 1,
-                 3 * modulus, _B ** 3 + 12345, _block_operand(2, "ones", 0))
+                 3 * modulus, _PB ** 3 + 12345, _PB ** 2 - 1)
         for base in bases:
             for exponent in (0, 1, 2, 3, 65537, (1 << 130) - 1):
                 got = powmod_packed(to_nat(base), to_nat(exponent),
@@ -350,7 +360,7 @@ class TestPowmodPacked:
     def test_every_window_width(self, exponent_bits):
         rng = random.Random(exponent_bits)
         exponent = rng.getrandbits(exponent_bits) | (1 << (exponent_bits - 1))
-        for modulus in (_B - 1, _B + 1, _B ** 2 - 1, 6 * _B + 2):
+        for modulus in (_PB - 1, _PB + 1, _PB ** 2 - 1, 6 * _PB + 2):
             base = rng.getrandbits(600)
             assert from_nat(powmod_packed(
                 to_nat(base), to_nat(exponent), to_nat(modulus))) \

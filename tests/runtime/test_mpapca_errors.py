@@ -38,6 +38,13 @@ class TestMalformedWidths:
         with pytest.raises(MpnError):
             fn(*args)
 
+    def test_bool_width_raises_after_its_int_twin_is_cached(self):
+        # True == 1 hashes alike: the memo must not hand the 1-bit
+        # price to a bool width.
+        assert mpapca.mul_cycles(1, 64) > 0
+        with pytest.raises(MpnError):
+            mpapca.mul_cycles(True, 64)
+
     def test_zero_widths_stay_legal(self):
         # Traces record zero-width operands (e.g. multiplying by zero);
         # the pricers clamp rather than reject.

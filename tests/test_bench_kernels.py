@@ -1,6 +1,11 @@
-"""``repro bench-kernels --check``: the regression gates over a report."""
+"""``repro bench-kernels``: the regression gates over a report, and
+the block widths it records."""
 
-from repro.bench.kernels import check_report
+import inspect
+
+from repro.bench.kernels import check_report, packed_block_bits
+from repro.mpn import packed as packed_kernels
+from repro.mpn.nat import LIMB_BITS
 
 
 def _powmod(bits: int, limb: int, packed: int) -> dict:
@@ -22,3 +27,14 @@ def test_packed_powmod_gate_fails_below_its_floor_at_the_top_modulus():
     assert len(failures) == 1
     assert "powmod at 4096 bits: packed is 1.10x the limb backend" \
         in failures[0]
+
+
+def test_block_bits_are_the_widths_the_timed_kernels_default_to():
+    kernels = {"mul": packed_kernels.mul_packed,
+               "sqr": packed_kernels.sqr_packed,
+               "div": packed_kernels.divmod_packed,
+               "powmod": packed_kernels.powmod_packed}
+    assert packed_block_bits() == {
+        op: LIMB_BITS * inspect.signature(kernel).parameters["k"].default
+        for op, kernel in kernels.items()}
+    assert packed_block_bits()["powmod"] < packed_block_bits()["mul"]
