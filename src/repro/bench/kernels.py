@@ -37,7 +37,7 @@ from repro.mpn import powmod as mpn_powmod
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import mul, sqr
 from repro.mpn.nat import Nat
-from repro.mpn.packed import PACK_LIMBS, POWMOD_PACK_LIMBS
+from repro.mpn.packed import MUL_PACK_LIMBS, PACK_LIMBS, POWMOD_PACK_LIMBS
 from repro.mpn.tune import _random_operand, tuned_policy
 
 #: Bump when the JSON layout changes meaning.
@@ -54,8 +54,9 @@ from repro.mpn.tune import _random_operand, tuned_policy
 #: v7: the residue-number-system column, hotspot and gates are gone;
 #: the powmod gate moved to packed.
 #: v8: ``packed_block_bits`` (op -> block width in bits of the packed
-#: kernel it times) replaced the single ``pack_limbs``; mul/sqr/div
-#: run 1024-bit blocks, powmod 256-bit ones.
+#: kernel it times) replaced the single ``pack_limbs``: each packed
+#: kernel runs its own block (mul/sqr 35904 bits, div 1024, powmod
+#: 256).
 BENCH_SCHEMA_VERSION = 8
 
 #: Figure-11-style bit-width ladder (the paper sweeps multiply sizes in
@@ -298,10 +299,14 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
     }
 
 
+#: Limbs per block of the packed kernel each op times.
+_PACKED_BLOCK_LIMBS = {"mul": MUL_PACK_LIMBS, "sqr": MUL_PACK_LIMBS,
+                       "div": PACK_LIMBS, "powmod": POWMOD_PACK_LIMBS}
+
+
 def packed_block_bits() -> Dict[str, int]:
     """Block width in bits of the packed kernel each op times."""
-    return {op: nat.LIMB_BITS * (POWMOD_PACK_LIMBS if op == "powmod"
-                                 else PACK_LIMBS)
+    return {op: nat.LIMB_BITS * _PACKED_BLOCK_LIMBS[op]
             for op in OP_BACKENDS}
 
 

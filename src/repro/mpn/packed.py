@@ -2,12 +2,19 @@
 
 Every kernel in this package spends its wall time in the Python
 interpreter, one loop iteration per 32-bit limb.  This module packs
-``PACK_LIMBS`` consecutive limbs into a single Python int — a *block*,
-the packed backend's machine word — and runs the add/sub/mul/sqr/shift/
-divmod basecases one block at a time, the wide-block digit processing
-that *Fast Arbitrary Precision Floating Point on FPGA* (de Fine Licht
-et al.) and ARCHITECT (Li et al.) identify as the arbitrary-precision
-throughput lever.
+consecutive limbs into a single Python int — a *block*, the packed
+backend's machine word — and runs the add/sub/mul/sqr/shift/divmod
+basecases one block at a time, the wide-block digit processing that
+*Fast Arbitrary Precision Floating Point on FPGA* (de Fine Licht et
+al.) and ARCHITECT (Li et al.) identify as the arbitrary-precision
+throughput lever.  Each kernel has its own block width:
+
+* ``mul``/``sqr`` pack ``MUL_PACK_LIMBS`` limbs (35904 bits), the width
+  Cambricon-P multiplies in one monolithic pass, so every product up
+  to that width is one C-level int product;
+* ``divmod``, ``add``/``sub`` and the shifts pack ``PACK_LIMBS`` limbs
+  (1024 bits);
+* ``powmod`` packs ``POWMOD_PACK_LIMBS`` limbs (256 bits).
 
 Carries resolve once per operation, the way Cambricon-P's IPUs compute
 carry-free inner products and leave the carries to the gatherer.
@@ -15,8 +22,10 @@ carry-free inner products and leave the carries to the gatherer.
 quadratic kernels go further:
 
 * ``mul``/``sqr`` run a carry-free block convolution (a Karatsuba split
-  over raw, unnormalized coefficients down to a row-convolution
-  basecase, one C-level ``map`` per row) and then one floor-carry sweep;
+  over raw, unnormalized coefficients from two blocks up, the way MPApca
+  decomposes operands past the monolithic width, down to a
+  row-convolution basecase, one C-level ``map`` per row) and then one
+  floor-carry sweep;
 * ``divmod`` runs a signed-digit block division: each quotient block is
   an O(1) estimate plus one C-level multiply-subtract row, and one sweep
   over the quotient digits and one over the remainder, plus a fix-up of
@@ -43,18 +52,32 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable, Iterable, List, Tuple
 
 from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
 
-#: Limbs packed per block for mul, sqr, div/mod, add/sub and shift.
-#: k=32 -> 1024-bit blocks (radix 2^1024): one interpreter iteration
-#: per 32 limbs, while a block product is still one C call below
-#: CPython's own Karatsuba cutoff.  Against 256-bit blocks (best of 15,
-#: ms, a over a half-width b): mul 1.65 -> 0.74 at 36 kbit and 7.52 ->
-#: 3.00 at 96 kbit, div 1.35 -> 0.60 and 8.18 -> 3.42.
+#: Limbs per block for :func:`mul_packed` and :func:`sqr_packed`: the
+#: width of Cambricon-P's monolithic multiplier, 35904 bits (1122
+#: limbs; ``core.model.CambriconPConfig.monolithic_max_bits`` and
+#: ``mpn.mul.MPAPCA_POLICY.karatsuba_limbs``, pinned equal by
+#: ``tests/mpn/test_packed.py``).  Every product whose operands fit one
+#: block is one C-level int product; wider operands split by block
+#: Karatsuba, the way MPApca decomposes only what the hardware cannot
+#: multiply in one pass (Section VII-B).  Against 1024-bit blocks (best
+#: of 9, a over a half-width b): 1.23 -> 0.62 ms geometric mean over
+#: 36-96 kbit, 92 -> 49 ms at 1 Mbit, 50 -> 34 us at 8 kbit.
+MUL_PACK_LIMBS = 1122
+
+#: Limbs packed per block for div/mod, add/sub and shift.  k=32 ->
+#: 1024-bit blocks (radix 2^1024): one interpreter iteration per 32
+#: limbs.  Against 256-bit blocks (best of 15, ms, a over a half-width
+#: b): div 1.35 -> 0.60 at 36 kbit and 8.18 -> 3.42 at 96 kbit.
+#: Division does not follow mul to wider blocks: at 16-kbit blocks it
+#: is slower (1.18 -> 1.78 ms geometric mean of best-of-9 over 11
+#: shapes, a 36-96 kbit over a/2).
 PACK_LIMBS = 32
 
 #: Limbs per block for :func:`powmod_packed`: 256-bit blocks.  Served
@@ -68,12 +91,23 @@ POWMOD_PACK_LIMBS = 8
 #: Bytes per limb (limbs are base 2^32).
 _LIMB_BYTES = LIMB_BITS // 8
 
-#: Block counts below which the packed multiplier uses the row
-#: convolution basecase; at or above, one level of block Karatsuba
-#: splitting.  Measured at 1024-bit blocks over 40 serve-large shapes
-#: (n x n/2 blocks, 36-96 kbit), geometric mean of best-of-7: 2.18 ms
-#: at 6 against 2.25 at 5 and 8, 2.38 at 10 and 2.62 at 16.
-KARATSUBA_BLOCKS = 6
+#: Block count (of the shorter operand) at or above which
+#: :func:`mul_packed`/:func:`sqr_packed` split by block Karatsuba;
+#: below it they run the row-convolution basecase.  At 35904-bit
+#: blocks a block product is a long C-level multiply, so one saved
+#: product outweighs the split's bookkeeping from two blocks up.
+#: Geometric mean of best-of-9 over 11 shapes (a 36-96 kbit over a/2):
+#: 0.63 ms at 2 against 0.68 at 3, 0.65 at 4 and 0.68 at 6; at 1 Mbit
+#: 50.9 ms against 67.1, 67.6 and 83.2.
+KARATSUBA_BLOCKS = 2
+
+#: The same threshold for powmod's 256-bit blocks
+#: (:func:`_bmont_mul`, and :func:`_bmul` on even moduli): block
+#: products there are short, and a split pays only from six blocks.
+#: Odd moduli, 64-bit exponents, best of 30: 742 us at 2 against 489
+#: at 6 for a 512-bit modulus, 18.9 against 9.9 ms at 4096 bits; 8
+#: ties 6.
+POWMOD_KARATSUBA_BLOCKS = 6
 
 #: Limb count at/above which the O(n) kernels (add/shift) are worth
 #: packing; below it the pack/unpack round trip eats the win (measured
@@ -82,6 +116,13 @@ KARATSUBA_BLOCKS = 6
 LINEAR_PACK_MIN_LIMBS = 128
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+@lru_cache(maxsize=16)
+def _mask(bits: int) -> int:
+    """``2**bits - 1``, built once per block width (at 35904 bits a
+    fresh mask costs about a microsecond per call)."""
+    return (1 << bits) - 1
 
 
 def _limb_typecode() -> str:
@@ -128,15 +169,26 @@ def pack_blocks(limbs: Nat, k: int = PACK_LIMBS) -> List[int]:
 
 
 def unpack_blocks(blocks: List[int], k: int = PACK_LIMBS) -> Nat:
-    """Unpack base-2^(32k) blocks back into a normalized limb list."""
+    """Unpack base-2^(32k) blocks back into a normalized limb list.
+
+    The top block encodes at its own length in whole limbs, not padded
+    to ``k`` limbs, so a narrow result at a wide ``k`` carries no run of
+    zero limbs into :func:`~repro.mpn.nat.normalize`; a top block wider
+    than ``k`` limbs is still rejected.
+    """
     if k < 1:
         raise MpnError("unpack_blocks: k must be >= 1, got %d" % k)
     if not blocks:
         return []
     width = _LIMB_BYTES * k
+    top = blocks[-1]
     try:
-        data = b"".join(block.to_bytes(width, "little")
-                        for block in blocks)
+        top_width = -(-top.bit_length() // LIMB_BITS) * _LIMB_BYTES
+        if top_width > width:
+            raise OverflowError("top block wider than %d bytes" % width)
+        parts = [block.to_bytes(width, "little") for block in blocks[:-1]]
+        parts.append(top.to_bytes(top_width, "little"))
+        data = b"".join(parts)
     except (OverflowError, TypeError) as error:
         raise MpnError("unpack_blocks: block out of base-2^%d range (%s)"
                        % (LIMB_BITS * k, error))
@@ -228,20 +280,25 @@ def _vadd(x: List[int], y: List[int]) -> List[int]:
     return out
 
 
-def _bconv(a: List[int], b: List[int]) -> List[int]:
+def _bconv(a: List[int], b: List[int],
+           karatsuba_blocks: int) -> List[int]:
     """Carry-free block product: the ``len(a)+len(b)-1`` coefficients.
 
     Coefficients are raw convolution sums that may exceed the block
     base (Python ints carry them exactly); the caller resolves every
     carry in one sweep.  The basecase is a row convolution, one C-level
-    ``map`` per block of the shorter operand; above it one block
-    Karatsuba split, with its sums and differences taken elementwise
-    (the middle term ``cross - z0 - z2`` is the mixed products, so it
-    never goes negative).
+    ``map`` per block of the shorter operand; from ``karatsuba_blocks``
+    blocks up one block Karatsuba split, with its sums and differences
+    taken elementwise (the middle term ``cross - z0 - z2`` is the mixed
+    products, so it never goes negative).
     """
     if len(a) < len(b):
         a, b = b, a
-    if len(b) < KARATSUBA_BLOCKS:
+    if len(b) == 1:
+        # One row.  At the monolithic width every operand up to 35904
+        # bits is one block, so this is one int product per block.
+        return list(map(mul, a, repeat(b[0])))
+    if len(b) < karatsuba_blocks:
         width = len(a)
         out = [0] * (width + len(b) - 1)
         for i, digit in enumerate(b):
@@ -254,13 +311,14 @@ def _bconv(a: List[int], b: List[int]) -> List[int]:
     if len(b) <= split:
         # Unbalanced: the short operand fits in the low half, so the
         # product is two half-width sub-products, no cross term.
-        out = _bconv(a0, b) + [0] * (len(a) - split)
-        out[split:] = map(add, out[split:], _bconv(a1, b))
+        out = _bconv(a0, b, karatsuba_blocks) + [0] * (len(a) - split)
+        out[split:] = map(add, out[split:],
+                          _bconv(a1, b, karatsuba_blocks))
         return out
     b0, b1 = b[:split], b[split:]
-    z0 = _bconv(a0, b0)
-    z2 = _bconv(a1, b1)
-    z1 = _bconv(_vadd(a0, a1), _vadd(b0, b1))
+    z0 = _bconv(a0, b0, karatsuba_blocks)
+    z2 = _bconv(a1, b1, karatsuba_blocks)
+    z1 = _bconv(_vadd(a0, a1), _vadd(b0, b1), karatsuba_blocks)
     z1[:len(z0)] = map(sub, z1, z0)
     z1[:len(z2)] = map(sub, z1, z2)
     # len(z0) == 2*split - 1, so z2 starts right after one zero slot.
@@ -270,18 +328,19 @@ def _bconv(a: List[int], b: List[int]) -> List[int]:
     return out
 
 
-def _bmul(a: List[int], b: List[int], bits: int, mask: int) -> List[int]:
+def _bmul(a: List[int], b: List[int], bits: int, mask: int,
+          karatsuba_blocks: int) -> List[int]:
     """Block product: carry-free convolution, then one carry sweep.
 
     The shape of Cambricon-P's carry-parallel gathering: the inner
     products accumulate without carries and the carries resolve once,
-    at the top.  With 1024-bit blocks, n blocks stand for 32n limbs,
-    so one Karatsuba scheme over C-speed block products beats every
+    at the top.  At the monolithic width one block stands for 1122
+    limbs, so a block Karatsuba over C-speed block products beats every
     limb-level regime at the sizes reached in practice.
     """
     if not a or not b:
         return []
-    out, carry = _bcarry(_bconv(a, b), bits, mask)
+    out, carry = _bcarry(_bconv(a, b, karatsuba_blocks), bits, mask)
     if carry:
         out.append(carry)
     return _bnormalize(out)
@@ -335,17 +394,16 @@ def _bdivrem(w: List[int], v: List[int], bits: int,
 # -- public kernels (Nat in, Nat out) ----------------------------------------
 
 
-def mul_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
+def mul_packed(a: Nat, b: Nat, k: int = MUL_PACK_LIMBS) -> Nat:
     """Product of two naturals through the block-packed multiplier."""
     if not a or not b:
         return []
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
     return unpack_blocks(_bmul(pack_blocks(a, k), pack_blocks(b, k),
-                               bits, mask), k)
+                               bits, _mask(bits), KARATSUBA_BLOCKS), k)
 
 
-def sqr_packed(a: Nat, k: int = PACK_LIMBS) -> Nat:
+def sqr_packed(a: Nat, k: int = MUL_PACK_LIMBS) -> Nat:
     """Square of a natural through the carry-free block convolution.
 
     ``_bmul(a, a)`` keeps the square shape down the whole Karatsuba
@@ -356,9 +414,9 @@ def sqr_packed(a: Nat, k: int = PACK_LIMBS) -> Nat:
     if not a:
         return []
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
     blocks = pack_blocks(a, k)
-    return unpack_blocks(_bmul(blocks, blocks, bits, mask), k)
+    return unpack_blocks(_bmul(blocks, blocks, bits, _mask(bits),
+                               KARATSUBA_BLOCKS), k)
 
 
 def add_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
@@ -371,7 +429,7 @@ def add_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
     if len(blocks_a) < len(blocks_b):
         blocks_a, blocks_b = blocks_b, blocks_a
     bits = LIMB_BITS * k
-    out, carry = _bcarry(_vadd(blocks_a, blocks_b), bits, (1 << bits) - 1)
+    out, carry = _bcarry(_vadd(blocks_a, blocks_b), bits, _mask(bits))
     if carry:
         out.append(carry)
     return unpack_blocks(out, k)
@@ -386,7 +444,7 @@ def sub_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
     blocks_a[:len(blocks_b)] = map(sub, blocks_a, blocks_b)
     bits = LIMB_BITS * k
     # a >= b, so the sweep leaves no borrow out of the top block.
-    return unpack_blocks(_bcarry(blocks_a, bits, (1 << bits) - 1)[0], k)
+    return unpack_blocks(_bcarry(blocks_a, bits, _mask(bits))[0], k)
 
 
 def shl_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
@@ -396,7 +454,7 @@ def shl_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
     if not a or count == 0:
         return list(a)
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
+    mask = _mask(bits)
     block_shift, bit_shift = divmod(count, bits)
     shifted = _bshl_bits(pack_blocks(a, k), bit_shift, bits, mask)
     return unpack_blocks(_bshl_blocks(shifted, block_shift), k)
@@ -409,7 +467,7 @@ def shr_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
     if not a or count == 0:
         return list(a)
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
+    mask = _mask(bits)
     block_shift, bit_shift = divmod(count, bits)
     blocks = pack_blocks(a, k)
     if block_shift >= len(blocks):
@@ -427,7 +485,7 @@ def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
     if not b:
         raise MpnError("division by zero")
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
+    mask = _mask(bits)
     u_raw = pack_blocks(a, k)
     v = pack_blocks(b, k)
     if _bcmp(u_raw, v) < 0:
@@ -510,7 +568,7 @@ def _bmont_mul(a: List[int], b: List[int], modulus: List[int],
     if not a or not b:
         return []
     n = len(modulus)
-    t = _bconv(a, b)
+    t = _bconv(a, b, POWMOD_KARATSUBA_BLOCKS)
     t.extend(repeat(0, 2 * n + 1 - len(t)))
     for i in range(n):
         q = (t[i] * n_inv) & mask
@@ -563,7 +621,7 @@ def powmod_packed(base: Nat, exponent: Nat, modulus: Nat,
     if not modulus:
         raise MpnError("zero modulus")
     bits = LIMB_BITS * k
-    mask = (1 << bits) - 1
+    mask = _mask(bits)
     n_blocks = pack_blocks(modulus, k)
     if n_blocks == [1]:
         return []
@@ -592,7 +650,7 @@ def powmod_packed(base: Nat, exponent: Nat, modulus: Nat,
         return unpack_blocks(mulmod(_bpow(x, power, mulmod), [1]), k)
 
     def mulmod(x: List[int], y: List[int]) -> List[int]:
-        return reduce(_bmul(x, y, bits, mask))
+        return reduce(_bmul(x, y, bits, mask, POWMOD_KARATSUBA_BLOCKS))
 
     x = reduce(base_blocks)
     if not x:

@@ -54,7 +54,12 @@ from repro.plan.spec import OpSpec, PlanError
 #: changed, packed muls whose smaller operand has 3841-5120 bits now
 #: lower to ``packed-basecase``, and the powmod note counts blocks at
 #: powmod's own width.
-PLAN_SCHEMA_VERSION = 11
+#: v12: the packed multiplier's block is Cambricon-P's 35904-bit
+#: monolithic width and Karatsuba starts at 2 blocks: ``packed_chain``
+#: block counts and step notes ("1 block") changed, and every packed
+#: mul whose smaller operand has at most 35904 bits lowers to a
+#: one-block ``packed-basecase``.
+PLAN_SCHEMA_VERSION = 12
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -261,7 +266,8 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
         elif backend == "packed":
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
-            steps = [PlanStep("kernel", name, "%d blocks" % blocks)
+            steps = [PlanStep("kernel", name, "%d block%s"
+                              % (blocks, "" if blocks == 1 else "s"))
                      for name, blocks in select.packed_chain(min_limbs)]
             algorithm = steps[0].algorithm
         else:

@@ -132,15 +132,17 @@ def packed_chain(min_limbs: int) -> List[Tuple[str, int]]:
     """Descent ``[(algorithm, blocks), ...]`` inside the packed backend.
 
     The packed multiplier is a carry-free block convolution with exactly
-    two regimes — a Karatsuba split above ``KARATSUBA_BLOCKS`` blocks, a
-    row-convolution basecase below — and one carry sweep at the top, so
-    the chain is short; the unit is the multiplier's own *block*
-    (``PACK_LIMBS`` limbs, 1024 bits; powmod's narrower block never
-    reaches this chain).  Karatsuba sums stay raw coefficients (no
-    carry block), so each level halves the count exactly.
+    two regimes — a Karatsuba split from ``KARATSUBA_BLOCKS`` blocks up,
+    a row-convolution basecase below — and one carry sweep at the top,
+    so the chain is short; the unit is the multiplier's own *block*
+    (``MUL_PACK_LIMBS`` limbs, Cambricon-P's 35904-bit monolithic
+    width), so every operand up to 35904 bits is a one-block
+    ``packed-basecase``: one int product.  Karatsuba sums stay raw
+    coefficients (no carry block), so each level halves the count
+    exactly.
     """
-    from repro.mpn.packed import KARATSUBA_BLOCKS, PACK_LIMBS
-    blocks = max(1, -(-max(1, min_limbs) // PACK_LIMBS))
+    from repro.mpn.packed import KARATSUBA_BLOCKS, MUL_PACK_LIMBS
+    blocks = max(1, -(-max(1, min_limbs) // MUL_PACK_LIMBS))
     chain: List[Tuple[str, int]] = []
     while blocks >= KARATSUBA_BLOCKS:
         chain.append(("packed-karatsuba", blocks))

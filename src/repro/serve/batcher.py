@@ -15,7 +15,9 @@ results of mul, div and powmod are then hex-encoded for the wire.
   ``rejected:deadline`` rather than computed;
 * after each member the loop is handed back (``ADMIT_YIELDS``), so
   its response is written and waiting requests are admitted or shed
-  before the next member runs;
+  before the next member runs; after a batch's last member with
+  nothing queued the batcher suspends in ``queue.get()`` instead,
+  which hands the loop back by itself;
 * ``model_cycles`` and ``pi_digits`` results memoize in a small LRU —
   identical queries are answered from cache without running a kernel.
 
@@ -77,13 +79,16 @@ class DynamicBatcher:
     # -- main loop ------------------------------------------------------------
 
     async def run(self) -> None:
-        """Consume the queue until it is closed *and* drained."""
+        """Consume the queue until it is closed *and* drained.
+
+        ``queue.get()`` waits on the queue's event with no timer and
+        returns ``None`` only once the queue is closed and empty
+        (``AdmissionQueue.close`` sets the event to wake it).
+        """
         while True:
-            job = await self.queue.get(timeout=0.1)
+            job = await self.queue.get()
             if job is None:
-                if self.queue.closed and self.queue.depth == 0:
-                    break
-                continue
+                break
             batch = [job] + self.queue.take_compatible(
                 job.compat_key(), self.max_batch - 1)
             self.registry.gauge("queue_depth").set(self.queue.depth)
@@ -105,11 +110,16 @@ class DynamicBatcher:
         self.registry.histogram("batch_size",
                                 bounds=BATCH_SIZE_BOUNDS).observe(
             float(len(live)))
+        last = live[-1]
         for job in live:
             # An earlier member may have outlived this one's deadline.
             if self._settled(job):
                 continue
             self._run_member(job, len(live))
+            if job is last and not self.queue.depth:
+                # Nothing queued: ``queue.get`` suspends the batcher
+                # and hands the loop back anyway.
+                break
             # Hand the loop back (``queue.get`` returns without
             # yielding while work is queued): the answered handler
             # writes its response, and requests that arrived while the

@@ -11,8 +11,10 @@ sequence:
    run_load` with bit-identical verification against the oracle, and
    require every mul to lower to a host kernel, never the device
    simulator; then serve a few wide mul and div requests
-   (:data:`WIDE_BLOCKS`), each past at least one block-Karatsuba split
-   of the packed multiplier, and verify them against Python ``int``;
+   (:data:`WIDE_SHAPES`): division across many 1024-bit blocks, and
+   products spanning two and three of the packed multiplier's 35904-bit
+   blocks, past its block-Karatsuba split, and verify them against
+   Python ``int``;
 3. scrape ``/metrics`` and require the core series to be present and
    consistent with the load generator's own counts (the sharded scrape
    must carry both the merged ``repro_serve_*`` shard series and the
@@ -39,7 +41,7 @@ import sys
 import time
 
 from repro.mpn.nat import LIMB_BITS
-from repro.mpn.packed import KARATSUBA_BLOCKS, PACK_LIMBS
+from repro.mpn.packed import MUL_PACK_LIMBS, PACK_LIMBS
 from repro.serve.client import ServeClient, expected_result, run_load
 
 _LISTEN_RE = re.compile(
@@ -52,13 +54,21 @@ _BOOT_TIMEOUT_S = 30.0
 #: How long SIGTERM may take to drain (sharded: router + workers).
 _DRAIN_TIMEOUT_S = 60.0
 
-#: Widths, in packed blocks, of ``b`` in the wide requests (``a`` is
-#: twice as wide): one, two and three levels of block-Karatsuba
-#: splitting above the basecase.  The widest (a 51-kbit ``a`` over a
-#: 26-kbit ``b``) takes the limb kernels under a second when packed is
-#: killswitched.
-WIDE_BLOCKS = (KARATSUBA_BLOCKS + 1, 2 * KARATSUBA_BLOCKS + 1,
-               4 * KARATSUBA_BLOCKS + 1)
+_DIV_BLOCK_BITS = LIMB_BITS * PACK_LIMBS
+_MUL_BLOCK_BITS = LIMB_BITS * MUL_PACK_LIMBS
+
+#: ``(op, a bits, b bits)`` of the wide requests.  mul and div at a
+#: ``b`` of 7, 13 and 25 of division's 1024-bit blocks under an ``a``
+#: twice as wide; then mul at a 40-kbit ``b`` (two 35904-bit mul
+#: blocks, so the block Karatsuba splits) under a 40-kbit and an
+#: 80-kbit ``a`` (two and three blocks).  With packed killswitched the
+#: limb kernels answer the widest (an 80-kbit mul, a 51-kbit division)
+#: in well under a second each.
+WIDE_SHAPES = tuple(
+    (op, 2 * blocks * _DIV_BLOCK_BITS, blocks * _DIV_BLOCK_BITS)
+    for blocks in (7, 13, 25) for op in ("mul", "div")) + (
+    ("mul", _MUL_BLOCK_BITS + 4096, _MUL_BLOCK_BITS + 4096),
+    ("mul", 2 * _MUL_BLOCK_BITS + 8192, _MUL_BLOCK_BITS + 4096))
 
 
 def _fail(message: str) -> int:
@@ -125,7 +135,7 @@ def main(requests: int = 200, concurrency: int = 8,
         if wrong:
             return _fail(wrong)
         print("smoke: %d wide mul/div requests verified"
-              % (2 * len(WIDE_BLOCKS)))
+              % len(WIDE_SHAPES))
 
         text = client.metrics_text()
         if "repro_serve_requests_total" not in text:
@@ -172,22 +182,19 @@ def main(requests: int = 200, concurrency: int = 8,
 
 
 def _serve_wide(client: ServeClient) -> str:
-    """Serve one mul and one div per :data:`WIDE_BLOCKS` width; the
-    first mismatch against Python ``int``, or ``""``."""
-    block_bits = LIMB_BITS * PACK_LIMBS
-    for blocks in WIDE_BLOCKS:
-        bits = blocks * block_bits
-        rng = random.Random(bits)
-        a = rng.getrandbits(2 * bits) | (1 << (2 * bits - 1))
-        b = rng.getrandbits(bits) | (1 << (bits - 1))
-        for op in ("mul", "div"):
-            payload = {"op": op, "params": {"a": hex(a), "b": hex(b)},
-                       "id": "smoke-wide-%s-%d" % (op, bits)}
-            status, body = client.request(payload)
-            if status != 200 or body.get("result") \
-                    != expected_result(payload):
-                return ("wide %s at %d-bit b answered %d, not the int "
-                        "result" % (op, bits, status))
+    """Serve every :data:`WIDE_SHAPES` request; the first mismatch
+    against Python ``int``, or ``""``."""
+    for op, a_bits, b_bits in WIDE_SHAPES:
+        rng = random.Random(a_bits * b_bits)
+        a = rng.getrandbits(a_bits) | (1 << (a_bits - 1))
+        b = rng.getrandbits(b_bits) | (1 << (b_bits - 1))
+        payload = {"op": op, "params": {"a": hex(a), "b": hex(b)},
+                   "id": "smoke-wide-%s-%dx%d" % (op, a_bits, b_bits)}
+        status, body = client.request(payload)
+        if status != 200 or body.get("result") \
+                != expected_result(payload):
+            return ("wide %s at %d x %d bits answered %d, not the int "
+                    "result" % (op, a_bits, b_bits, status))
     return ""
 
 

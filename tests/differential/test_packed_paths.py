@@ -26,7 +26,8 @@ from repro.mpn import div as div_kernels, montgomery, packed as packed_kernels
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import GMP_POLICY, mul, sqr
 from repro.mpn.nat import LIMB_BITS
-from repro.mpn.packed import LINEAR_PACK_MIN_LIMBS, POWMOD_PACK_LIMBS
+from repro.mpn.packed import (KARATSUBA_BLOCKS, LINEAR_PACK_MIN_LIMBS,
+                              MUL_PACK_LIMBS, POWMOD_PACK_LIMBS)
 from repro.plan import OpSpec, select
 from repro.plan.execute import plan_for_job, run
 from repro.plan.lowering import lower
@@ -257,6 +258,70 @@ class TestServeLargeServedPath:
                 assert status == 200, (payload["id"], body)
                 assert body["result"] == expected_result(payload), \
                     payload["id"]
+
+
+#: Operand shapes around the packed multiplier's 35904-bit block, as
+#: ``(name, a limbs, b limbs)``: one block, a limb either side of it,
+#: two blocks, the Karatsuba threshold and a block either side of it,
+#: and unbalanced shapes (a multi-block ``a`` over a one-block and a
+#: few-limb ``b``).
+_K = MUL_PACK_LIMBS
+_MONOLITHIC_SHAPES = [
+    ("1-block", _K, _K), ("1-block-1limb", _K - 1, _K - 1),
+    ("1-block+1limb", _K + 1, _K + 1), ("1-block+1limb-over-1", _K + 1, 1),
+    ("2-blocks", 2 * _K, 2 * _K),
+    ("karatsuba-1block", (KARATSUBA_BLOCKS - 1) * _K,
+     (KARATSUBA_BLOCKS - 1) * _K),
+    ("karatsuba", KARATSUBA_BLOCKS * _K, KARATSUBA_BLOCKS * _K),
+    ("karatsuba+1block", (KARATSUBA_BLOCKS + 1) * _K,
+     (KARATSUBA_BLOCKS + 1) * _K),
+    ("unbalanced-3x1", 3 * _K + 5, _K - 3),
+    ("unbalanced-3xfew", 3 * _K + 1, 3),
+]
+
+
+_B = 1 << (LIMB_BITS * MUL_PACK_LIMBS)
+
+#: ``(name, a, b)``: the shapes as random operands, then powers of the
+#: block base ``B`` (``B**2`` is three blocks, all but the top zero).
+MONOLITHIC_PAIRS = [
+    (name, _operand(la, 31), _operand(lb, 32))
+    for name, la, lb in _MONOLITHIC_SHAPES] + [
+    ("B^2-by-B^2-1", _B ** 2, _B ** 2 - 1), ("B^2-by-B", _B ** 2, _B),
+    ("B-1-squared", _B - 1, _B - 1)]
+
+
+class TestMonolithicWidth:
+    """Products around the packed multiplier's block (Cambricon-P's
+    35904-bit monolithic width) against Python ``int`` through the mpn
+    dispatcher, the executor the server runs and the HTTP front door.
+    Under ``REPRO_PACKED=0`` the same requests run the limb kernels."""
+
+    @pytest.mark.parametrize("name, a, b", MONOLITHIC_PAIRS,
+                             ids=[pair[0] for pair in MONOLITHIC_PAIRS])
+    def test_dispatcher_matches_int(self, name, a, b):
+        an, bn = to_nat(a), to_nat(b)
+        assert from_nat(mpn.mul(an, bn)) == a * b
+        assert from_nat(mpn.mul(bn, an)) == a * b
+        assert from_nat(mul(an, bn, GMP_POLICY, backend="packed")) \
+            == a * b
+        assert from_nat(sqr(an, GMP_POLICY, backend="packed")) == a * a
+
+    def test_executor_matches_int(self):
+        for name, a, b in MONOLITHIC_PAIRS:
+            plan = plan_for_job("mul", {"a": a, "b": b})
+            assert run(plan, {"a": a, "b": b}) == {"product": a * b}, name
+
+    def test_front_door_matches_int(self):
+        config = ServeConfig(port=0, max_wait_ms=60_000.0)
+        with ServerThread(config) as server:
+            client = ServeClient(server.host, server.port)
+            for name, a, b in MONOLITHIC_PAIRS:
+                payload = {"op": "mul", "id": "monolithic-" + name,
+                           "params": {"a": hex(a), "b": hex(b)}}
+                status, body = client.request(payload)
+                assert status == 200, (name, body)
+                assert body["result"] == expected_result(payload), name
 
 
 class TestLinearKernelRouting:

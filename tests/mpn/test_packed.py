@@ -9,16 +9,20 @@ dispatcher level lives in ``tests/differential/test_packed_paths.py``.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.model import DEFAULT_CONFIG
 from repro.mpn import nat
+from repro.mpn.mul import MPAPCA_POLICY
 from repro.mpn.nat import LIMB_BITS, MpnError
-from repro.mpn.packed import (KARATSUBA_BLOCKS, PACK_LIMBS,
-                              POWMOD_PACK_LIMBS, WINDOW_BITS_MAX,
+from repro.mpn.packed import (KARATSUBA_BLOCKS, MUL_PACK_LIMBS,
+                              PACK_LIMBS, POWMOD_PACK_LIMBS,
+                              WINDOW_BITS_MAX,
                               WINDOW_TABLE, _window_bits,
                               add_packed, divmod_packed, mul_packed,
                               pack_blocks, powmod_packed, shl_packed,
@@ -30,8 +34,9 @@ from tests.differential.conftest import diff_examples
 
 #: Block widths exercised everywhere: degenerate (k=1 is the limb
 #: representation itself), odd, powmod's default, odd and wider than
-#: it, and the default of every other kernel.
-PACK_WIDTHS = (1, 2, 3, POWMOD_PACK_LIMBS, 13, PACK_LIMBS)
+#: it, division's default, and mul's monolithic default.
+PACK_WIDTHS = (1, 2, 3, POWMOD_PACK_LIMBS, 13, PACK_LIMBS,
+               MUL_PACK_LIMBS)
 
 #: Raw limb lists with interesting shapes: empty, odd tails
 #: (``len % k != 0`` for every k above), saturated limbs, zero limbs
@@ -41,8 +46,11 @@ limb_lists = st.lists(
     max_size=4 * PACK_LIMBS + 3)
 
 
-#: Block base at the default width.
+#: Block base at division's default width.
 _B = 1 << (LIMB_BITS * PACK_LIMBS)
+
+#: Block base at the multiplier's default (monolithic) width.
+_MB = 1 << (LIMB_BITS * MUL_PACK_LIMBS)
 
 #: Width in bits and base of powmod's own default block.
 _W = LIMB_BITS * POWMOD_PACK_LIMBS
@@ -66,16 +74,16 @@ CONVOLUTION_SHAPES = [
 
 
 def _block_operand(blocks: int, fill: str, seed: int) -> int:
-    """An integer of exactly ``blocks`` default-width blocks."""
+    """An integer of exactly ``blocks`` of the multiplier's blocks."""
     if fill == "ones":
-        return _B ** blocks - 1
+        return _MB ** blocks - 1
     rng = random.Random(0xC0 + 31 * blocks + seed)
-    digits = [rng.randrange(_B) for _ in range(blocks)]
+    digits = [rng.randrange(_MB) for _ in range(blocks)]
     if fill == "holes":
         for i in range(1, blocks - 1, 3):
             digits[i] = 0
     digits[-1] |= 1
-    return sum(digit * _B ** i for i, digit in enumerate(digits))
+    return sum(digit * _MB ** i for i, digit in enumerate(digits))
 
 
 #: Division operands pinned from a seeded search; each drives one
@@ -105,6 +113,24 @@ DIVISION_FIXUPS = {
         1 + _B + (_B - 1) * _B ** 2),
     "tall-quotient": (_B ** 66 - 1, _B * _B // 2 + 1),
 }
+
+
+class TestMulBlockWidth:
+    def test_mul_block_is_the_monolithic_width(self):
+        """mul/sqr pack exactly the operand width Cambricon-P multiplies
+        in one pass, where MPApca's Karatsuba starts (Section VII-B)."""
+        assert MUL_PACK_LIMBS == MPAPCA_POLICY.karatsuba_limbs
+        assert MUL_PACK_LIMBS \
+            == DEFAULT_CONFIG.monolithic_max_bits // LIMB_BITS
+        assert LIMB_BITS * MUL_PACK_LIMBS \
+            == DEFAULT_CONFIG.monolithic_max_bits
+        for kernel in (mul_packed, sqr_packed):
+            assert inspect.signature(kernel).parameters["k"].default \
+                == MUL_PACK_LIMBS
+        for kernel in (divmod_packed, add_packed, sub_packed,
+                       shl_packed, shr_packed):
+            assert inspect.signature(kernel).parameters["k"].default \
+                == PACK_LIMBS
 
 
 class TestPackUnpack:
@@ -144,7 +170,11 @@ class TestPackUnpack:
     def test_unpack_trims_leading_zero_limbs(self):
         """A top block narrower than k limbs must not grow the list."""
         assert unpack_blocks([1], PACK_LIMBS) == [1]
+        assert unpack_blocks([1], MUL_PACK_LIMBS) == [1]
         assert unpack_blocks([0, 1], 2) == [0, 0, 1]
+        assert unpack_blocks([5, 0], 3) == [5]
+        assert unpack_blocks([7, 1 << 40], MUL_PACK_LIMBS) \
+            == [7] + [0] * (MUL_PACK_LIMBS - 1) + [0, 1 << 8]
 
     def test_pack_trims_trailing_zero_blocks(self):
         # Unnormalized input is a caller bug elsewhere, but zero-valued
@@ -180,6 +210,15 @@ class TestPackUnpack:
             unpack_blocks([1 << (LIMB_BITS * 2)], 2)
         with pytest.raises(MpnError):
             unpack_blocks([-1], 2)
+        # The top block encodes at its own length; a too-wide or
+        # negative one is still rejected at the wide mul width.
+        wide = LIMB_BITS * MUL_PACK_LIMBS
+        for blocks in ([1 << wide], [5, 1 << wide], [(1 << wide) + 7],
+                       [3, (1 << (wide + 100)) - 1], [5, -1], [-(1 << 40)]):
+            with pytest.raises(MpnError):
+                unpack_blocks(blocks, MUL_PACK_LIMBS)
+        assert unpack_blocks([(1 << wide) - 1], MUL_PACK_LIMBS) \
+            == [(1 << LIMB_BITS) - 1] * MUL_PACK_LIMBS
 
 
 class TestArithmeticKernels:
