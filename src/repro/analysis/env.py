@@ -198,11 +198,6 @@ SERVE_MAX_WAIT_MS = declare(
     "exceeds this are rejected at admission.",
     "serve")
 
-SERVE_BATCH = declare(
-    "REPRO_SERVE_BATCH", "16", "int",
-    "Dynamic-batch size bound of the serve batcher.",
-    "serve")
-
 SERVE_MAX_BITS = declare(
     "REPRO_SERVE_MAX_BITS", str(1 << 20), "int",
     "Operand-size ceiling (bits) for mul/div/powmod requests.",

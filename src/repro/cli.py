@@ -312,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue", type=int, default=None,
                        help="admission-queue capacity "
                             "(default: $REPRO_SERVE_QUEUE or 256)")
-    serve.add_argument("--max-batch", type=int, default=None,
-                       help="dynamic-batch bound "
-                            "(default: $REPRO_SERVE_BATCH or 16)")
     serve.add_argument("--shards", type=int, default=None,
                        help="shard worker processes behind the "
                             "plan-aware router; 0 = single process "
@@ -743,8 +740,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port, shards=shards)
         return run_router(router_config, announce=announce)
     config = ServeConfig.from_env(
-        host=args.host, port=args.port, queue_capacity=args.queue,
-        max_batch=args.max_batch)
+        host=args.host, port=args.port, queue_capacity=args.queue)
     return run_server(config, announce=announce)
 
 

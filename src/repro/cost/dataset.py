@@ -194,9 +194,8 @@ def harvest_trace(path) -> List[Dict]:
 
     Traces stamped with the plan fingerprint (backend + limbs, see
     :func:`repro.serve.trace.annotate_plan`) and an
-    ``execute_start->execute_end`` span yield one row each: the span
-    divided by the batch size approximates the per-item kernel time
-    (batch members share one dispatch)."""
+    ``execute_start->execute_end`` span yield one row each, priced at
+    that span: the batcher runs one job per span."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError:
@@ -222,11 +221,8 @@ def harvest_trace(path) -> List[Dict]:
         if span_ms is None or backend is None \
                 or not isinstance(limbs, int):
             continue
-        batch = meta.get("batch_size", 1)
-        if not isinstance(batch, int) or batch < 1:
-            batch = 1
         row = make_row(str(payload.get("op", "")), str(backend), limbs,
-                       float(span_ms) * 1e6 / batch, source="trace")
+                       float(span_ms) * 1e6, source="trace")
         if row is not None:
             rows.append(row)
     return rows

@@ -8,7 +8,6 @@ A :class:`Plan` is the one execution IR every layer consumes:
 * the cycle estimate, priced by the one
   :class:`~repro.core.model.CambriconPModel` through the MPApca
   composition rules (:mod:`repro.runtime.mpapca`);
-* the compatibility key the serve batcher coalesces on;
 * the memo key — schema version + thresholds fingerprint + algorithm —
   that salts every result cache downstream, so retuning can never
   serve a stale cached result.
@@ -59,7 +58,10 @@ from repro.plan.spec import OpSpec, PlanError
 #: block counts and step notes ("1 block") changed, and every packed
 #: mul whose smaller operand has at most 35904 bits lowers to a
 #: one-block ``packed-basecase``.
-PLAN_SCHEMA_VERSION = 12
+#: v13: the batch-compatibility key left ``Plan`` (the serve batcher
+#: runs one job per dequeue and the router no longer places by it), and
+#: ``describe()`` lost its line.
+PLAN_SCHEMA_VERSION = 13
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -101,11 +103,6 @@ class Plan:
     policy_name: str = "tuned"
 
     # -- keys ----------------------------------------------------------------
-
-    @property
-    def compat_key(self) -> Tuple[str, str]:
-        """Jobs with equal compat keys may share a service batch."""
-        return (self.spec.op, self.backend)
 
     @property
     def memo_key(self) -> Tuple:
@@ -152,7 +149,6 @@ class Plan:
                                      tuple(self.tuning[1:6])),
             "  cost:       %.0f cycles (%.3g s modeled)"
             % (self.cost_cycles, self.seconds()),
-            "  compat key: %s" % (self.compat_key,),
             "  memo key:   %s" % (self.memo_key,),
             "  steps:",
         ]

@@ -6,9 +6,9 @@ The serving pipeline, front to back:
   (``repro serve``) with per-request deadlines and priorities;
 * :mod:`repro.serve.queue` — bounded, admission-controlled priority
   queue that sheds load explicitly (``rejected:overloaded``);
-* :mod:`repro.serve.batcher` — dynamic batcher coalescing compatible
-  jobs into batches it runs on the event loop, each member through the
-  plan admission lowered for it (:func:`repro.plan.execute.run`);
+* :mod:`repro.serve.batcher` — the consumer that runs one queued job
+  per dequeue on the event loop, through the plan admission lowered
+  for it (:func:`repro.plan.execute.run`);
 * :mod:`repro.serve.jobs` — validation and pricing (the lowered plan);
 * :mod:`repro.serve.metrics` / :mod:`repro.serve.trace` — lock-free
   counters and histograms at ``/metrics``, span traces under

@@ -1,34 +1,33 @@
-"""Dynamic batcher: coalesce compatible jobs, run them, respond.
+"""Dynamic batcher: run queued jobs one at a time, respond.
 
 The consumer half of the serve pipeline.  A single asyncio task pulls
 the highest-priority job off the :class:`~repro.serve.queue.
-AdmissionQueue`, takes the queued jobs sharing its plan compatibility
-key (``Job.compat_key()`` — op + lowered backend) up to ``max_batch``,
-and runs the batch on the event loop itself, one member after another.
-Each member runs the plan admission lowered for it
+AdmissionQueue` and runs it on the event loop itself, one job per
+dequeue, as Cambricon-P's MPApca runs one monolithic operation at a
+time.  Each job runs the plan admission lowered for it
 (:func:`repro.plan.execute.run` on ``job.plan``), so the backend its
 trace and the census report is the backend that ran; the integer
 results of mul, div and powmod are then hex-encoded for the wire.
 
-* every member's own deadline is checked just before it runs, so a
-  job whose deadline lapsed while an earlier member ran is answered
+* a job's deadline is checked once, just before it runs, so a job
+  whose deadline lapsed while an earlier job ran is answered
   ``rejected:deadline`` rather than computed;
-* after each member the loop is handed back (``ADMIT_YIELDS``), so
-  its response is written and waiting requests are admitted or shed
-  before the next member runs; after a batch's last member with
-  nothing queued the batcher suspends in ``queue.get()`` instead,
-  which hands the loop back by itself;
+* after each job, while work is queued, the loop is handed back
+  (``ADMIT_YIELDS``), so its response is written and waiting requests
+  are admitted or shed before the next job runs; with nothing queued
+  the batcher suspends in ``queue.get()`` instead, which hands the
+  loop back by itself;
 * ``model_cycles`` and ``pi_digits`` results memoize in a small LRU —
   identical queries are answered from cache without running a kernel.
 
 A running kernel therefore blocks the loop: no new request is read
 and no deadline is answered until it ends.  The longest stall is one
-member's kernel, which the admission ceilings bound
+job's kernel, which the admission ceilings bound
 (``docs/SERVING.md``).  Scale-out comes from shards, not from threads
 inside one server.
 
-Results always return in request order, and batching never changes a
-result: every answer equals Python ``int`` arithmetic
+Jobs run in queue order (priority first, FIFO within a priority), and
+every answer equals Python ``int`` arithmetic
 (:func:`repro.serve.client.expected_result`).
 """
 
@@ -37,15 +36,15 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.plan.execute import run as run_plan
 from repro.serve import trace as tracing
 from repro.serve.jobs import Job
-from repro.serve.metrics import (BATCH_SIZE_BOUNDS, MetricsRegistry)
+from repro.serve.metrics import MetricsRegistry
 from repro.serve.queue import AdmissionQueue
 
-#: Loop iterations handed back after each member.  A request waiting
+#: Loop iterations handed back after each job.  A request waiting
 #: in the listen backlog reaches admission on the fifth iteration after
 #: the loop is free (accept, transport setup, handler start, read,
 #: parse and admit); the sixth lets that step run before the batcher
@@ -60,20 +59,16 @@ HEX_OPS = ("mul", "div", "powmod")
 
 
 class DynamicBatcher:
-    """Coalesce → run → respond, one member at a time."""
+    """Dequeue → run → respond, one job at a time."""
 
     def __init__(self, queue: AdmissionQueue,
                  registry: Optional[MetricsRegistry] = None,
-                 max_batch: int = 16, cache_size: int = 512) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
+                 cache_size: int = 512) -> None:
         self.queue = queue
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.max_batch = max_batch
         self._cache: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self._cache_size = cache_size
-        self.batches_dispatched = 0
         self.jobs_completed = 0
 
     # -- main loop ------------------------------------------------------------
@@ -89,46 +84,23 @@ class DynamicBatcher:
             job = await self.queue.get()
             if job is None:
                 break
-            batch = [job] + self.queue.take_compatible(
-                job.compat_key(), self.max_batch - 1)
             self.registry.gauge("queue_depth").set(self.queue.depth)
-            await self._dispatch(job.op, batch)
+            tracing.mark(job.trace, "batched")
+            if self._settled(job):
+                continue
+            self._run_job(job)
+            if self.queue.depth:
+                # Hand the loop back (``queue.get`` returns without
+                # yielding while work is queued): the answered handler
+                # writes its response, and requests that arrived while
+                # the kernel held the loop reach admission control.
+                for _ in range(ADMIT_YIELDS):
+                    await asyncio.sleep(0)
 
     # -- dispatch -------------------------------------------------------------
 
-    async def _dispatch(self, op: str, batch: List[Job]) -> None:
-        now = time.monotonic()
-        live: List[Job] = []
-        for job in batch:
-            tracing.mark(job.trace, "batched")
-            if not self._settled(job, now):
-                live.append(job)
-        if not live:
-            return
-        self.batches_dispatched += 1
-        self.registry.counter("batches_total", op=op).inc()
-        self.registry.histogram("batch_size",
-                                bounds=BATCH_SIZE_BOUNDS).observe(
-            float(len(live)))
-        last = live[-1]
-        for job in live:
-            # An earlier member may have outlived this one's deadline.
-            if self._settled(job):
-                continue
-            self._run_member(job, len(live))
-            if job is last and not self.queue.depth:
-                # Nothing queued: ``queue.get`` suspends the batcher
-                # and hands the loop back anyway.
-                break
-            # Hand the loop back (``queue.get`` returns without
-            # yielding while work is queued): the answered handler
-            # writes its response, and requests that arrived while the
-            # kernel held the loop reach admission control.
-            for _ in range(ADMIT_YIELDS):
-                await asyncio.sleep(0)
-
-    def _settled(self, job: Job, now: Optional[float] = None) -> bool:
-        """Answer a member that must not run; ``True`` when it was."""
+    def _settled(self, job: Job) -> bool:
+        """Answer a job that must not run; ``True`` when it was."""
         if job.future is not None and job.future.cancelled():
             # The server already answered (its wait_for timed out,
             # cancelling the future) and counted the expiry; count
@@ -136,7 +108,7 @@ class DynamicBatcher:
             # shows up twice in deadline_expired_total.
             self.registry.counter("deadline_dropped_total").inc()
             return True
-        if job.expired(now):
+        if job.expired():
             self._finish(job, {"ok": False, "id": job.job_id,
                                "op": job.op, "error": "rejected:deadline"},
                          status="deadline")
@@ -144,7 +116,7 @@ class DynamicBatcher:
             return True
         return False
 
-    def _run_member(self, job: Job, batch_size: int) -> None:
+    def _run_job(self, job: Job) -> None:
         tracing.mark(job.trace, "execute_start")
         started = time.monotonic()
         try:
@@ -162,12 +134,11 @@ class DynamicBatcher:
             predicted_ns=job.cost_ns)
         tracing.mark(job.trace, "execute_end")
         if job.trace is not None:
-            job.trace.annotate(batch_size=batch_size, cached=cached)
+            job.trace.annotate(cached=cached)
         self.registry.counter(
             "cache_hits_total" if cached else "cache_misses_total").inc()
         self._finish(job, {"ok": True, "id": job.job_id, "op": job.op,
-                           "result": payload, "batch_size": batch_size,
-                           "cached": cached,
+                           "result": payload, "cached": cached,
                            "queue_ms": round(job.queue_ms(), 3)},
                      status="ok")
 
@@ -184,7 +155,7 @@ class DynamicBatcher:
     # -- execution --------------------------------------------------------------
 
     def _execute(self, job: Job) -> Tuple[Dict[str, Any], bool]:
-        """One member's ``(payload, cached)``."""
+        """One job's ``(payload, cached)``."""
         key = job.cache_key()
         if key is not None and key in self._cache:
             self._cache.move_to_end(key)

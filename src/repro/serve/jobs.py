@@ -3,12 +3,11 @@
 A *job* is one client-requested operation — ``mul``, ``div``,
 ``powmod``, ``pi_digits``, or ``model_cycles`` — with canonicalized
 integer parameters, the lowered execution :class:`~repro.plan.
-lowering.Plan` (admission cost = ``plan.cost()``, batch compatibility
-= ``plan.compat_key``, cache salting = ``plan.memo_key``), an optional
-deadline, and a priority.  Validation happens entirely at the front
-door so nothing malformed, oversized, or divide-by-zero ever reaches
-the batcher; the error codes here are the service's public
-vocabulary (``invalid:*`` for rejected inputs).
+lowering.Plan` (admission cost = ``plan.cost()``, cache salting =
+``plan.memo_key``), an optional deadline, and a priority.  Validation
+happens entirely at the front door so nothing malformed, oversized, or
+divide-by-zero ever reaches the batcher; the error codes here are the
+service's public vocabulary (``invalid:*`` for rejected inputs).
 
 The plan lowered here is the plan that runs: the batcher executes
 ``job.plan`` through :func:`repro.plan.execute.run`, so the backend
@@ -102,10 +101,6 @@ class Job:
         """Milliseconds since the job was admitted."""
         return ((now if now is not None else time.monotonic())
                 - self.created_at) * 1000.0
-
-    def compat_key(self) -> Tuple[str, str]:
-        """Batch-compatibility key (jobs sharing it may coalesce)."""
-        return self.plan.compat_key
 
     def cache_key(self) -> Optional[Tuple]:
         """Memo key for idempotent, parameter-pure job types.

@@ -32,9 +32,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 LATENCY_BOUNDS_MS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
                      200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0)
 
-#: Batch-size histogram boundaries (jobs per dispatched batch).
-BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 

@@ -17,18 +17,18 @@ always gets an explicit answer instead of a silent drop:
 When the learned cost model (:mod:`repro.cost`) has priced every
 pending job in predicted wall nanoseconds (``Job.cost_ns``), the wait
 estimate uses that backlog directly — scaled by an EWMA calibration of
-predicted-vs-observed batch time — instead of the cycles/rate detour;
+predicted-vs-observed job time — instead of the cycles/rate detour;
 one unpriced job in the queue falls the whole estimate back to cycles
 so the two backlogs never mix.  The service-rate EWMA itself can be
-*seeded* before the first batch completes (:meth:`seed_service_rate`,
+*seeded* before the first job completes (:meth:`seed_service_rate`,
 fed by the cost model at server boot) so the wait gate is live from
 the first request; the first real observation replaces the seed
 outright rather than blending with it.
 
 Ordering is priority-first (9 highest), FIFO within a priority.  The
-consumer side is a single batcher task on the asyncio loop; submit is
-synchronous (no awaits between check and append), so admission is
-atomic with respect to the loop.
+consumer side is a single batcher task on the asyncio loop that takes
+one job per dequeue; submit is synchronous (no awaits between check
+and append), so admission is atomic with respect to the loop.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class AdmissionQueue:
     @property
     def service_rate_cycles_per_ms(self) -> Optional[float]:
         """The observed-service-rate EWMA (``None`` before the first
-        completed batch) — exported at ``/statz`` so a fleet router can
+        completed job) — exported at ``/statz`` so a fleet router can
         aggregate per-shard rates into one admission bound."""
         return self._rate_cycles_per_ms
 
@@ -147,11 +147,11 @@ class AdmissionQueue:
         return self._rate_seeded
 
     def seed_service_rate(self, cycles_per_ms: float) -> None:
-        """Pre-load the service rate before any batch has completed.
+        """Pre-load the service rate before any job has completed.
 
         Only takes effect while the queue is cold (no observed rate);
         the first :meth:`observe_service` replaces the seed outright,
-        so a bad seed costs exactly one batch of estimation error."""
+        so a bad seed costs exactly one job of estimation error."""
         if cycles_per_ms <= 0.0 or self._rate_cycles_per_ms is not None:
             return
         self._rate_cycles_per_ms = cycles_per_ms
@@ -159,10 +159,10 @@ class AdmissionQueue:
 
     def observe_service(self, cycles: float, wall_ms: float,
                         predicted_ns: Optional[float] = None) -> None:
-        """Feed one completed batch into the service-rate EWMA.
+        """Feed one completed job into the service-rate EWMA.
 
-        ``predicted_ns`` — the cost model's price for the same batch,
-        when every member had one — additionally calibrates the
+        ``predicted_ns`` — the cost model's price for the same job,
+        when it had one — additionally calibrates the
         predicted-ns wait path against observed wall time."""
         if wall_ms <= 0.0 or cycles <= 0.0:
             return
@@ -225,31 +225,6 @@ class AdmissionQueue:
                 await asyncio.wait_for(self._event.wait(), remaining)
             except asyncio.TimeoutError:
                 return None
-
-    def take_compatible(self, key, limit: int) -> List[Job]:
-        """Pop up to ``limit`` queued jobs with the same batch
-        compatibility key (``Job.compat_key()`` — op + plan backend),
-        in priority order — the batcher's coalescing primitive.
-
-        Keying on the plan rather than the op name keeps jobs on
-        different backends in separate batches, so a batch never mixes
-        packed and library plans."""
-        if limit <= 0:
-            return []
-        matching = sorted(
-            (index for index, job in enumerate(self._items)
-             if job.compat_key() == key),
-            key=lambda index: (-self._items[index].priority,
-                               self._items[index].seq))
-        chosen = set(matching[:limit])
-        taken = [job for index, job in enumerate(self._items)
-                 if index in chosen]
-        self._items = [job for index, job in enumerate(self._items)
-                       if index not in chosen]
-        for job in taken:
-            self._forget_pending(job)
-        taken.sort(key=lambda job: (-job.priority, job.seq))
-        return taken
 
     def drain(self) -> List[Job]:
         """Pop every queued job at once (the crash path).

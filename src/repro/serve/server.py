@@ -48,7 +48,6 @@ from repro.serve.queue import AdmissionQueue
 #: Capacity knobs (see docs/SERVING.md).
 QUEUE_ENV = _env.SERVE_QUEUE.name
 MAX_WAIT_ENV = _env.SERVE_MAX_WAIT_MS.name
-BATCH_ENV = _env.SERVE_BATCH.name
 
 _MAX_BODY_BYTES = 8 << 20
 _MAX_HEADER_LINES = 64
@@ -62,7 +61,6 @@ class ServeConfig:
     port: int = 8421
     queue_capacity: int = 256
     max_wait_ms: float = 10_000.0
-    max_batch: int = 16
     max_body_bytes: int = _MAX_BODY_BYTES
 
     @classmethod
@@ -72,7 +70,6 @@ class ServeConfig:
                                           minimum=1),
             max_wait_ms=_env.float_value(_env.SERVE_MAX_WAIT_MS,
                                          10_000.0, minimum=1.0),
-            max_batch=_env.int_value(_env.SERVE_BATCH, 16, minimum=1),
         )
         for name, value in overrides.items():
             if value is not None:
@@ -308,9 +305,7 @@ class ReproServer(HttpFrontDoor):
         self.queue = AdmissionQueue(
             capacity=self.config.queue_capacity,
             max_wait_ms=self.config.max_wait_ms)
-        self.batcher = DynamicBatcher(
-            self.queue, self.registry,
-            max_batch=self.config.max_batch)
+        self.batcher = DynamicBatcher(self.queue, self.registry)
         self.host = self.config.host
         self.port = self.config.port
         self._batcher_task: Optional[asyncio.Task] = None
@@ -510,7 +505,6 @@ class ReproServer(HttpFrontDoor):
             "submitted": self.queue.submitted,
             "shed": self.queue.shed,
             "jobs_completed": self.batcher.jobs_completed,
-            "batches_dispatched": self.batcher.batches_dispatched,
         }
 
 
@@ -595,13 +589,11 @@ async def _serve_main(config: Optional[ServeConfig],
             break
     if announce is not None:
         announce("repro-serve listening on %s:%d" % (host, port))
-        announce("  queue=%d max_wait_ms=%g max_batch=%d"
+        announce("  queue=%d max_wait_ms=%g"
                  % (server.config.queue_capacity,
-                    server.config.max_wait_ms,
-                    server.config.max_batch))
+                    server.config.max_wait_ms))
     await server.wait_terminated()
     if announce is not None:
-        announce("repro-serve drained: %d served, %d shed, %d batches"
-                 % (server.batcher.jobs_completed, server.queue.shed,
-                    server.batcher.batches_dispatched))
+        announce("repro-serve drained: %d served, %d shed"
+                 % (server.batcher.jobs_completed, server.queue.shed))
     return 0

@@ -18,9 +18,10 @@ sequence:
 3. scrape ``/metrics`` and require the core series to be present and
    consistent with the load generator's own counts (the sharded scrape
    must carry both the merged ``repro_serve_*`` shard series and the
-   router's own ``repro_router_*`` series, and the router must have
+   router's own ``repro_router_*`` series, the router must have
    opened fewer shard connections than it proxied jobs — it keeps
-   them open);
+   them open — and the fewest jobs routed to one shard must be at
+   least :data:`MIN_ROUTED_BALANCE` of the most);
 4. send SIGTERM and require a graceful drain (exit code 0) — sharded,
    that proves the router propagated the drain to every worker within
    the bounded deadline.
@@ -69,6 +70,13 @@ WIDE_SHAPES = tuple(
     for blocks in (7, 13, 25) for op in ("mul", "div")) + (
     ("mul", _MUL_BLOCK_BITS + 4096, _MUL_BLOCK_BITS + 4096),
     ("mul", 2 * _MUL_BLOCK_BITS + 8192, _MUL_BLOCK_BITS + 4096))
+
+
+#: Sharded: the least-routed shard's ``repro_router_routed_total`` over
+#: the most-routed shard's must reach this.  The router places each job
+#: on the least-loaded shard, so an unbalanced fleet means a shard the
+#: router cannot reach or a placement rule that piles work on one.
+MIN_ROUTED_BALANCE = 0.5
 
 
 def _fail(message: str) -> int:
@@ -161,6 +169,16 @@ def main(requests: int = 200, concurrency: int = 8,
                              % (connects, routed))
             print("smoke: shard connections reused (%g opened for %g "
                   "proxied jobs)" % (connects, routed))
+            per_shard = [values.get('repro_router_routed_total'
+                                    '{shard="%d"}' % index, 0.0)
+                         for index in range(shards)]
+            balance = min(per_shard) / max(per_shard)
+            if balance < MIN_ROUTED_BALANCE:
+                return _fail("routed jobs per shard %r: balance %.2f < "
+                             "%g" % (per_shard, balance,
+                                     MIN_ROUTED_BALANCE))
+            print("smoke: routing balanced (per shard %r, balance %.2f)"
+                  % (per_shard, balance))
         print("smoke: metrics ok (%d series, requests_total=%g)"
               % (len(values), served))
 
@@ -177,8 +195,14 @@ def main(requests: int = 200, concurrency: int = 8,
         return 0
     finally:
         if process.poll() is None:
-            process.kill()
-            process.wait()
+            # SIGTERM first: a router forwards it to its shard workers,
+            # which a SIGKILL would leave running.
+            process.terminate()
+            try:
+                process.wait(timeout=_DRAIN_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
 
 
 def _serve_wide(client: ServeClient) -> str:

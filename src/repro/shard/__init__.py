@@ -3,14 +3,13 @@
 ``repro serve --shards N`` boots :class:`~repro.shard.router.
 ShardRouter`: N supervised OS processes each running the
 single-event-loop :class:`~repro.serve.server.ReproServer`, fronted by
-a plan-aware rendezvous-hashing router with fleet-wide admission
+a least-loaded router with plan-priced fleet-wide admission
 control, a memo-key-salted cross-shard result cache, and one merged
 ``/metrics``/``/healthz``/``/traces`` plane.  See ``docs/SERVING.md``.
 """
 
 from repro.shard.cache import ShardResultCache, shard_cache_enabled
 from repro.shard.router import (RouterConfig, RouterThread, ShardRouter,
-                                rank_shards, rendezvous_weight,
                                 run_router)
 from repro.shard.supervisor import (ShardHandle, ShardSupervisor,
                                     shard_environment)
@@ -22,8 +21,6 @@ __all__ = [
     "ShardResultCache",
     "ShardRouter",
     "ShardSupervisor",
-    "rank_shards",
-    "rendezvous_weight",
     "run_router",
     "shard_cache_enabled",
     "shard_environment",

@@ -6,18 +6,12 @@ HTTP/JSON job protocol of :mod:`repro.serve.server` — it runs the same
 front door keeps connections open by the same rule — and scales it
 across N supervised shard worker processes:
 
-* **plan-aware routing** — jobs are validated and lowered at the front
-  door (the same :func:`~repro.serve.jobs.make_job` the single-process
-  server runs), then placed by *rendezvous hashing* of the plan's
-  ``compat_key`` (op + lowered backend): every shard gets a
-  deterministic weight ``sha1(key | shard-index)`` and the highest
-  weight wins.  Jobs sharing a compat key therefore land on the same
-  shard, where the shard's dynamic batcher can coalesce them —
-  sharding preserves the batching win instead of scattering compatible
-  work.  When the winner is ``_SPILL_MARGIN`` requests deeper than the
-  runner-up, the job spills to the runner-up (bounded-load tiebreak);
-  a dead shard simply drops out of the candidate set and its keys
-  redistribute with no table to rebuild.
+* **load-balanced routing** — jobs are validated and lowered at the
+  front door (the same :func:`~repro.serve.jobs.make_job` the
+  single-process server runs), which prices them for fleet admission,
+  then sent to the live shard with the fewest in-flight jobs; ties go
+  to the shard that has served fewest, so sequential work alternates.
+  A dead shard simply drops out of the candidate set.
 * **fleet admission control** — per-shard observed-service-rate EWMAs
   (scraped from ``/statz``) sum into one fleet rate; the router's own
   count of admitted-but-unanswered cycles is the fleet backlog.  When
@@ -47,7 +41,6 @@ across N supervised shard worker processes:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import signal
 from dataclasses import dataclass
@@ -66,10 +59,6 @@ from repro.shard.supervisor import ShardHandle, ShardSupervisor
 
 #: Shed reason when every shard is dead or restarting.
 SHED_NO_LIVE_SHARDS = "no-live-shards"
-
-#: Rendezvous tiebreak: spill to the runner-up shard once the winner
-#: is this many routed-but-unanswered requests deeper.
-_SPILL_MARGIN = 4
 
 #: How often the router refreshes per-shard ``/statz`` stats.
 _POLL_INTERVAL_S = 0.5
@@ -113,28 +102,6 @@ class RouterConfig:
             if value is not None:
                 setattr(config, name, value)
         return config
-
-
-def rendezvous_weight(compat_key: str, shard_index: int) -> int:
-    """Deterministic highest-random-weight score for one (key, shard).
-
-    The first 8 digest bytes of ``sha1("key|index")`` as an integer:
-    every (key, shard) pair scores independently, so removing a shard
-    reassigns only the keys it owned — the property that makes crash
-    recovery routing-table-free.
-    """
-    digest = hashlib.sha1(
-        ("%s|%d" % (compat_key, shard_index)).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def rank_shards(compat_key: str,
-                live: List[ShardHandle]) -> List[ShardHandle]:
-    """Live shards by descending rendezvous weight for one key."""
-    return sorted(live,
-                  key=lambda handle: rendezvous_weight(compat_key,
-                                                       handle.index),
-                  reverse=True)
 
 
 class ShardRouter(HttpFrontDoor):
@@ -295,19 +262,11 @@ class ShardRouter(HttpFrontDoor):
 
     # -- routing --------------------------------------------------------------
 
-    def pick_shard(self, job: Job,
-                   live: List[ShardHandle]) -> ShardHandle:
-        """Rendezvous winner for the job's compat key, with a bounded
-        queue-depth spill to the runner-up."""
-        key = "%s/%s" % job.compat_key()
-        ranked = rank_shards(key, live)
-        winner = ranked[0]
-        if len(ranked) > 1:
-            runner_up = ranked[1]
-            if winner.inflight >= runner_up.inflight + _SPILL_MARGIN:
-                self.registry.counter("route_spill_total").inc()
-                return runner_up
-        return winner
+    def pick_shard(self, live: List[ShardHandle]) -> ShardHandle:
+        """The live shard with the fewest in-flight jobs; ties go to
+        the one that has served fewest."""
+        return min(live, key=lambda handle: (handle.inflight,
+                                             handle.served))
 
     # -- shard HTTP client ----------------------------------------------------
 
@@ -431,8 +390,8 @@ class ShardRouter(HttpFrontDoor):
                 self.registry.counter("cache_hits_total").inc()
                 return json_response(
                     200, {"ok": True, "id": job.job_id, "op": job.op,
-                          "result": cached, "batch_size": 1,
-                          "cached": True, "queue_ms": 0.0})
+                          "result": cached, "cached": True,
+                          "queue_ms": 0.0})
             self.registry.counter("cache_misses_total").inc()
         live = self.supervisor.live()
         reason = self.admission_reason(job, live)
@@ -443,7 +402,7 @@ class ShardRouter(HttpFrontDoor):
                 503, {"ok": False, "id": job.job_id, "op": job.op,
                       "error": "rejected:overloaded", "reason": reason,
                       "queue_depth": self.fleet_inflight()})
-        handle = self.pick_shard(job, live)
+        handle = self.pick_shard(live)
         return await self._proxy_job(job, handle, request.body,
                                      cacheable)
 

@@ -61,12 +61,13 @@ class ShardHandle:
     restarts: int = 0
     #: Bumps on every (re)spawn; distinguishes pre-crash bookkeeping.
     generation: int = 0
-    #: Router-tracked outstanding proxied requests (queue-depth proxy
-    #: for routing tiebreaks and the fleet depth bound).
+    #: Router-tracked outstanding proxied requests (what routing
+    #: balances, and the fleet depth bound).
     inflight: int = 0
     #: Router-tracked modeled cycles admitted but not yet answered.
     inflight_cycles: float = 0.0
-    #: Requests this shard answered through the router.
+    #: Requests this shard answered through the router (the routing
+    #: tiebreak).
     served: int = 0
     #: Last polled ``/statz`` payload (EWMA rate, queue depth, ...).
     stats: Dict[str, Any] = field(default_factory=dict)

@@ -51,16 +51,16 @@ class TestTypedAccessors:
         assert env.enabled(env.CACHE) is True
 
     def test_int_value_default_floor_and_garbage(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_BATCH", raising=False)
-        assert env.int_value(env.SERVE_BATCH, 16, minimum=1) == 16
-        monkeypatch.setenv("REPRO_SERVE_BATCH", "4")
-        assert env.int_value(env.SERVE_BATCH, 16, minimum=1) == 4
-        monkeypatch.setenv("REPRO_SERVE_BATCH", "0")
+        monkeypatch.delenv("REPRO_SERVE_QUEUE", raising=False)
+        assert env.int_value(env.SERVE_QUEUE, 256, minimum=1) == 256
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "4")
+        assert env.int_value(env.SERVE_QUEUE, 256, minimum=1) == 4
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "0")
         with pytest.raises(ValueError, match="must be >= 1"):
-            env.int_value(env.SERVE_BATCH, 16, minimum=1)
-        monkeypatch.setenv("REPRO_SERVE_BATCH", "many")
+            env.int_value(env.SERVE_QUEUE, 256, minimum=1)
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "many")
         with pytest.raises(ValueError, match="must be an integer"):
-            env.int_value(env.SERVE_BATCH, 16)
+            env.int_value(env.SERVE_QUEUE, 256)
 
     def test_float_value_and_string(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "2.5")

@@ -153,21 +153,6 @@ class TestCost:
 
 
 class TestKeys:
-    def test_compat_key_separates_backends(self):
-        device = lower(OpSpec.for_mul(4096, 4096, backend="device"))
-        library = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                       MONOLITHIC_MAX_BITS + 1,
-                                       backend="library"))
-        auto = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                    MONOLITHIC_MAX_BITS + 1))
-        packed = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                      MONOLITHIC_MAX_BITS + 1,
-                                      backend="packed"))
-        assert device.compat_key == ("mul", "device")
-        assert library.compat_key == ("mul", "library")
-        assert packed.compat_key == ("mul", "packed")
-        assert auto.compat_key == packed.compat_key
-
     def test_memo_key_carries_schema_and_fingerprint(self):
         plan = lower(OpSpec.for_mul(4096, 4096))
         assert plan.memo_key[0] == PLAN_SCHEMA_VERSION

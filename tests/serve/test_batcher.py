@@ -1,4 +1,4 @@
-"""Dynamic batching: coalescing, ordering, caching, deadlines."""
+"""The batcher: one job per dequeue, ordering, caching, deadlines."""
 
 import asyncio
 import json
@@ -40,12 +40,12 @@ def _expected(job):
     return expected_result({"op": job.op, "params": job.params})
 
 
-def _batch(specs, max_batch):
+def _batch(specs):
     """Queue ``(op, params[, extra])`` jobs, then run one batcher until
     all are answered; returns ``(jobs, bodies, batcher)``."""
     async def scenario():
         queue = AdmissionQueue(capacity=32)
-        batcher = DynamicBatcher(queue, max_batch=max_batch)
+        batcher = DynamicBatcher(queue)
         loop = asyncio.get_running_loop()
         jobs = [_submit(queue, loop, op, params, **dict(*extra))
                 for op, params, *extra in specs]
@@ -61,18 +61,29 @@ class TestBatching:
     def test_mul_batch_is_bit_identical_and_batched(self):
         jobs, bodies, batcher = _batch(
             [("mul", {"a": 3 ** (40 + i), "b": 7 ** (30 + i)},
-              {"id": "m%d" % i}) for i in range(6)], max_batch=8)
+              {"id": "m%d" % i}) for i in range(6)])
         for index, (job, body) in enumerate(zip(jobs, bodies)):
             assert body["ok"], body
             assert body["id"] == "m%d" % index
             assert body["result"] == _expected(job)
-        # All six lowered to one host compat key and coalesced into few
-        # batches.
-        registry = batcher.registry
-        assert batcher.batches_dispatched < 6
-        assert registry.counter_total("batches_total") == \
-            batcher.batches_dispatched
-        assert registry.histogram("batch_size").count > 0
+        # Every queued job ran on its own and was answered once.
+        assert batcher.jobs_completed == 6
+        assert batcher.registry.counter_value("cache_misses_total") == 6
+
+    def test_jobs_run_in_queue_order(self, monkeypatch):
+        """At one priority jobs run first in, first out: a later mul
+        never jumps ahead of an earlier job of another op."""
+        ran = []
+        monkeypatch.setattr(batcher_module, "run_plan", lambda *task: (
+            ran.append(task[0].spec.op), run_plan(*task))[1])
+        jobs, bodies, _ = _batch([
+            ("mul", {"a": 3 ** 90, "b": 7}),
+            ("pi_digits", {"digits": 30}),
+            ("mul", {"a": 5 ** 90, "b": 7})])
+        assert ran == ["mul", "pi_digits", "mul"]
+        for job, body in zip(jobs, bodies):
+            assert body["ok"], body
+            assert body["result"] == _expected(job)
 
     def test_mixed_ops_batch_separately_but_all_answer(self):
         jobs, bodies, _ = _batch([
@@ -80,7 +91,7 @@ class TestBatching:
             ("div", {"a": 1000, "b": 7}),
             ("powmod", {"base": 5, "exp": 117, "mod": 1009}),
             ("model_cycles", {"op": "div", "bits_a": 2048,
-                              "bits_b": 1024})], max_batch=4)
+                              "bits_b": 1024})])
         for job, body in zip(jobs, bodies):
             assert body["ok"], body
             assert body["result"] == _expected(job)
@@ -88,13 +99,12 @@ class TestBatching:
     def test_oversized_mul_takes_library_path(self):
         # Far above MONOLITHIC_MAX_BITS (35904): library path.
         big = (1 << 40000) | 0x1234567
-        (job,), (body,), _ = _batch([("mul", {"a": big, "b": big + 2})],
-                                    max_batch=2)
+        (job,), (body,), _ = _batch([("mul", {"a": big, "b": big + 2})])
         assert body["ok"]
         assert body["result"] == _expected(job)
 
     def test_every_op_runs_on_the_event_loop(self, monkeypatch):
-        """No batch leaves the loop's thread: a model query, pi, powmod
+        """No job leaves the loop's thread: a model query, pi, powmod
         and a mul too wide for the monolithic multiplier all run
         inline."""
         threads = []
@@ -106,22 +116,21 @@ class TestBatching:
             ("pi_digits", {"digits": 50}),
             ("powmod", {"base": 5, "exp": 117, "mod": 1009}),
             ("mul", {"a": 1 << (2 * MONOLITHIC_MAX_BITS),
-                     "b": 3 ** 30000})], max_batch=1)
+                     "b": 3 ** 30000})])
         assert all(body["ok"] for body in bodies)
         assert threads == [threading.get_ident()] * 4
 
     def test_member_deadline_lapsing_mid_batch_is_rejected(
             self, monkeypatch):
-        """A member whose deadline passes while an earlier member of
-        its batch runs is answered ``rejected:deadline``, not run."""
+        """A job whose deadline passes while the job ahead of it runs
+        is answered ``rejected:deadline``, not run."""
         ran = []
         monkeypatch.setattr(batcher_module, "run_plan", lambda *task: (
             ran.append(task), time.sleep(0.5), run_plan(*task))[2])
         _, (first, second), batcher = _batch([
             ("mul", {"a": 3 ** 90, "b": 7}),
-            ("mul", {"a": 5 ** 90, "b": 7}, {"deadline_ms": 250})],
-            max_batch=2)
-        assert first["ok"] and first["batch_size"] == 2
+            ("mul", {"a": 5 ** 90, "b": 7}, {"deadline_ms": 250})])
+        assert first["ok"]
         assert second == {"ok": False, "id": second["id"], "op": "mul",
                           "error": "rejected:deadline"}
         assert len(ran) == 1
@@ -130,9 +139,9 @@ class TestBatching:
 
     def test_request_arriving_mid_batch_is_admitted_between_members(
             self, monkeypatch):
-        """A request that connects and sends while one member's kernel
-        holds the loop is admitted before the batch's next member
-        runs: the batcher hands the loop back between members."""
+        """A request that connects and sends while one job's kernel
+        holds the loop is admitted before the next queued job runs:
+        the batcher hands the loop back between jobs."""
         body = json.dumps({"op": "pi_digits", "params": {"digits": 40}})
         request = ("POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
                    % (len(body), body)).encode()
@@ -163,16 +172,16 @@ class TestBatching:
             return bodies, response
 
         bodies, response = run(scenario())
-        assert [body["batch_size"] for body in bodies] == [2, 2]
-        # pi was queued before the second member ran.
-        assert depths == [("mul", 0), ("mul", 1), ("pi_digits", 0)]
+        assert all(body["ok"] for body in bodies)
+        # pi was queued before the second mul ran.
+        assert depths == [("mul", 1), ("mul", 1), ("pi_digits", 0)]
         assert response.startswith(b"HTTP/1.1 200")
 
     def test_cache_hits_for_pure_queries(self):
         async def scenario():
             queue = AdmissionQueue(capacity=8)
             registry = MetricsRegistry()
-            batcher = DynamicBatcher(queue, registry, max_batch=1)
+            batcher = DynamicBatcher(queue, registry)
             loop = asyncio.get_running_loop()
             task = asyncio.ensure_future(batcher.run())
             params = {"op": "mul", "bits_a": 8192, "bits_b": 0}
@@ -194,7 +203,7 @@ class TestBatching:
         async def scenario():
             queue = AdmissionQueue(capacity=4)
             registry = MetricsRegistry()
-            batcher = DynamicBatcher(queue, registry, max_batch=2)
+            batcher = DynamicBatcher(queue, registry)
             loop = asyncio.get_running_loop()
             job = _submit(queue, loop, "mul", {"a": 3, "b": 4},
                           deadline_ms=0.001)
@@ -212,7 +221,7 @@ class TestBatching:
     def test_drain_answers_everything_queued(self):
         async def scenario():
             queue = AdmissionQueue(capacity=64)
-            batcher = DynamicBatcher(queue, max_batch=4)
+            batcher = DynamicBatcher(queue)
             loop = asyncio.get_running_loop()
             jobs = [_submit(queue, loop, "mul", {"a": i + 2, "b": 9})
                     for i in range(10)]
@@ -227,7 +236,6 @@ class TestBatching:
             assert job.future.result()["ok"]
 
     def test_service_rate_feeds_queue_estimator(self):
-        _, _, batcher = _batch([("mul", {"a": 3 ** 500, "b": 7 ** 400})],
-                               max_batch=2)
+        _, _, batcher = _batch([("mul", {"a": 3 ** 500, "b": 7 ** 400})])
         queue = batcher.queue
         assert queue.estimated_wait_ms(extra_cycles=1000.0) is not None

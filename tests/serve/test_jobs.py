@@ -164,18 +164,6 @@ class TestOracle:
 
 
 class TestPlanKeys:
-    def test_compat_key_splits_mul_by_backend(self):
-        small = make_job({"op": "mul", "params": {"a": 3, "b": 5}})
-        big = make_job({"op": "mul",
-                        "params": {"a": 1 << 40000, "b": 1 << 40000}})
-        # auto picks among host kernels only: a one-limb product runs
-        # below every host crossover, never on the device simulator.
-        assert small.compat_key() == ("mul", small.plan.backend)
-        assert small.plan.backend in ("library", "packed")
-        # Over-monolithic muls resolve to the block-packed kernels.
-        assert big.compat_key() == ("mul", "packed")
-        assert small.compat_key() != big.compat_key()
-
     def test_cache_key_carries_plan_memo_key(self):
         job = make_job({"op": "model_cycles",
                         "params": {"op": "mul", "bits_a": 256,

@@ -103,31 +103,6 @@ class TestOrdering:
 
         assert run(scenario()) is not None
 
-    def test_take_compatible_filters_and_orders(self):
-        async def scenario():
-            queue = AdmissionQueue(capacity=10)
-            mul_low = _job(priority=0)
-            div = make_job({"op": "div",
-                            "params": {"a": 100, "b": 7}})
-            mul_high = _job(priority=5)
-            for job in (mul_low, div, mul_high):
-                queue.try_submit(job)
-            taken = queue.take_compatible(mul_low.compat_key(), 8)
-            assert taken == [mul_high, mul_low]
-            assert queue.depth == 1          # the div job remains
-            assert queue.take_compatible(mul_low.compat_key(), 8) == []
-        run(scenario())
-
-    def test_take_compatible_respects_limit(self):
-        async def scenario():
-            queue = AdmissionQueue(capacity=10)
-            jobs = [_job(priority=p) for p in (1, 9, 5)]
-            for job in jobs:
-                queue.try_submit(job)
-            taken = queue.take_compatible(jobs[0].compat_key(), 2)
-            assert [job.priority for job in taken] == [9, 5]
-        run(scenario())
-
     def test_pending_cycles_balance(self):
         async def scenario():
             queue = AdmissionQueue(capacity=10)
@@ -135,8 +110,8 @@ class TestOrdering:
             for job in jobs:
                 queue.try_submit(job)
             assert queue.pending_cycles == pytest.approx(600.0)
-            await queue.get(0.01)
-            queue.take_compatible(jobs[0].compat_key(), 8)
+            for _ in jobs:
+                await queue.get(0.01)
             assert queue.pending_cycles == pytest.approx(0.0)
         run(scenario())
 
@@ -228,8 +203,8 @@ class TestNsPricing:
             jobs = [self._priced(1e6), self._priced(2e6)]
             for job in jobs:
                 queue.try_submit(job)
-            await queue.get(0.01)
-            queue.take_compatible(jobs[0].compat_key(), 8)
+            for _ in jobs:
+                await queue.get(0.01)
             assert queue.pending_ns == pytest.approx(0.0)
         run(scenario())
 

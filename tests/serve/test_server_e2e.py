@@ -25,7 +25,7 @@ from repro.serve.trace import Tracer
 
 @pytest.fixture()
 def server():
-    config = ServeConfig(port=0, queue_capacity=64, max_batch=8,
+    config = ServeConfig(port=0, queue_capacity=64,
                          max_wait_ms=60_000.0)
     with ServerThread(config) as hosted:
         yield hosted
@@ -110,7 +110,7 @@ class TestOverload:
     def test_4x_capacity_burst_sheds_explicitly_and_stays_bounded(self):
         capacity = 8
         config = ServeConfig(port=0, queue_capacity=capacity,
-                             max_batch=4, max_wait_ms=1e9)
+                             max_wait_ms=1e9)
         with ServerThread(config) as hosted:
             client = ServeClient(hosted.host, hosted.port)
             total = 4 * capacity
@@ -176,7 +176,7 @@ class TestDeadlinesAndPriorities:
 
 class TestShutdownDrain:
     def test_queued_work_is_answered_then_clean_exit(self):
-        config = ServeConfig(port=0, queue_capacity=64, max_batch=4)
+        config = ServeConfig(port=0, queue_capacity=64)
         hosted = ServerThread(config)
         hosted.start()
         client = ServeClient(hosted.host, hosted.port)
@@ -227,7 +227,7 @@ class TestHostKernelMul:
         from repro.runtime.mpapca import MONOLITHIC_MAX_BITS
         monkeypatch.setenv("REPRO_TRACE_FILE",
                            str(tmp_path / "drain.jsonl"))
-        config = ServeConfig(port=0, queue_capacity=16, max_batch=4,
+        config = ServeConfig(port=0, queue_capacity=16,
                              max_wait_ms=60_000.0)
         hosted = ServerThread(config, tracer=Tracer(enabled=True))
         hosted.start()
@@ -300,7 +300,7 @@ class TestLabelIsTheKernelThatRan:
             "base": hex(_operand(limbs + 1, limbs)), "exp": "0x10001",
             "mod": hex(_operand(limbs, limbs + 9) & ~1 | odd)}}
             for limbs in (2, 9) for odd in (0, 1)]
-        hosted = ServerThread(ServeConfig(port=0, max_batch=1),
+        hosted = ServerThread(ServeConfig(port=0),
                               tracer=Tracer(enabled=True))
         hosted.start()
         try:
@@ -330,7 +330,7 @@ class TestTracing:
         # inside the test sandbox.
         monkeypatch.setenv("REPRO_TRACE_FILE",
                            str(tmp_path / "drain.jsonl"))
-        config = ServeConfig(port=0, queue_capacity=16, max_batch=4)
+        config = ServeConfig(port=0, queue_capacity=16)
         tracer = Tracer(enabled=True)
         hosted = ServerThread(config, tracer=tracer)
         hosted.start()

@@ -93,7 +93,7 @@ class TestDeadlineAccounting:
         async def scenario():
             queue = AdmissionQueue(capacity=8)
             registry = MetricsRegistry()
-            batcher = DynamicBatcher(queue, registry, max_batch=4)
+            batcher = DynamicBatcher(queue, registry)
             loop = asyncio.get_running_loop()
             job = _queued_job(loop, queue)
             job.future.cancel()
@@ -104,4 +104,4 @@ class TestDeadlineAccounting:
         registry, batcher = run(scenario())
         assert registry.counter_total("deadline_dropped_total") == 1
         assert registry.counter_total("deadline_expired_total") == 0
-        assert batcher.batches_dispatched == 0
+        assert batcher.jobs_completed == 0

@@ -1,16 +1,15 @@
 """Unit tests for the router's pure decision logic.
 
-No sockets, no subprocesses: rendezvous placement, the bounded-load
-spill, fleet admission arithmetic, and the memo-key salting of the
-cross-shard result cache are all plain functions over plain state.
+No sockets, no subprocesses: least-loaded placement, fleet admission
+arithmetic, and the memo-key salting of the cross-shard result cache
+are all plain functions over plain state.
 """
 
 import pytest
 
 from repro.serve.jobs import make_job
 from repro.shard.cache import ShardResultCache
-from repro.shard.router import (RouterConfig, ShardRouter, rank_shards,
-                                rendezvous_weight)
+from repro.shard.router import RouterConfig, ShardRouter
 from repro.shard.supervisor import (STATE_DEAD, STATE_UP, ShardHandle,
                                     ShardSupervisor)
 
@@ -32,68 +31,24 @@ def router():
                        cache=ShardResultCache(enabled=False))
 
 
-class TestRendezvous:
-    def test_weight_is_deterministic(self):
-        assert rendezvous_weight("mul/device", 3) == \
-            rendezvous_weight("mul/device", 3)
-        assert rendezvous_weight("mul/device", 3) != \
-            rendezvous_weight("mul/device", 4)
-        assert rendezvous_weight("mul/device", 3) != \
-            rendezvous_weight("div/library", 3)
-
-    def test_same_key_same_winner(self):
-        live = [ShardHandle(i, state=STATE_UP) for i in range(4)]
-        first = rank_shards("powmod/packed", live)[0]
-        for _ in range(5):
-            assert rank_shards("powmod/packed", live)[0] is first
-
-    def test_keys_spread_across_shards(self):
-        live = [ShardHandle(i, state=STATE_UP) for i in range(4)]
-        winners = {rank_shards("key-%d" % n, live)[0].index
-                   for n in range(64)}
-        assert len(winners) == 4
-
-    def test_dead_shard_redistributes_without_reshuffling(self):
-        # The HRW property: removing a shard reassigns only the keys
-        # it owned; every other key keeps its winner.
-        live = [ShardHandle(i, state=STATE_UP) for i in range(4)]
-        keys = ["key-%d" % n for n in range(64)]
-        before = {key: rank_shards(key, live)[0].index for key in keys}
-        victim = 2
-        survivors = [h for h in live if h.index != victim]
-        for key in keys:
-            after = rank_shards(key, survivors)[0].index
-            if before[key] != victim:
-                assert after == before[key]
-            else:
-                assert after != victim
-
-
 class TestPickShard:
-    def test_idle_fleet_routes_to_rendezvous_winner(self, router):
+    def test_fewest_inflight_wins(self, router):
         live = _fleet(router, [STATE_UP, STATE_UP, STATE_UP])
-        job = make_job({"op": "pi_digits", "params": {"digits": 30}})
-        key = "%s/%s" % job.compat_key()
-        expected = rank_shards(key, live)[0]
-        assert router.pick_shard(job, live) is expected
+        live[0].inflight, live[1].inflight, live[2].inflight = 3, 1, 2
+        live[1].served = 100          # load outranks the served count
+        assert router.pick_shard(live) is live[1]
 
-    def test_deep_winner_spills_to_runner_up(self, router):
+    def test_tie_goes_to_fewest_served(self, router):
         live = _fleet(router, [STATE_UP, STATE_UP, STATE_UP])
-        job = make_job({"op": "pi_digits", "params": {"digits": 30}})
-        key = "%s/%s" % job.compat_key()
-        ranked = rank_shards(key, live)
-        ranked[0].inflight = 10       # well past the spill margin
-        assert router.pick_shard(job, live) is ranked[1]
+        for handle, served in zip(live, (7, 4, 9)):
+            handle.inflight, handle.served = 2, served
+        assert router.pick_shard(live) is live[1]
 
-    def test_small_imbalance_stays_on_winner(self, router):
-        # Sticky placement preserves batching; only a real queue-depth
-        # gap justifies scattering a compat key.
-        live = _fleet(router, [STATE_UP, STATE_UP, STATE_UP])
-        job = make_job({"op": "pi_digits", "params": {"digits": 30}})
-        key = "%s/%s" % job.compat_key()
-        ranked = rank_shards(key, live)
-        ranked[0].inflight = ranked[1].inflight + 1
-        assert router.pick_shard(job, live) is ranked[0]
+    def test_dead_shard_is_never_picked(self, router):
+        handles = _fleet(router, [STATE_UP, STATE_DEAD, STATE_UP])
+        handles[0].inflight = handles[2].inflight = 5
+        # The dead shard is idle, so it would win were it a candidate.
+        assert router.pick_shard(router.supervisor.live()) is handles[0]
 
 
 class TestAdmission:
