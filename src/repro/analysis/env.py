@@ -195,7 +195,8 @@ SERVE_QUEUE = declare(
 SERVE_MAX_WAIT_MS = declare(
     "REPRO_SERVE_MAX_WAIT_MS", "10000", "float",
     "Estimated-wait shedding bound: jobs whose modeled queueing delay "
-    "exceeds this are rejected at admission.",
+    "exceeds this are rejected at admission.  On a fleet each shard "
+    "applies it to its own queue.",
     "serve")
 
 SERVE_MAX_BITS = declare(
@@ -211,7 +212,7 @@ SERVE_MAX_DIGITS = declare(
 SHARDS = declare(
     "REPRO_SHARDS", "0 (single process)", "int",
     "Default shard count for ``repro serve``: 0/unset runs the single "
-    "asyncio process, N boots the plan-aware router in front of N "
+    "asyncio process, N boots the fleet router in front of N "
     "supervised shard workers.",
     "shard")
 

@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: $REPRO_SERVE_QUEUE or 256)")
     serve.add_argument("--shards", type=int, default=None,
                        help="shard worker processes behind the "
-                            "plan-aware router; 0 = single process "
+                            "fleet router; 0 = single process "
                             "(default: $REPRO_SHARDS)")
     serve.set_defaults(handler=_cmd_serve)
 

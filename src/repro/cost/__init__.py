@@ -9,9 +9,8 @@ thresholds alone):
 * serve admission — ``estimated_wait`` prices pending work from
   predicted ns (:func:`predict_plan_ns`) and the queue's service rate
   is seeded before the first batch completes
-  (:func:`seed_rate_cycles_per_ms`);
-* shard routing — the same seed rate stands in while per-shard EWMAs
-  are cold.
+  (:func:`seed_rate_cycles_per_ms`).  On a fleet each shard runs
+  this gate for itself; the router prices nothing.
 
 Everything is behind the ``REPRO_COST`` killswitch: with ``REPRO_COST=0``
 — or simply no fitted model on disk — every function here returns its

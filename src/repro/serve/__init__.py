@@ -17,7 +17,7 @@ The serving pipeline, front to back:
   bench-serve``) that verifies every answer against Python ``int``.
 
 :mod:`repro.shard` scales this pipeline across OS processes: a
-plan-aware router in front of N supervised shard workers, each one a
+fleet router in front of N supervised shard workers, each one a
 :class:`~repro.serve.server.ReproServer` (``repro serve --shards N``).
 
 See ``docs/SERVING.md`` for the protocol and capacity knobs.

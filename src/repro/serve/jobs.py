@@ -29,6 +29,10 @@ from repro.plan.execute import plan_for_job
 #: The service's job vocabulary.
 JOB_OPS = ("mul", "div", "powmod", "pi_digits", "model_cycles")
 
+#: Idempotent, parameter-pure ops: the ones whose answers are cached
+#: (:meth:`Job.cache_key`, the fleet router's cross-shard cache).
+CACHEABLE_OPS = ("pi_digits", "model_cycles")
+
 #: Operand-size ceiling (bits) for mul/div/powmod requests.
 MAX_BITS_ENV = _env.SERVE_MAX_BITS.name
 DEFAULT_MAX_BITS = 1 << 20
@@ -109,10 +113,24 @@ class Job:
         algorithm choice), so a result is never served under a plan
         other than the one it was computed under.
         """
-        if self.op in ("pi_digits", "model_cycles"):
+        if self.op in CACHEABLE_OPS:
             return (self.op,) + tuple(sorted(self.params.items())) \
                 + tuple(self.plan.memo_key)
         return None
+
+
+def job_op(payload: Any) -> str:
+    """The ``op`` of a decoded request body, checked against
+    :data:`JOB_OPS`; raises :class:`JobError` for a non-object body or
+    an unknown op."""
+    if not isinstance(payload, dict):
+        raise JobError("invalid:bad-json", "request body must be an object")
+    op = payload.get("op")
+    if op not in JOB_OPS:
+        raise JobError("invalid:unknown-op",
+                       "op must be one of %s, got %r"
+                       % (", ".join(JOB_OPS), op))
+    return op
 
 
 def make_job(payload: Dict[str, Any]) -> Job:
@@ -121,13 +139,7 @@ def make_job(payload: Dict[str, Any]) -> Job:
     Raises :class:`JobError` with a public ``invalid:*`` code on any
     malformed field; nothing about the payload is trusted.
     """
-    if not isinstance(payload, dict):
-        raise JobError("invalid:bad-json", "request body must be an object")
-    op = payload.get("op")
-    if op not in JOB_OPS:
-        raise JobError("invalid:unknown-op",
-                       "op must be one of %s, got %r"
-                       % (", ".join(JOB_OPS), op))
+    op = job_op(payload)
     raw_params = payload.get("params", {})
     if not isinstance(raw_params, dict):
         raise JobError("invalid:bad-params", "params must be an object")

@@ -137,8 +137,7 @@ class AdmissionQueue:
     @property
     def service_rate_cycles_per_ms(self) -> Optional[float]:
         """The observed-service-rate EWMA (``None`` before the first
-        completed job) — exported at ``/statz`` so a fleet router can
-        aggregate per-shard rates into one admission bound."""
+        completed job), exported at ``/statz``."""
         return self._rate_cycles_per_ms
 
     @property

@@ -488,11 +488,9 @@ class ReproServer(HttpFrontDoor):
     # -- introspection --------------------------------------------------------
 
     def statz(self) -> Dict[str, Any]:
-        """One shard's live service stats (the ``/statz`` payload).
-
-        The router polls this to aggregate fleet admission state: the
-        queue's observed-service-rate EWMA, its pending backlog, and
-        the drain flag that marks the shard degraded."""
+        """One server's live service stats (the ``/statz`` payload):
+        the queue's observed-service-rate EWMA and pending backlog that
+        its wait gate prices against, and the drain flag."""
         return {
             "ok": True,
             "draining": self._draining,

@@ -254,7 +254,7 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument("--shards", type=int, default=0,
-                        help="boot the plan-aware router with N shard "
+                        help="boot the fleet router with N shard "
                              "workers instead of one server process")
     return parser.parse_args(argv)
 

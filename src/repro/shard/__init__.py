@@ -3,8 +3,9 @@
 ``repro serve --shards N`` boots :class:`~repro.shard.router.
 ShardRouter`: N supervised OS processes each running the
 single-event-loop :class:`~repro.serve.server.ReproServer`, fronted by
-a least-loaded router with plan-priced fleet-wide admission
-control, a memo-key-salted cross-shard result cache, and one merged
+a least-loaded forwarding router with a fleet depth bound (each
+shard prices and wait-gates its own jobs), a memo-key-salted
+cross-shard result cache, and one merged
 ``/metrics``/``/healthz``/``/traces`` plane.  See ``docs/SERVING.md``.
 """
 

@@ -1,10 +1,11 @@
 """Cross-shard result cache: memo-key-salted, file-backed.
 
-The router answers idempotent, parameter-pure jobs (``pi_digits``,
-``model_cycles`` — exactly the ops :meth:`repro.serve.jobs.Job.
-cache_key` deems cacheable) from one cache shared across the whole
-fleet, so a query served by shard 2 warms the answer for every future
-client regardless of which shard it would hash to.
+The router answers idempotent, parameter-pure jobs
+(:data:`repro.serve.jobs.CACHEABLE_OPS`: ``pi_digits`` and
+``model_cycles``, the only ops the router lowers) from one cache
+shared across the whole fleet, so a query served by shard 2 warms the
+answer for every future client, whichever shard the router would
+have placed it on.
 
 The key *is* ``Job.cache_key()``, which embeds the plan's
 ``memo_key`` (lowering schema version + thresholds fingerprint +

@@ -1,4 +1,4 @@
-"""Plan-aware front-door router: ``repro serve --shards N``.
+"""Fleet front-door router: ``repro serve --shards N``.
 
 The router is the one address clients see.  It speaks the exact
 HTTP/JSON job protocol of :mod:`repro.serve.server` — it runs the same
@@ -6,28 +6,30 @@ HTTP/JSON job protocol of :mod:`repro.serve.server` — it runs the same
 front door keeps connections open by the same rule — and scales it
 across N supervised shard worker processes:
 
-* **load-balanced routing** — jobs are validated and lowered at the
-  front door (the same :func:`~repro.serve.jobs.make_job` the
-  single-process server runs), which prices them for fleet admission,
-  then sent to the live shard with the fewest in-flight jobs; ties go
-  to the shard that has served fewest, so sequential work alternates.
-  A dead shard simply drops out of the candidate set.
-* **fleet admission control** — per-shard observed-service-rate EWMAs
-  (scraped from ``/statz``) sum into one fleet rate; the router's own
-  count of admitted-but-unanswered cycles is the fleet backlog.  When
-  ``backlog / fleet-rate`` exceeds the max-wait bound the router sheds
-  at its own front door (``rejected:overloaded``), so clients get the
-  same explicit backpressure contract the single process gives.
-* **cross-shard result cache** — idempotent jobs answer from a
-  memo-key-salted shared cache (:mod:`repro.shard.cache`) without
-  touching any shard.
+* **byte-forwarding proxy** — the router decodes a job body only to
+  read its ``op`` (a non-object body or an unknown op is answered
+  ``400`` here, by :func:`~repro.serve.jobs.job_op`), then forwards
+  the body unparsed to the live shard with the fewest in-flight jobs;
+  ties go to the shard that has served fewest, so sequential work
+  alternates.  A dead shard simply drops out of the candidate set.
+  The shard validates, prices and wait-gates the job exactly as the
+  single-process server does, and its answer — a result, a ``400``,
+  a ``503`` or a ``504`` — is relayed unchanged.
+* **fleet depth bound** — the router sheds at its own front door
+  (``rejected:overloaded``) only while draining, with no live shard,
+  or once its proxied-but-unanswered jobs reach ``per_shard_depth``
+  per live shard.  Each shard runs the one estimated-wait gate.
+* **cross-shard result cache** — idempotent jobs
+  (:data:`~repro.serve.jobs.CACHEABLE_OPS`, the only ones the router
+  lowers, for their memo-key-salted cache key) answer from a shared
+  cache (:mod:`repro.shard.cache`) without touching any shard.
 * **one observability plane** — ``/metrics`` merges every shard's
   snapshot through :func:`repro.serve.metrics.merge_snapshots`
   (counters sum, histograms merge bucket-wise) and appends the
   router's own series under the ``repro_router`` prefix; ``/healthz``
   aggregates shard states; ``/traces`` concatenates shard traces.
-* **persistent shard connections** — proxied jobs, ``/statz`` polls
-  and the ``/metrics.json`` and ``/traces`` scrapes all reuse HTTP/1.1
+* **persistent shard connections** — proxied jobs and the
+  ``/metrics.json`` and ``/traces`` scrapes all reuse HTTP/1.1
   keep-alive connections from a per-shard pool of at most
   ``_POOL_SIZE`` idle ones.  A connection is tagged with the shard's
   generation and reused only within it; it returns to the pool only
@@ -47,11 +49,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import env as _env
-from repro.serve.jobs import Job, JobError, make_job
+from repro.serve.jobs import (CACHEABLE_OPS, Job, JobError, job_op,
+                              make_job)
 from repro.serve.metrics import (MetricsRegistry, merge_snapshots,
                                  render_snapshot)
-from repro.serve.queue import (SHED_QUEUE_FULL, SHED_SHUTTING_DOWN,
-                               SHED_WAIT_EXCEEDED)
+from repro.serve.queue import SHED_QUEUE_FULL, SHED_SHUTTING_DOWN
 from repro.serve.server import (HttpFrontDoor, Response, _HttpRequest,
                                 json_response, text_response)
 from repro.shard.cache import ShardResultCache
@@ -59,9 +61,6 @@ from repro.shard.supervisor import ShardHandle, ShardSupervisor
 
 #: Shed reason when every shard is dead or restarting.
 SHED_NO_LIVE_SHARDS = "no-live-shards"
-
-#: How often the router refreshes per-shard ``/statz`` stats.
-_POLL_INTERVAL_S = 0.5
 
 #: Ceiling on one proxied shard exchange (connect + compute + answer).
 _PROXY_TIMEOUT_S = 300.0
@@ -79,11 +78,9 @@ class RouterConfig:
     shards: int = 2
     #: Fleet depth bound is ``per_shard_depth * live shards``.
     per_shard_depth: int = 256
-    max_wait_ms: float = 10_000.0
     drain_s: float = 20.0
     max_restarts: int = 5
     proxy_timeout_s: float = _PROXY_TIMEOUT_S
-    poll_interval_s: float = _POLL_INTERVAL_S
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "RouterConfig":
@@ -91,8 +88,6 @@ class RouterConfig:
             shards=_env.int_value(_env.SHARDS, 2, minimum=1),
             per_shard_depth=_env.int_value(_env.SERVE_QUEUE, 256,
                                            minimum=1),
-            max_wait_ms=_env.float_value(_env.SERVE_MAX_WAIT_MS,
-                                         10_000.0, minimum=1.0),
             drain_s=_env.float_value(_env.SHARD_DRAIN_S, 20.0,
                                      minimum=0.1),
             max_restarts=_env.int_value(_env.SHARD_RESTARTS, 5,
@@ -124,7 +119,6 @@ class ShardRouter(HttpFrontDoor):
         self.port = self.config.port
         self.routed = 0
         self.shed = 0
-        self._poll_task: Optional[asyncio.Task] = None
         self._shutdown_task: Optional[asyncio.Task] = None
         self._terminated = asyncio.Event()
 
@@ -136,8 +130,6 @@ class ShardRouter(HttpFrontDoor):
         await self.supervisor.start()
         self.host, self.port = await self._listen(self.config.host,
                                                   self.config.port)
-        self._poll_task = asyncio.ensure_future(self._poll_loop())
-        self._poll_task.add_done_callback(self._on_poll_done)
         return self.host, self.port
 
     def trigger_shutdown(self) -> None:
@@ -155,12 +147,6 @@ class ShardRouter(HttpFrontDoor):
             self.registry.counter("shutdown_error_total").inc()
             self._terminated.set()
 
-    def _on_poll_done(self, task: "asyncio.Task") -> None:
-        if task.cancelled():
-            return
-        if task.exception() is not None:
-            self.registry.counter("poll_error_total").inc()
-
     async def shutdown(self) -> None:
         """Drain router-first, then shards, each step bounded.
 
@@ -176,10 +162,6 @@ class ShardRouter(HttpFrontDoor):
         self._draining = True
         await self._close_front_door()
         await self._await_connections()
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            await asyncio.gather(self._poll_task,
-                                 return_exceptions=True)
         for handle in self.supervisor.handles:
             handle.drop_pool()
         await self.supervisor.drain(self.config.drain_s)
@@ -189,52 +171,14 @@ class ShardRouter(HttpFrontDoor):
     async def wait_terminated(self) -> None:
         await self._terminated.wait()
 
-    # -- shard stats polling --------------------------------------------------
-
-    async def _poll_loop(self) -> None:
-        """Refresh per-shard ``/statz`` (EWMA rates, queue depths)."""
-        while not self._draining:
-            for handle in self.supervisor.live():
-                try:
-                    status, body = await self._shard_request(
-                        handle, "GET", "/statz", timeout=5.0)
-                    if status == 200:
-                        handle.stats = json.loads(
-                            body.decode("utf-8"))
-                except (OSError, asyncio.TimeoutError,
-                        asyncio.IncompleteReadError,
-                        json.JSONDecodeError, UnicodeDecodeError):
-                    # A restarting shard misses one poll; its stale
-                    # stats age out on the next successful scrape.
-                    self.registry.counter("poll_miss_total").inc()
-            await asyncio.sleep(self.config.poll_interval_s)
-
     # -- fleet admission ------------------------------------------------------
-
-    def fleet_rate_cycles_per_ms(self) -> Optional[float]:
-        """Sum of live shards' observed-service-rate EWMAs.
-
-        ``None`` until any shard has completed a batch (admission then
-        falls back to the fleet depth bound alone) — the same warm-up
-        contract as one shard's queue.
-        """
-        rates = [handle.stats.get("rate_cycles_per_ms")
-                 for handle in self.supervisor.live()]
-        rates = [rate for rate in rates if rate]
-        if not rates:
-            return None
-        return float(sum(rates))
 
     def fleet_inflight(self) -> int:
         return sum(handle.inflight for handle in self.supervisor.handles)
 
-    def fleet_inflight_cycles(self) -> float:
-        return sum(handle.inflight_cycles
-                   for handle in self.supervisor.handles)
-
-    def admission_reason(self, job: Job,
-                         live: List[ShardHandle]) -> Optional[str]:
-        """Shed reason for a job arriving now (``None`` = admit)."""
+    def admission_reason(self, live: List[ShardHandle]) -> Optional[str]:
+        """Front-door shed reason for a job arriving now (``None`` =
+        forward it; the shard then applies its own wait gate)."""
         if self._draining:
             return SHED_SHUTTING_DOWN
         if not live:
@@ -242,22 +186,6 @@ class ShardRouter(HttpFrontDoor):
         if self.fleet_inflight() >= \
                 self.config.per_shard_depth * len(live):
             return SHED_QUEUE_FULL
-        rate = self.fleet_rate_cycles_per_ms()
-        if rate is None:
-            # Cold fleet (no shard has completed a batch and none
-            # seeded its own rate): stand in with the cost model's
-            # boot-time per-shard rate so the wait gate is live from
-            # the first request.  None under REPRO_COST=0 — the gate
-            # then waits for real observations exactly as before.
-            from repro import cost
-            seed = cost.seed_rate_cycles_per_ms()
-            if seed is not None:
-                rate = seed * len(live)
-        if rate is not None and rate > 0.0:
-            estimate = (self.fleet_inflight_cycles()
-                        + job.cost_cycles) / rate
-            if estimate > self.config.max_wait_ms:
-                return SHED_WAIT_EXCEEDED
         return None
 
     # -- routing --------------------------------------------------------------
@@ -376,49 +304,52 @@ class ShardRouter(HttpFrontDoor):
                 400, {"ok": False, "error": "invalid:bad-json",
                       "message": "body is not valid JSON"})
         try:
-            job = make_job(payload)
+            op = job_op(payload)
+            # Only a cacheable job is lowered here, for its cache key;
+            # every other body goes to a shard unparsed, and the shard
+            # validates, prices and wait-gates it.
+            job = make_job(payload) if self.cache.enabled \
+                and op in CACHEABLE_OPS else None
         except JobError as error:
             self.registry.counter("invalid_total").inc()
             return json_response(
                 400, {"ok": False, "error": error.code,
                       "message": error.message})
-        self.registry.counter("requests_total", op=job.op).inc()
-        cacheable = self.cache.enabled and job.cache_key() is not None
-        if cacheable:
+        self.registry.counter("requests_total", op=op).inc()
+        if job is not None:
             cached = self.cache.get(job)
             if cached is not None:
                 self.registry.counter("cache_hits_total").inc()
                 return json_response(
-                    200, {"ok": True, "id": job.job_id, "op": job.op,
+                    200, {"ok": True, "id": job.job_id, "op": op,
                           "result": cached, "cached": True,
                           "queue_ms": 0.0})
             self.registry.counter("cache_misses_total").inc()
         live = self.supervisor.live()
-        reason = self.admission_reason(job, live)
+        reason = self.admission_reason(live)
         if reason is not None:
             self.shed += 1
             self.registry.counter("shed_total", reason=reason).inc()
             return json_response(
-                503, {"ok": False, "id": job.job_id, "op": job.op,
+                503, {"ok": False, "id": payload.get("id"), "op": op,
                       "error": "rejected:overloaded", "reason": reason,
                       "queue_depth": self.fleet_inflight()})
         handle = self.pick_shard(live)
-        return await self._proxy_job(job, handle, request.body,
-                                     cacheable)
+        return await self._proxy_job(payload, handle, request.body, job)
 
-    async def _proxy_job(self, job: Job, handle: ShardHandle,
-                         body: bytes, cacheable: bool) -> Response:
-        """Forward one admitted job and relay the shard's exact answer.
+    async def _proxy_job(self, payload: Dict[str, Any],
+                         handle: ShardHandle, body: bytes,
+                         job: Optional[Job]) -> Response:
+        """Forward one job's body and relay the shard's exact answer.
 
         A dead shard surfaces here as an immediate socket error (the
         OS refuses the connect, or a pooled connection reads EOF or a
         reset), so in-flight jobs on a crashed shard *fail fast* with
         a 502 ``error:internal`` — the client retries or reports;
-        nothing ever hangs on a corpse.  Only a cacheable job's answer
-        is decoded, to store its result.
+        nothing ever hangs on a corpse.  Only a cacheable ``job``'s
+        answer is decoded, to store its result.
         """
         handle.inflight += 1
-        handle.inflight_cycles += job.cost_cycles
         generation = handle.generation
         try:
             status, answer = await self._shard_request(
@@ -428,20 +359,18 @@ class ShardRouter(HttpFrontDoor):
             self.registry.counter("proxy_error_total",
                                   shard=str(handle.index)).inc()
             return json_response(
-                502, {"ok": False, "id": job.job_id, "op": job.op,
-                      "error": "error:internal",
+                502, {"ok": False, "id": payload.get("id"),
+                      "op": payload["op"], "error": "error:internal",
                       "message": "shard %d connection failed"
                       % handle.index})
         finally:
             if handle.generation == generation:
                 handle.inflight = max(0, handle.inflight - 1)
-                handle.inflight_cycles = max(
-                    0.0, handle.inflight_cycles - job.cost_cycles)
         self.routed += 1
         handle.served += 1
         self.registry.counter("routed_total",
                               shard=str(handle.index)).inc()
-        if status == 200 and cacheable:
+        if status == 200 and job is not None:
             try:
                 decoded = json.loads(answer.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -529,16 +458,17 @@ class ShardRouter(HttpFrontDoor):
         return "\n".join(lines) + "\n"
 
     def statz(self) -> Dict[str, Any]:
+        """The fleet view.  ``shed`` counts only the router's own
+        front-door sheds (draining, no live shard, depth); a shard's
+        sheds are relayed unchanged and counted in the merged
+        ``repro_serve_shed_total`` series."""
         return {
             "ok": True,
             "role": "router",
             "draining": self._draining,
             "shards": [handle.describe()
                        for handle in self.supervisor.handles],
-            "fleet_rate_cycles_per_ms":
-                self.fleet_rate_cycles_per_ms(),
             "inflight": self.fleet_inflight(),
-            "inflight_cycles": self.fleet_inflight_cycles(),
             "routed": self.routed,
             "shed": self.shed,
             "restarts": self.supervisor.restarts_total,
@@ -627,10 +557,10 @@ async def _router_main(config: Optional[RouterConfig],
             break
     if announce is not None:
         announce("repro-router listening on %s:%d" % (host, port))
-        announce("  shards=%d depth=%d max_wait_ms=%g drain_s=%g"
+        announce("  shards=%d depth=%d drain_s=%g"
                  % (router.config.shards,
                     router.config.per_shard_depth,
-                    router.config.max_wait_ms, router.config.drain_s))
+                    router.config.drain_s))
     await router.wait_terminated()
     if announce is not None:
         announce("repro-router drained: %d routed, %d shed, "

@@ -64,13 +64,9 @@ class ShardHandle:
     #: Router-tracked outstanding proxied requests (what routing
     #: balances, and the fleet depth bound).
     inflight: int = 0
-    #: Router-tracked modeled cycles admitted but not yet answered.
-    inflight_cycles: float = 0.0
     #: Requests this shard answered through the router (the routing
     #: tiebreak).
     served: int = 0
-    #: Last polled ``/statz`` payload (EWMA rate, queue depth, ...).
-    stats: Dict[str, Any] = field(default_factory=dict)
     #: The router's idle keep-alive connections to this shard, each
     #: tagged with the generation it was opened to:
     #: ``(generation, reader, writer)``.
@@ -119,10 +115,7 @@ class ShardHandle:
             "restarts": self.restarts,
             "generation": self.generation,
             "inflight": self.inflight,
-            "inflight_cycles": self.inflight_cycles,
             "served": self.served,
-            "rate_cycles_per_ms": self.stats.get("rate_cycles_per_ms"),
-            "queue_depth": self.stats.get("queue_depth"),
         }
 
 
@@ -189,8 +182,6 @@ class ShardSupervisor:
         # haunt the fresh process (stale inflight skews routing and
         # the fleet depth bound).
         handle.inflight = 0
-        handle.inflight_cycles = 0.0
-        handle.stats = {}
         process = await asyncio.create_subprocess_exec(
             sys.executable, "-m", "repro", "serve",
             "--host", "127.0.0.1", "--port", "0", "--shards", "0",

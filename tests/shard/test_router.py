@@ -1,15 +1,19 @@
-"""Unit tests for the router's pure decision logic.
+"""Unit tests for the router's decision logic.
 
-No sockets, no subprocesses: least-loaded placement, fleet admission
-arithmetic, and the memo-key salting of the cross-shard result cache
-are all plain functions over plain state.
+Least-loaded placement, the fleet admission bound, and the memo-key
+salting of the cross-shard result cache are plain functions over plain
+state, tested without sockets or subprocesses.  One fleet test counts
+what the router lowers while it forwards real jobs.
 """
 
 import pytest
 
+from repro.serve import jobs
+from repro.serve.client import ServeClient, expected_result
 from repro.serve.jobs import make_job
+from repro.shard import router as router_module
 from repro.shard.cache import ShardResultCache
-from repro.shard.router import RouterConfig, ShardRouter
+from repro.shard.router import RouterConfig, RouterThread, ShardRouter
 from repro.shard.supervisor import (STATE_DEAD, STATE_UP, ShardHandle,
                                     ShardSupervisor)
 
@@ -25,8 +29,7 @@ def _fleet(router, states):
 
 @pytest.fixture()
 def router():
-    config = RouterConfig(port=0, shards=2, per_shard_depth=4,
-                          max_wait_ms=1000.0)
+    config = RouterConfig(port=0, shards=2, per_shard_depth=4)
     return ShardRouter(config,
                        cache=ShardResultCache(enabled=False))
 
@@ -52,55 +55,71 @@ class TestPickShard:
 
 
 class TestAdmission:
-    def _job(self):
-        return make_job({"op": "model_cycles",
-                         "params": {"op": "mul", "bits_a": 4096,
-                                    "bits_b": 4096}})
-
     def test_admits_when_idle(self, router):
         live = _fleet(router, [STATE_UP, STATE_UP])
-        assert router.admission_reason(self._job(), live) is None
+        assert router.admission_reason(live) is None
 
     def test_draining_sheds(self, router):
         live = _fleet(router, [STATE_UP, STATE_UP])
         router._draining = True
-        assert router.admission_reason(self._job(), live) == \
-            "shutting-down"
+        assert router.admission_reason(live) == "shutting-down"
 
     def test_no_live_shards_sheds(self, router):
         _fleet(router, [STATE_DEAD, STATE_DEAD])
-        assert router.admission_reason(self._job(), []) == \
-            "no-live-shards"
+        assert router.admission_reason([]) == "no-live-shards"
 
     def test_fleet_depth_bound_scales_with_live_shards(self, router):
         live = _fleet(router, [STATE_UP, STATE_UP])
         for handle in live:
             handle.inflight = router.config.per_shard_depth
-        assert router.admission_reason(self._job(), live) == \
-            "queue-full"
+        assert router.admission_reason(live) == "queue-full"
         live[0].inflight = 0
-        assert router.admission_reason(self._job(), live) is None
+        assert router.admission_reason(live) is None
 
-    def test_fleet_wait_bound_uses_summed_ewma_rates(self, router):
-        live = _fleet(router, [STATE_UP, STATE_UP])
-        job = self._job()
-        # Each shard retires 1 modeled cycle/ms; backlog of 3000 job
-        # costs against a 2/ms fleet rate and a 1000 ms bound sheds.
-        for handle in live:
-            handle.stats = {"rate_cycles_per_ms": 1.0}
-        live[0].inflight_cycles = 3000.0 * router.config.max_wait_ms
-        assert router.admission_reason(job, live) == "wait-exceeded"
-        # Doubling the fleet rate via a third shard re-admits the job
-        # only if it brings the estimate under the bound; clearing the
-        # backlog certainly does.
-        live[0].inflight_cycles = 0.0
-        assert router.admission_reason(job, live) is None
 
-    def test_unwarmed_fleet_falls_back_to_depth_bound(self, router):
-        live = _fleet(router, [STATE_UP, STATE_UP])
-        live[0].inflight_cycles = 1e18   # huge backlog, no rate yet
-        assert router.fleet_rate_cycles_per_ms() is None
-        assert router.admission_reason(self._job(), live) is None
+class TestForwarding:
+    def test_router_lowers_only_cacheable_jobs(self, monkeypatch):
+        # The shards are separate processes, so every make_job and
+        # plan_for_job call counted here ran in the router.
+        lowered = []
+        real_make_job, real_plan = router_module.make_job, \
+            jobs.plan_for_job
+
+        def counting_make_job(payload):
+            lowered.append(("make_job", payload.get("op")))
+            return real_make_job(payload)
+
+        def counting_plan(op, params):
+            lowered.append(("plan_for_job", op))
+            return real_plan(op, params)
+
+        monkeypatch.setattr(router_module, "make_job", counting_make_job)
+        monkeypatch.setattr(jobs, "plan_for_job", counting_plan)
+        config = RouterConfig(port=0, shards=1, drain_s=30.0)
+        cache = ShardResultCache(enabled=True, persist=False)
+        with RouterThread(config, cache=cache) as fleet:
+            client = ServeClient(fleet.host, fleet.port)
+            for payload in (
+                    {"op": "mul", "params": {"a": hex(3 ** 90),
+                                             "b": hex(7 ** 80)}},
+                    {"op": "div", "params": {"a": hex(10 ** 60 + 7),
+                                             "b": "9973"}},
+                    {"op": "powmod", "params": {"base": "0xabcdef",
+                                                "exp": "65537",
+                                                "mod": "1000003"}}):
+                status, body = client.request(payload)
+                assert status == 200, body
+                assert body["result"] == expected_result(payload)
+            assert lowered == []
+            pi = {"op": "pi_digits", "params": {"digits": 31}}
+            status, first = client.request(pi)
+            assert status == 200, first
+            status, second = client.request(pi)
+            assert status == 200 and second["cached"] is True
+            assert second["result"] == first["result"] \
+                == expected_result(pi)
+            assert cache.hits == 1
+        assert {op for _, op in lowered} == {"pi_digits"}
 
 
 class TestShardCache:

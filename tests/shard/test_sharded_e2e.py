@@ -1,10 +1,11 @@
 """End-to-end acceptance for the sharded topology.
 
 A real router in front of two real shard worker processes: responses
-must be bit-identical to the oracle across every op, the merged
-``/metrics`` scrape must carry both shard and router series, the
-health aggregate must reflect fleet state, and the cross-shard cache
-must answer repeats without touching a shard.
+must be bit-identical to the oracle across every op, malformed input
+must get the same 4xx through the router as from one server, the
+merged ``/metrics`` scrape must carry both shard and router series,
+the health aggregate must reflect fleet state, and the cross-shard
+cache must answer repeats without touching a shard.
 
 One fleet boots per module (two OS processes per fixture are too
 expensive to respawn per test); tests only read or add load, never
@@ -16,17 +17,53 @@ import json
 import pytest
 
 from repro.serve.client import ServeClient, expected_result, run_load
+from repro.serve.jobs import max_operand_bits, max_pi_digits
+from repro.serve.server import ServeConfig, ServerThread
 from repro.shard.cache import ShardResultCache
 from repro.shard.router import RouterConfig, RouterThread
+from repro.shard.supervisor import STATE_UP, ShardSupervisor
 
 
 @pytest.fixture(scope="module")
 def fleet():
     config = RouterConfig(port=0, shards=2, per_shard_depth=64,
-                          max_wait_ms=120_000.0, drain_s=30.0)
+                          drain_s=30.0)
     with RouterThread(config,
                       cache=ShardResultCache(persist=False)) as fleet:
         yield fleet
+
+
+@pytest.fixture(scope="module")
+def single():
+    with ServerThread() as single:
+        yield single
+
+
+def _body(**fields):
+    return json.dumps(fields).encode("utf-8")
+
+
+_MUL = {"a": 3, "b": 5}
+
+#: Malformed bodies: each must get the same status and error code
+#: through the router as from one server.
+MALFORMED = [
+    ("bad-json", b"{not json"),
+    ("non-object", b"[1, 2]"),
+    ("unknown-op", _body(op="frobnicate", params=_MUL)),
+    ("bad-params", _body(op="mul", params=[1, 2])),
+    ("zero-divisor", _body(op="div", params={"a": 5, "b": 0})),
+    ("zero-modulus", _body(op="powmod",
+                           params={"base": 3, "exp": 5, "mod": 0})),
+    ("negative", _body(op="mul", params={"a": -3, "b": 5})),
+    ("oversized", _body(op="mul", params={
+        "a": hex(1 << max_operand_bits()), "b": 3})),
+    ("priority", _body(op="mul", params=_MUL, priority=12)),
+    ("deadline", _body(op="mul", params=_MUL, deadline_ms=-1)),
+    ("id", _body(op="mul", params=_MUL, id=17)),
+    ("pi-ceiling", _body(op="pi_digits",
+                         params={"digits": max_pi_digits() + 1})),
+]
 
 
 class TestShardedEndToEnd:
@@ -61,8 +98,8 @@ class TestShardedEndToEnd:
             report["deadline"] == 48
 
     def test_invalid_requests_rejected_at_the_front_door(self, fleet):
-        # Validation runs in the router; a malformed job must never
-        # consume a shard round trip.
+        # A bad body or unknown op is answered by the router itself;
+        # a shard's validation answer is relayed unchanged.
         client = ServeClient(fleet.host, fleet.port)
         status, body = client.request({"op": "div",
                                        "params": {"a": 5, "b": 0}})
@@ -120,7 +157,7 @@ class TestShardedEndToEnd:
         assert second["cached"] is True
         assert client.statz()["cache"]["hits"] == before + 1
 
-    def test_compatible_jobs_land_on_one_shard(self, fleet):
+    def test_sequential_jobs_alternate_between_shards(self, fleet):
         # Least-loaded routing: sequential jobs find every shard idle,
         # so each goes to the shard that has served fewest, and the
         # gap in per-shard ``served`` narrows by one per job until it
@@ -191,3 +228,50 @@ class TestShardedEndToEnd:
             assert sockets[0] is not None and sockets[0] is sockets[1]
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("name,body", MALFORMED,
+                             ids=[name for name, _ in MALFORMED])
+    def test_malformed_input_matches_one_server(self, fleet, single,
+                                                name, body):
+        answers = []
+        for front in (fleet, single):
+            client = ServeClient(front.host, front.port)
+            status, raw = client.raw("POST", "/v1/job", body)
+            answers.append((status, json.loads(raw)["error"]))
+        assert answers[0] == answers[1]
+        assert 400 <= answers[0][0] < 500
+        assert answers[0][1].startswith("invalid:")
+
+
+class TestShardShedRelay:
+    def test_shard_503_reaches_the_client_with_its_reason(
+            self, monkeypatch):
+        # The shard is an in-process server whose wait gate sheds any
+        # priced job: a bound far below one job's cost, and a service
+        # rate seeded so the estimate exists.  The router's own depth
+        # bound stays open, so only the shard can shed.
+        shard = ServerThread(ServeConfig(port=0, max_wait_ms=1e-9))
+        shard.start()
+        shard._loop.call_soon_threadsafe(
+            shard.server.queue.seed_service_rate, 1.0)
+
+        async def pin_to_shard(supervisor):
+            handle = supervisor.handles[0]
+            handle.host, handle.port = shard.host, shard.port
+            handle.state = STATE_UP
+
+        monkeypatch.setattr(ShardSupervisor, "start", pin_to_shard)
+        config = RouterConfig(port=0, shards=1, per_shard_depth=64)
+        try:
+            with RouterThread(config, cache=ShardResultCache(
+                    enabled=False)) as fleet:
+                client = ServeClient(fleet.host, fleet.port)
+                status, body = client.request(
+                    {"op": "mul", "params": {"a": hex(3 ** 200),
+                                             "b": hex(7 ** 150)}})
+                assert status == 503, body
+                assert body["error"] == "rejected:overloaded"
+                assert body["reason"] == "wait-exceeded"
+                assert fleet.router.statz()["shed"] == 0
+        finally:
+            shard.stop()

@@ -32,8 +32,7 @@ _RECOVERY_DEADLINE_S = 30.0
 @pytest.fixture(scope="module")
 def fleet():
     config = RouterConfig(port=0, shards=2, per_shard_depth=64,
-                          max_wait_ms=120_000.0, drain_s=30.0,
-                          max_restarts=5)
+                          drain_s=30.0, max_restarts=5)
     with RouterThread(config,
                       cache=ShardResultCache(persist=False)) as fleet:
         yield fleet
