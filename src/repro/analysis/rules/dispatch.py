@@ -29,7 +29,7 @@ KERNEL_ENTRYPOINTS = frozenset({
     "mul_karatsuba", "sqr_karatsuba",
     "mul_toom", "mul_ssa",
     "divmod_schoolbook", "divmod_newton", "divmod_bz",
-    "mul_packed", "sqr_packed", "divmod_packed",
+    "mul_packed", "sqr_packed", "divmod_packed", "divmod_packed_int",
     "add_packed", "sub_packed", "shl_packed", "shr_packed",
     "powmod_packed",
 })

@@ -37,7 +37,7 @@ from repro.mpn import powmod as mpn_powmod
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import mul, sqr
 from repro.mpn.nat import Nat
-from repro.mpn.packed import MUL_PACK_LIMBS, PACK_LIMBS, POWMOD_PACK_LIMBS
+from repro.mpn.packed import MUL_PACK_LIMBS, POWMOD_PACK_LIMBS
 from repro.mpn.tune import _random_operand, tuned_policy
 
 #: Bump when the JSON layout changes meaning.
@@ -57,7 +57,9 @@ from repro.mpn.tune import _random_operand, tuned_policy
 #: kernel it times) replaced the single ``pack_limbs``: each packed
 #: kernel runs its own block (mul/sqr 35904 bits, div 1024, powmod
 #: 256).
-BENCH_SCHEMA_VERSION = 8
+#: v9: ``packed_block_bits`` lost its ``div`` entry: packed division
+#: recurses on whole ints and has no block.
+BENCH_SCHEMA_VERSION = 9
 
 #: Figure-11-style bit-width ladder (the paper sweeps multiply sizes in
 #: this range; 64k bits is the headline point).
@@ -299,15 +301,16 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
     }
 
 
-#: Limbs per block of the packed kernel each op times.
+#: Limbs per block of the packed kernel each blocked op times (packed
+#: division has no block).
 _PACKED_BLOCK_LIMBS = {"mul": MUL_PACK_LIMBS, "sqr": MUL_PACK_LIMBS,
-                       "div": PACK_LIMBS, "powmod": POWMOD_PACK_LIMBS}
+                       "powmod": POWMOD_PACK_LIMBS}
 
 
 def packed_block_bits() -> Dict[str, int]:
-    """Block width in bits of the packed kernel each op times."""
-    return {op: nat.LIMB_BITS * _PACKED_BLOCK_LIMBS[op]
-            for op in OP_BACKENDS}
+    """Block width in bits of the packed kernel each blocked op times."""
+    return {op: nat.LIMB_BITS * limbs
+            for op, limbs in _PACKED_BLOCK_LIMBS.items()}
 
 
 def git_revision() -> str:

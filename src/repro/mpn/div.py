@@ -159,8 +159,8 @@ def basecase_divmod(a: Nat, b: Nat) -> Tuple[Nat, Nat]:
 
     Burnikel-Ziegler (and anything else that reduces to quadratic
     division below its threshold) calls here instead of hard-coding
-    Algorithm D, so its basecases transparently pick up the block-
-    packed kernel when the tuned crossover says it wins.
+    Algorithm D, so its basecases transparently pick up the packed
+    kernel when the tuned crossover says it wins.
     """
     if _select.div_backend(len(b)) == "packed":
         return divmod_packed(a, b)
@@ -173,19 +173,18 @@ def divmod_nat(a: Nat, b: Nat,
     """Exact (quotient, remainder); picks the algorithm *and* backend.
 
     ``backend="auto"`` consults the tuned packed-vs-limb crossover and
-    runs the whole division as block Algorithm D
+    runs the whole division as the packed recursion over int products
     (:func:`repro.mpn.packed.divmod_packed`) when the packed backend
-    wins — its per-block inner loop beats the limb Newton iteration
-    across the practical range because each multiply-subtract step is
-    one C-level int op.  ``backend="limb"`` forces the classic
-    schoolbook/Newton selection.
+    wins — every step there is a C-level int product or ``divmod``,
+    which beats the limb Newton iteration across the practical range.
+    ``backend="limb"`` forces the classic schoolbook/Newton selection.
     """
     if backend == "auto":
         backend = _select.div_backend(len(b))
     elif backend not in DIV_BACKENDS:
         raise MpnError("unknown div backend %r (expected one of %s)"
                        % (backend, ", ".join(DIV_BACKENDS)))
-    if backend == "packed" and not nat.is_zero(b):
+    if backend == "packed":
         return divmod_packed(a, b)
     algorithm = _select.div_algorithm(nat.bit_length(b),
                                       NEWTON_DIV_THRESHOLD_BITS,

@@ -3,43 +3,47 @@
 Every kernel in this package spends its wall time in the Python
 interpreter, one loop iteration per 32-bit limb.  This module packs
 consecutive limbs into a single Python int — a *block*, the packed
-backend's machine word — and runs the add/sub/mul/sqr/shift/divmod
-basecases one block at a time, the wide-block digit processing that
-*Fast Arbitrary Precision Floating Point on FPGA* (de Fine Licht et
-al.) and ARCHITECT (Li et al.) identify as the arbitrary-precision
-throughput lever.  Each kernel has its own block width:
+backend's machine word — and runs the add/sub/mul/sqr/shift basecases
+one block at a time, the wide-block digit processing that *Fast
+Arbitrary Precision Floating Point on FPGA* (de Fine Licht et al.) and
+ARCHITECT (Li et al.) identify as the arbitrary-precision throughput
+lever.  Each kernel has its own block width:
 
 * ``mul``/``sqr`` pack ``MUL_PACK_LIMBS`` limbs (35904 bits), the width
   Cambricon-P multiplies in one monolithic pass, so every product up
   to that width is one C-level int product;
-* ``divmod``, ``add``/``sub`` and the shifts pack ``PACK_LIMBS`` limbs
-  (1024 bits);
+* ``add``/``sub`` and the shifts pack ``PACK_LIMBS`` limbs (1024 bits);
 * ``powmod`` packs ``POWMOD_PACK_LIMBS`` limbs (256 bits).
+
+Division has no block at all: it takes the whole operands as Python
+ints, the widest digit there is.
 
 Carries resolve once per operation, the way Cambricon-P's IPUs compute
 carry-free inner products and leave the carries to the gatherer.
 ``add``/``sub`` are one elementwise ``map`` and one carry sweep; the
-quadratic kernels go further:
+other kernels go further:
 
 * ``mul``/``sqr`` run a carry-free block convolution (a Karatsuba split
   over raw, unnormalized coefficients from two blocks up, the way MPApca
   decomposes operands past the monolithic width, down to a
   row-convolution basecase, one C-level ``map`` per row) and then one
   floor-carry sweep;
-* ``divmod`` runs a signed-digit block division: each quotient block is
-  an O(1) estimate plus one C-level multiply-subtract row, and one sweep
-  over the quotient digits and one over the remainder, plus a fix-up of
-  at most a few divisor additions or subtractions, resolve the rest.
+* ``divmod`` runs the Burnikel–Ziegler recursion (2n/1n and 3n/2n
+  steps) over CPython int products, with one ``divmod`` below
+  ``DIV_RECURSION_BITS``: the division MPApca prices as a few
+  multiplies at operand width, not a quadratic digit loop;
 * ``powmod`` runs a windowed ladder that stays on block lists from the
   first pack to the last unpack: block Montgomery REDC (one C-level
   ``map`` row per low block of the modulus) for odd moduli, block
-  products reduced by the signed-digit division for even ones.
+  products reduced by a signed-digit block division for even ones.
 
 Inside those kernels coefficients may exceed the block base or go
 negative; Python ints carry both exactly.  Operands and results are
-ordinary normalized limb lists (:mod:`repro.mpn.nat`), and every kernel
-is bit-identical to its limb sibling — ``tests/differential`` proves it
-against both the limb kernels and Python bigints.
+ordinary normalized limb lists (:mod:`repro.mpn.nat`), except
+:func:`divmod_packed_int`, which serves a lowered plan on the request's
+ints directly; every kernel is bit-identical to its limb sibling —
+``tests/differential`` proves it against both the limb kernels and
+Python bigints.
 
 Reachability contract (lint rule RPR012): these kernels are selected by
 ``repro.plan.select`` crossovers and invoked only through the mpn
@@ -57,7 +61,8 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Callable, Iterable, List, Tuple
 
-from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
+from repro.mpn.nat import (LIMB_BITS, MpnError, Nat, nat_from_int,
+                            nat_to_int, normalize)
 
 #: Limbs per block for :func:`mul_packed` and :func:`sqr_packed`: the
 #: width of Cambricon-P's monolithic multiplier, 35904 bits (1122
@@ -71,14 +76,21 @@ from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
 #: 36-96 kbit, 92 -> 49 ms at 1 Mbit, 50 -> 34 us at 8 kbit.
 MUL_PACK_LIMBS = 1122
 
-#: Limbs packed per block for div/mod, add/sub and shift.  k=32 ->
-#: 1024-bit blocks (radix 2^1024): one interpreter iteration per 32
-#: limbs.  Against 256-bit blocks (best of 15, ms, a over a half-width
-#: b): div 1.35 -> 0.60 at 36 kbit and 8.18 -> 3.42 at 96 kbit.
-#: Division does not follow mul to wider blocks: at 16-kbit blocks it
-#: is slower (1.18 -> 1.78 ms geometric mean of best-of-9 over 11
-#: shapes, a 36-96 kbit over a/2).
+#: Limbs packed per block for add/sub and shift.  k=32 -> 1024-bit
+#: blocks (radix 2^1024): one interpreter iteration per 32 limbs.
 PACK_LIMBS = 32
+
+#: :func:`divmod_packed_int` runs one CPython ``divmod`` instead of
+#: recursing while the divisor is narrower than this many bits, or the
+#: dividend is less than this many bits wider than the divisor (the
+#: quotient is that narrow).  ``divmod`` is schoolbook, O(quotient x
+#: divisor); the recursion swaps it for Karatsuba products, which pay
+#: once both are a few kbit wide.  Geometric mean of best-of-9 over 11
+#: shapes (a 36-96 kbit over a/2): 0.529 ms at 1024, 0.507 at 2048 and
+#: 3072, 0.510 at 4096, 0.537 at 6144, 0.548 at 8192, and 1.189 for
+#: plain ``divmod``.  At 24 kbit over 12 kbit: 0.118 ms at 4096
+#: against 0.184 for ``divmod``.
+DIV_RECURSION_BITS = 4096
 
 #: Limbs per block for :func:`powmod_packed`: 256-bit blocks.  Served
 #: moduli are odd and at most 512 bits wide, and there the wider block
@@ -476,41 +488,102 @@ def shr_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
                                     bits, mask), k)
 
 
-def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
-    """Exact (quotient, remainder) by signed-digit block division.
+def divmod_packed(a: Nat, b: Nat) -> Tuple[Nat, Nat]:
+    """Exact (quotient, remainder) of limb lists by
+    :func:`divmod_packed_int`: the operands convert once each way."""
+    quotient, remainder = divmod_packed_int(nat_to_int(a), nat_to_int(b))  # repro: noqa=bigint-in-kernel -- packed division runs on whole ints
+    return nat_from_int(quotient), nat_from_int(remainder)  # repro: noqa=bigint-in-kernel -- and converts back once
 
-    Knuth's D1 normalization, then :func:`_bdivrem`; a single-block
-    divisor runs the div_1 loop with a block digit instead.
+
+# -- division ----------------------------------------------------------------
+#
+# Burnikel & Ziegler, *Fast Recursive Division* (MPI-I-98-1-022), with
+# the whole operand as the digit: the limb recursion of
+# repro.mpn.burnikel_ziegler, run on CPython ints so every step is a
+# C-level product or shift.
+
+
+def divmod_packed_int(a: int, b: int) -> Tuple[int, int]:
+    """Exact ``(a // b, a % b)`` of naturals by recursive division.
+
+    A divisor or quotient narrower than :data:`DIV_RECURSION_BITS`
+    runs one ``divmod``.  Otherwise the dividend is read as base
+    ``2**n`` digits of the ``n``-bit divisor, and each digit runs one
+    2n/1n step: two 3n/2n steps whose quotient estimates recurse on
+    the divisor's top half and are corrected by one product with its
+    bottom half.
     """
+    if a < 0 or b < 0:
+        raise MpnError("naturals cannot be negative")
     if not b:
         raise MpnError("division by zero")
-    bits = LIMB_BITS * k
-    mask = _mask(bits)
-    u_raw = pack_blocks(a, k)
-    v = pack_blocks(b, k)
-    if _bcmp(u_raw, v) < 0:
-        return [], list(a)
+    n = b.bit_length()
+    if n < DIV_RECURSION_BITS \
+            or a.bit_length() - n < DIV_RECURSION_BITS:
+        return divmod(a, b)
+    return _div_digits(0, a, -(-a.bit_length() // n), b, n)
 
-    if len(v) == 1:
-        # Single-block divisor: the div_1 loop with a block digit.
-        divisor = v[0]
-        out = [0] * len(u_raw)
-        remainder = 0
-        for i in range(len(u_raw) - 1, -1, -1):
-            current = (remainder << bits) | u_raw[i]
-            out[i] = current // divisor
-            remainder = current - out[i] * divisor
-        quotient = unpack_blocks(_bnormalize(out), k)
-        return quotient, unpack_blocks([remainder] if remainder else [],
-                                       k)
 
-    # D1: normalize so the divisor's top block has its high bit set.
-    shift = bits - v[-1].bit_length()
-    quotient, remainder = _bdivrem(_bshl_bits(u_raw, shift, bits, mask),
-                                   _bshl_bits(v, shift, bits, mask),
-                                   bits, mask)
-    return (unpack_blocks(quotient, k),
-            unpack_blocks(_bshr_bits(remainder, shift, bits, mask), k))
+def _div_digits(high: int, a: int, count: int, b: int,
+                n: int) -> Tuple[int, int]:
+    """Divide ``high * 2**(n*count) + a`` by the ``n``-bit ``b``.
+
+    Requires ``high < b`` and ``a < 2**(n*count)``: schoolbook over
+    ``count`` base-``2**n`` digits, split in halves so that each level
+    shifts the dividend once rather than once per digit.
+    """
+    if count == 1:
+        return _div_2n1n((high << n) | a, b, n)
+    low_count = count // 2
+    shift = n * low_count
+    q_high, remainder = _div_digits(high, a >> shift, count - low_count,
+                                    b, n)
+    q_low, remainder = _div_digits(remainder, a & ((1 << shift) - 1),
+                                   low_count, b, n)
+    return (q_high << shift) | q_low, remainder
+
+
+def _div_2n1n(a: int, b: int, n: int) -> Tuple[int, int]:
+    """``divmod(a, b)`` for an ``n``-bit ``b`` and ``a < b * 2**n``.
+
+    An odd ``n`` gains one bit on both sides (the quotient is
+    unchanged, the remainder doubles) so the divisor halves evenly.
+    """
+    if a.bit_length() - n < DIV_RECURSION_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b_high, b_low = b >> half, b & mask
+    q_high, remainder = _div_3n2n(a >> n, (a >> half) & mask, b,
+                                  b_high, b_low, half)
+    q_low, remainder = _div_3n2n(remainder, a & mask, b, b_high, b_low,
+                                 half)
+    return (q_high << half) | q_low, remainder >> pad
+
+
+def _div_3n2n(a12: int, a3: int, b: int, b_high: int, b_low: int,
+              half: int) -> Tuple[int, int]:
+    """Divide ``a12 * 2**half + a3`` by ``b = b_high * 2**half + b_low``.
+
+    Requires ``a12 < b``, ``a3 < 2**half`` and a ``b_high`` of exactly
+    ``half`` bits.  Dividing the top by ``b_high`` alone (or saturating
+    at ``2**half - 1`` when the tops are equal) never underestimates and
+    overshoots by at most 2, so at most two additions of ``b`` repair
+    it.
+    """
+    if a12 >> half == b_high:
+        quotient = (1 << half) - 1
+        remainder = a12 - (b_high << half) + b_high
+    else:
+        quotient, remainder = _div_2n1n(a12, b_high, half)
+    remainder = ((remainder << half) | a3) - quotient * b_low
+    while remainder < 0:
+        quotient -= 1
+        remainder += b
+    return quotient, remainder
 
 
 # -- modular exponentiation --------------------------------------------------

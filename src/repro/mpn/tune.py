@@ -408,7 +408,7 @@ def find_packed_mul_crossover(max_limbs: int, seed: int = 1,
 
 def find_packed_div_crossover(max_limbs: int, seed: int = 1,
                               repeats: int = DEFAULT_REPEATS) -> int:
-    """Divisor limbs where the packed block division beats the limb one."""
+    """Divisor limbs where the packed division beats the limb one."""
     def limb_side(dividend: Nat, divisor: Nat) -> Nat:
         return divmod_schoolbook(dividend, divisor)[0]
 

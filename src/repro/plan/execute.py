@@ -60,15 +60,18 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
                                      nat_from_int(params["b"]))
         return {"product": nat_to_int(product)}
     if op in ("div", "mod"):
-        from repro.mpn.div import divmod_nat
-        quotient, remainder = divmod_nat(nat_from_int(params["a"]),
-                                         nat_from_int(params["b"]),
-                                         _plan_mul_fn(plan),
-                                         backend=_plan_backend(plan))
+        if plan.backend == "packed":
+            from repro.mpn.packed import divmod_packed_int
+            quotient, remainder = divmod_packed_int(params["a"],
+                                                    params["b"])
+        else:
+            from repro.mpn.div import divmod_nat
+            quotient, remainder = map(nat_to_int, divmod_nat(
+                nat_from_int(params["a"]), nat_from_int(params["b"]),
+                _plan_mul_fn(plan), backend=_plan_backend(plan)))
         if op == "mod":
-            return {"remainder": nat_to_int(remainder)}
-        return {"quotient": nat_to_int(quotient),
-                "remainder": nat_to_int(remainder)}
+            return {"remainder": remainder}
+        return {"quotient": quotient, "remainder": remainder}
     if op == "powmod":
         operands = (nat_from_int(params["base"]),
                     nat_from_int(params["exp"]),

@@ -61,7 +61,9 @@ from repro.plan.spec import OpSpec, PlanError
 #: v13: the batch-compatibility key left ``Plan`` (the serve batcher
 #: runs one job per dequeue and the router no longer places by it), and
 #: ``describe()`` lost its line.
-PLAN_SCHEMA_VERSION = 13
+#: v14: packed div/mod lower to ``packed-recursive`` (Burnikel–Ziegler
+#: over int products on the request's ints), not ``packed-schoolbook``.
+PLAN_SCHEMA_VERSION = 14
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -274,9 +276,12 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
         cost = mpapca.mul_cycles(spec.bits_a, spec.bits_b)
     elif op in ("div", "mod"):
         if backend == "packed":
-            algorithm = "packed-schoolbook"
-            steps = [PlanStep("kernel", "packed-schoolbook",
-                              "signed-digit block division")]
+            from repro.mpn.packed import DIV_RECURSION_BITS
+            algorithm = "packed-recursive"
+            steps = [PlanStep("kernel", algorithm,
+                              "Burnikel-Ziegler over int products, "
+                              "divmod below %d bits"
+                              % DIV_RECURSION_BITS)]
         else:
             algorithm = select.div_algorithm(spec.bits_b)
             if algorithm == "newton":

@@ -199,8 +199,8 @@ class TestEachRuleFires:
         them above mpn is the same contract breach as calling the limb
         kernels directly."""
         for name in ("mul_packed", "sqr_packed", "divmod_packed",
-                     "add_packed", "sub_packed", "shl_packed",
-                     "shr_packed"):
+                     "divmod_packed_int", "add_packed", "sub_packed",
+                     "shl_packed", "shr_packed"):
             src = ("def f(a, b):\n"
                    "    return %s(a, b)\n" % name)
             assert "direct-dispatch" in rules_fired(src, SERVE), name

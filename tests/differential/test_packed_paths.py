@@ -25,9 +25,10 @@ from repro import mpn
 from repro.mpn import div as div_kernels, montgomery, packed as packed_kernels
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import GMP_POLICY, mul, sqr
-from repro.mpn.nat import LIMB_BITS
-from repro.mpn.packed import (KARATSUBA_BLOCKS, LINEAR_PACK_MIN_LIMBS,
-                              MUL_PACK_LIMBS, POWMOD_PACK_LIMBS)
+from repro.mpn.nat import LIMB_BITS, MpnError
+from repro.mpn.packed import (DIV_RECURSION_BITS, KARATSUBA_BLOCKS,
+                              LINEAR_PACK_MIN_LIMBS, MUL_PACK_LIMBS,
+                              POWMOD_PACK_LIMBS)
 from repro.plan import OpSpec, select
 from repro.plan.execute import plan_for_job, run
 from repro.plan.lowering import lower
@@ -322,6 +323,112 @@ class TestMonolithicWidth:
                 status, body = client.request(payload)
                 assert status == 200, (name, body)
                 assert body["result"] == expected_result(payload), name
+
+
+_C = DIV_RECURSION_BITS
+
+#: ``(name, a, b)`` around packed division's recursion: the divisor a
+#: bit either side of ``DIV_RECURSION_BITS`` under a twice-wider
+#: dividend, the dividend a bit either side of that many bits wider
+#: than a 3-cutoff divisor, ``a < b`` (q = 0), all-ones dividends and
+#: divisors, power-of-two and one-limb divisors, a 1-Mbit dividend over
+#: a 5-kbit divisor, and 2n/n at 96 kbit.
+RECURSION_CASES = [
+    ("divisor-cutoff-1", _bits_operand(2 * _C - 2, 41),
+     _bits_operand(_C - 1, 42)),
+    ("divisor-cutoff+1", _bits_operand(2 * _C + 2, 41),
+     _bits_operand(_C + 1, 42)),
+    ("gap-cutoff-1", _bits_operand(4 * _C - 1, 43),
+     _bits_operand(3 * _C, 44)),
+    ("gap-cutoff+1", _bits_operand(4 * _C + 1, 43),
+     _bits_operand(3 * _C, 44)),
+    ("a-below-b", _bits_operand(20000, 45) - 1, _bits_operand(20000, 45)),
+    ("zero-dividend", 0, _bits_operand(20000, 45)),
+    ("ones-over-ones", (1 << 40000) - 1, (1 << 20000) - 1),
+    ("ones-over-random", (1 << 40000) - 1, _bits_operand(20000, 46)),
+    ("random-over-ones", _bits_operand(40000, 47), (1 << 20000) - 1),
+    ("power-of-two-divisor", _bits_operand(40000, 48), 1 << 20000),
+    ("power-of-two-divisor-cutoff", _bits_operand(3 * _C, 49), 1 << _C),
+    ("one-limb-divisor", _bits_operand(40000, 50), (1 << LIMB_BITS) - 1),
+    ("divisor-3", _bits_operand(40000, 51), 3),
+    ("1mbit-over-5kbit", _bits_operand(1 << 20, 52),
+     _bits_operand(5000, 53)),
+    ("2n-over-n-96kbit", _bits_operand(96 * 1024, 54),
+     _bits_operand(48 * 1024, 55)),
+]
+
+#: Rows the limb kernels take tens of seconds on (Newton division of a
+#: 1-Mbit dividend), skipped where the killswitch sends them there.
+_LIMB_SLOW = frozenset({"1mbit-over-5kbit"})
+
+
+def _recursion_cases(killswitch: str):
+    return [case for case in RECURSION_CASES
+            if killswitch == "1" or case[0] not in _LIMB_SLOW]
+
+
+class TestRecursiveDivisionEntryPoints:
+    """:data:`RECURSION_CASES` against ``divmod`` through the mpn
+    dispatcher with packed pinned, the executor the server runs, and
+    the HTTP front door, with packed live and killswitched.  With
+    packed killswitched the executor and the front door run the limb
+    kernels, which take about 24 s on the 1-Mbit row, so that row runs
+    there only with packed live.  A zero divisor raises the same
+    ``MpnError`` at the dispatcher and the executor, and the front door
+    answers it with the same 400."""
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_dispatcher_matches_divmod(self, killswitch, reselect):
+        reselect(select.PACKED_ENV, killswitch)
+        for name, a, b in RECURSION_CASES:
+            quotient, remainder = divmod_nat(to_nat(a), to_nat(b),
+                                             backend="packed")
+            assert (from_nat(quotient), from_nat(remainder)) \
+                == divmod(a, b), name
+        for backend in ("packed", "limb", "auto"):
+            with pytest.raises(MpnError, match="division by zero"):
+                divmod_nat(to_nat(5), [], backend=backend)
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_executor_matches_divmod(self, killswitch, reselect,
+                                     fresh_plans):
+        reselect(select.PACKED_ENV, killswitch)
+        for name, a, b in _recursion_cases(killswitch):
+            params = {"a": a, "b": b}
+            kernel = select.div_backend(-(-b.bit_length() // LIMB_BITS))
+            for op in ("div", "mod"):
+                plan = plan_for_job(op, params)
+                if kernel == "packed":
+                    assert plan.algorithm == "packed-recursive", name
+                else:
+                    assert plan.backend == "library", name
+                quotient, remainder = divmod(a, b)
+                expected = {"remainder": remainder} if op == "mod" \
+                    else {"quotient": quotient, "remainder": remainder}
+                assert run(plan, params) == expected, (op, name)
+        for backend in ("packed", "library"):
+            plan = plan_for_job("div", {"a": 5, "b": 0}, backend=backend)
+            with pytest.raises(MpnError, match="division by zero"):
+                run(plan, {"a": 5, "b": 0})
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_front_door_matches_divmod(self, killswitch, reselect,
+                                       fresh_plans):
+        reselect(select.PACKED_ENV, killswitch)
+        config = ServeConfig(port=0, max_wait_ms=60_000.0)
+        with ServerThread(config) as server:
+            client = ServeClient(server.host, server.port)
+            for name, a, b in _recursion_cases(killswitch):
+                payload = {"op": "div", "id": "recursion-" + name,
+                           "params": {"a": hex(a), "b": hex(b)}}
+                status, body = client.request(payload)
+                assert status == 200, (name, body)
+                assert body["result"] == expected_result(payload), name
+            status, body = client.request(
+                {"op": "div", "id": "recursion-zero",
+                 "params": {"a": "0x5", "b": "0x0"}})
+        assert status == 400
+        assert body["error"] == "invalid:zero-divisor"
 
 
 class TestLinearKernelRouting:

@@ -18,13 +18,15 @@ from hypothesis import strategies as st
 
 from repro.core.model import DEFAULT_CONFIG
 from repro.mpn import nat
+from repro.mpn import packed as packed_kernels
 from repro.mpn.mul import MPAPCA_POLICY
 from repro.mpn.nat import LIMB_BITS, MpnError
-from repro.mpn.packed import (KARATSUBA_BLOCKS, MUL_PACK_LIMBS,
-                              PACK_LIMBS, POWMOD_PACK_LIMBS,
-                              WINDOW_BITS_MAX,
-                              WINDOW_TABLE, _window_bits,
-                              add_packed, divmod_packed, mul_packed,
+from repro.mpn.packed import (DIV_RECURSION_BITS, KARATSUBA_BLOCKS,
+                              MUL_PACK_LIMBS, PACK_LIMBS,
+                              POWMOD_PACK_LIMBS, WINDOW_BITS_MAX,
+                              WINDOW_TABLE, _bmodder, _window_bits,
+                              add_packed, divmod_packed,
+                              divmod_packed_int, mul_packed,
                               pack_blocks, powmod_packed, shl_packed,
                               shr_packed, sqr_packed, sub_packed,
                               unpack_blocks)
@@ -34,7 +36,7 @@ from tests.differential.conftest import diff_examples
 
 #: Block widths exercised everywhere: degenerate (k=1 is the limb
 #: representation itself), odd, powmod's default, odd and wider than
-#: it, division's default, and mul's monolithic default.
+#: it, add/sub/shift's default, and mul's monolithic default.
 PACK_WIDTHS = (1, 2, 3, POWMOD_PACK_LIMBS, 13, PACK_LIMBS,
                MUL_PACK_LIMBS)
 
@@ -46,7 +48,8 @@ limb_lists = st.lists(
     max_size=4 * PACK_LIMBS + 3)
 
 
-#: Block base at division's default width.
+#: Block base of the 1024-bit blocks the division fix-up operands were
+#: built for (``PACK_LIMBS``).
 _B = 1 << (LIMB_BITS * PACK_LIMBS)
 
 #: Block base at the multiplier's default (monolithic) width.
@@ -87,7 +90,9 @@ def _block_operand(blocks: int, fill: str, seed: int) -> int:
 
 
 #: Division operands pinned from a seeded search; each drives one
-#: repair path of the signed-digit division (B = the block base):
+#: repair path of the signed-digit block division :func:`_bdivrem`
+#: (B = the 1024-bit block base), which even-modulus powmod reduces
+#: through :func:`_bmodder`; ``divmod_packed`` must still answer them:
 #:
 #: * ``add-back``: the last digit overshoots, the remainder sweeps out
 #:   negative and the divisor is added back once;
@@ -115,6 +120,24 @@ DIVISION_FIXUPS = {
 }
 
 
+def _block_remainder(a: int, b: int, monkeypatch) -> int:
+    """``a % b`` through :func:`_bmodder` at the 1024-bit block the
+    fix-up operands were built for, failing unless the signed-digit
+    core :func:`_bdivrem` ran."""
+    core, calls = packed_kernels._bdivrem, []
+
+    def recording(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(packed_kernels, "_bdivrem", recording)
+    bits = LIMB_BITS * PACK_LIMBS
+    reduce = _bmodder(pack_blocks(to_nat(b)), bits, (1 << bits) - 1)
+    remainder = from_nat(unpack_blocks(reduce(pack_blocks(to_nat(a)))))
+    assert calls, "the reduction never reached _bdivrem"
+    return remainder
+
+
 class TestMulBlockWidth:
     def test_mul_block_is_the_monolithic_width(self):
         """mul/sqr pack exactly the operand width Cambricon-P multiplies
@@ -127,8 +150,7 @@ class TestMulBlockWidth:
         for kernel in (mul_packed, sqr_packed):
             assert inspect.signature(kernel).parameters["k"].default \
                 == MUL_PACK_LIMBS
-        for kernel in (divmod_packed, add_packed, sub_packed,
-                       shl_packed, shr_packed):
+        for kernel in (add_packed, sub_packed, shl_packed, shr_packed):
             assert inspect.signature(kernel).parameters["k"].default \
                 == PACK_LIMBS
 
@@ -256,11 +278,10 @@ class TestArithmeticKernels:
         assert from_nat(shr_packed(to_nat(a), count, k)) == a >> count
 
     @given(a=st.integers(min_value=0, max_value=(1 << 1200) - 1),
-           b=st.integers(min_value=1, max_value=(1 << 700) - 1),
-           k=st.sampled_from(PACK_WIDTHS))
+           b=st.integers(min_value=1, max_value=(1 << 700) - 1))
     @settings(max_examples=diff_examples(), deadline=None)
-    def test_divmod_matches_bigint(self, a, b, k):
-        quotient, remainder = divmod_packed(to_nat(a), to_nat(b), k)
+    def test_divmod_matches_bigint(self, a, b):
+        quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
     def test_block_karatsuba_regime(self):
@@ -301,7 +322,7 @@ class TestArithmeticKernels:
             assert from_nat(mul_packed(to_nat(a), to_nat(half), k)) \
                 == a * half
 
-    def test_divmod_add_back_case(self):
+    def test_divmod_add_back_case(self, monkeypatch):
         """The classic Knuth D6 trigger no longer needs a fix-up.
 
         Scaled to block base B, the one-block estimate for
@@ -315,9 +336,10 @@ class TestArithmeticKernels:
         b = (base // 2) * base + (base - 1)
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
+        assert _block_remainder(a, b, monkeypatch) == a % b
 
     @pytest.mark.parametrize("case", sorted(DIVISION_FIXUPS))
-    def test_divmod_fixup_paths(self, case):
+    def test_divmod_fixup_paths(self, case, monkeypatch):
         """Operands (found by a seeded search over block-structured
         quotients, divisors and remainders) that drive each repair path
         of the signed-digit division."""
@@ -326,12 +348,16 @@ class TestArithmeticKernels:
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
         if case == "tall-quotient":
             assert len(pack_blocks(quotient)) >= 64
+        assert _block_remainder(a, b, monkeypatch) == a % b
 
-    def test_single_block_divisor_path(self):
+    def test_single_block_divisor_path(self, monkeypatch):
+        """A one-block divisor: ``_bmodder`` pads both sides with a zero
+        low block so ``_bdivrem`` still estimates against two."""
         a = (1 << 4096) - 123
-        b = (1 << 200) - 1  # one block at the default k
+        b = (1 << 200) - 1  # one 1024-bit block
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
+        assert _block_remainder(a, b, monkeypatch) == a % b
 
     def test_small_dividend_short_circuit(self):
         quotient, remainder = divmod_packed(to_nat(5), to_nat(7))
@@ -377,6 +403,100 @@ POWMOD_MODULI = [
         ("2^32", 1 << 32), ("3*2^%d" % _W, 3 * _PB),
         ("mixed-3-blocks", (_PB - 1) * _PB ** 2 + 5),
     )]
+
+
+_C = DIV_RECURSION_BITS
+
+
+def _wide(bits: int, seed: int) -> int:
+    """A random natural of exactly ``bits`` bits."""
+    rng = random.Random(0xD1 ^ seed ^ bits)
+    return rng.getrandbits(bits) | (1 << (bits - 1))
+
+
+class TestRecursiveDivision:
+    """:func:`divmod_packed_int`, the Burnikel–Ziegler recursion packed
+    div/mod run on whole ints, against ``divmod``."""
+
+    @pytest.mark.parametrize("divisor_bits, gap_bits, recursed", [
+        (_C - 1, _C + 64, False), (_C, _C + 64, True),
+        (_C + 1, _C + 64, True), (3 * _C, _C - 1, False),
+        (3 * _C, _C, True), (3 * _C, _C + 1, True)])
+    def test_cutoff_edges(self, divisor_bits, gap_bits, recursed,
+                          monkeypatch):
+        """One ``divmod`` while the divisor is narrower than the cutoff
+        or the dividend is less than the cutoff wider than it; the
+        recursion from either edge up."""
+        split, calls = packed_kernels._div_digits, []
+
+        def recording(*args):
+            calls.append(args[2])
+            return split(*args)
+
+        monkeypatch.setattr(packed_kernels, "_div_digits", recording)
+        a = _wide(divisor_bits + gap_bits, 1)
+        b = _wide(divisor_bits, 2)
+        assert divmod_packed_int(a, b) == divmod(a, b)
+        quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
+        assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
+        assert bool(calls) == recursed
+
+    def test_estimate_repairs(self, monkeypatch):
+        """Operand families that drive every repair of the 3n/2n step's
+        estimate: the saturated estimate ``2**half - 1`` (dividend and
+        divisor tops equal) exact and one high, and the top-half
+        estimate exact, one high and two high."""
+        step, seen = packed_kernels._div_3n2n, set()
+
+        def recording(a12, a3, b, b_high, b_low, half):
+            saturated = a12 >> half == b_high
+            estimate = (1 << half) - 1 if saturated else a12 // b_high
+            quotient, remainder = step(a12, a3, b, b_high, b_low, half)
+            seen.add((saturated, estimate - quotient))
+            return quotient, remainder
+
+        monkeypatch.setattr(packed_kernels, "_div_3n2n", recording)
+        rng = random.Random(11)
+        for _ in range(16):
+            n = _C + 1 + rng.randrange(64)
+            top = 1 << (n - 1)
+            # A near-maximal quotient over a random divisor.
+            b = top | rng.getrandbits(n - 1)
+            pairs = [(b * ((1 << n) - 1 - rng.randrange(4))
+                      + rng.randrange(b), b)]
+            # Just under the 2**n multiple of a divisor just over a
+            # power of two: the tops agree.
+            b = top + rng.randrange(256)
+            pairs.append(((b << n) - 1 - rng.randrange(1 << 20), b))
+            # A random dividend under a random divisor.
+            b = top | rng.getrandbits(n - 1)
+            pairs.append((rng.getrandbits(2 * n) % (b << n), b))
+            for a, b in pairs:
+                assert divmod_packed_int(a, b) == divmod(a, b)
+        # The smallest top half over an all-ones bottom half, under a
+        # dividend whose top equals that top half: the saturated
+        # estimate is one high.
+        half = _C // 2 + 8
+        b_high = 1 << (half - 1)
+        b = (b_high << half) | ((1 << half) - 1)
+        a = (b_high << (3 * half)) | rng.getrandbits(2 * half)
+        assert divmod_packed_int(a, b) == divmod(a, b)
+        assert seen >= {(True, 0), (True, 1), (False, 0), (False, 1),
+                        (False, 2)}
+
+    @given(a=st.integers(min_value=0, max_value=(1 << 40000) - 1),
+           b=st.integers(min_value=1, max_value=(1 << 20000) - 1))
+    @settings(max_examples=diff_examples(), deadline=None)
+    def test_matches_divmod(self, a, b):
+        assert divmod_packed_int(a, b) == divmod(a, b)
+
+    def test_error_vocabulary(self):
+        for a, b in ((3, 0), (0, 0)):
+            with pytest.raises(MpnError, match="division by zero"):
+                divmod_packed_int(a, b)
+        for a, b in ((-1, 3), (3, -1)):
+            with pytest.raises(MpnError, match="negative"):
+                divmod_packed_int(a, b)
 
 
 class TestPowmodPacked:

@@ -255,6 +255,7 @@ class TestHostKernelMul:
 KERNEL_ENTRIES = (("repro.mpn.mul", "mul_packed", "packed"),
                   ("repro.mpn.mul", "_walk_mul", "library"),
                   ("repro.mpn.div", "divmod_packed", "packed"),
+                  ("repro.mpn.packed", "divmod_packed_int", "packed"),
                   ("repro.mpn.div", "divmod_schoolbook", "library"),
                   ("repro.mpn.div", "divmod_newton", "library"),
                   ("repro.mpn.packed", "powmod_packed", "packed"),

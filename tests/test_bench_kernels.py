@@ -32,10 +32,12 @@ def test_packed_powmod_gate_fails_below_its_floor_at_the_top_modulus():
 def test_block_bits_are_the_widths_the_timed_kernels_default_to():
     kernels = {"mul": packed_kernels.mul_packed,
                "sqr": packed_kernels.sqr_packed,
-               "div": packed_kernels.divmod_packed,
                "powmod": packed_kernels.powmod_packed}
     assert packed_block_bits() == {
         op: LIMB_BITS * inspect.signature(kernel).parameters["k"].default
         for op, kernel in kernels.items()}
     assert packed_block_bits() == {"mul": 35904, "sqr": 35904,
-                                   "div": 1024, "powmod": 256}
+                                   "powmod": 256}
+    # Packed division recurses on whole ints: no block to record.
+    assert "k" not in inspect.signature(
+        packed_kernels.divmod_packed).parameters
