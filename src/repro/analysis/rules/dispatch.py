@@ -20,7 +20,7 @@ from repro.analysis.rules.base import (FileContext, Rule, RuleViolation,
 
 #: Concrete algorithm entrypoints (the dispatchers ``mul``/``mul_int``/
 #: ``divmod_nat`` stay callable anywhere — they route through
-#: plan.select themselves).  The block-packed kernels of
+#: plan.select themselves).  The packed kernels of
 #: :mod:`repro.mpn.packed` are covered too: they are reachable only
 #: through the dispatchers' backend resolution or a lowered
 #: ``backend="packed"`` Plan, never called directly.
@@ -29,9 +29,9 @@ KERNEL_ENTRYPOINTS = frozenset({
     "mul_karatsuba", "sqr_karatsuba",
     "mul_toom", "mul_ssa",
     "divmod_schoolbook", "divmod_newton", "divmod_bz",
-    "mul_packed", "sqr_packed", "divmod_packed", "divmod_packed_int",
+    "mul_packed", "sqr_packed", "divmod_packed", "powmod_packed",
+    "mul_packed_int", "divmod_packed_int", "powmod_packed_int",
     "add_packed", "sub_packed", "shl_packed", "shr_packed",
-    "powmod_packed",
 })
 
 

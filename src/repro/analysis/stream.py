@@ -297,14 +297,14 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
 
     if plan.spec.op == "mul" \
             and plan.backend in ("library", "device", "packed"):
-        from repro.mpn.nat import LIMB_BITS
-        min_limbs = -(-min(max(plan.spec.bits_a, 1),
-                           max(plan.spec.bits_b, 1)) // LIMB_BITS)
         if plan.backend == "device":
             expected = "monolithic"
         elif plan.backend == "packed":
-            expected = select.packed_chain(min_limbs)[0][0]
+            expected = select.PACKED_MUL_ALGORITHM
         else:
+            from repro.mpn.nat import LIMB_BITS
+            min_limbs = -(-min(max(plan.spec.bits_a, 1),
+                               max(plan.spec.bits_b, 1)) // LIMB_BITS)
             expected = select.mul_algorithm(min_limbs, plan.policy())
         if plan.algorithm != expected:
             report("PV-ALGO",

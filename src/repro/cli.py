@@ -524,7 +524,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.analysis.stream import verify_plan
-    from repro.plan import OpSpec, PlanError
+    from repro.plan import OpSpec, PlanError, select
     from repro.plan.lowering import lower
 
     bits_b = args.bits_b if args.bits_b is not None else args.bits
@@ -536,9 +536,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     elif args.op == "model_cycles":
         detail = (("model_op", "mul"),)
         bits_b = 0
-    elif args.op == "powmod":
-        # mod width rides bits_a, exponent width bits_b; CLI lowering
-        # assumes the common odd-modulus (Montgomery) case.
+    elif args.op == "powmod" and not select.powmod_is_pow(args.backend):
+        # mod width rides bits_a, exponent width bits_b; a library
+        # lowering assumes the common odd-modulus (Montgomery) case.
         detail = (("mod_odd", 1),)
     try:
         spec = OpSpec(args.op, bits_a, bits_b, args.backend, detail)

@@ -20,6 +20,28 @@ from repro.mpn.nat import MpnError
 
 Row = List[MPF]
 
+#: A pivot counts as zero when it lies this many bits or fewer above
+#: the working precision's floor under the largest operand of the
+#: subtractions that produced it: what is left of an exact cancellation
+#: is a few rounding units of those operands, and a genuine pivot of a
+#: well-posed system sits far above them.
+PIVOT_GUARD_BITS = 16
+
+
+def _top(value: MPF) -> float:
+    """``floor(log2(|value|))``, or ``-inf`` for zero."""
+    return value.exponent_of_top_bit if value else float("-inf")
+
+
+def _negligible(pivot: MPF, scale: float, precision: int) -> bool:
+    """True when ``pivot`` is zero or a rounding residue: its magnitude
+    is below ``2**(PIVOT_GUARD_BITS - precision)`` times ``2**scale``,
+    the largest operand its eliminations subtracted."""
+    if not pivot:
+        return True
+    return pivot.exponent_of_top_bit \
+        < scale - precision + PIVOT_GUARD_BITS
+
 
 @dataclass
 class LUFactorization:
@@ -127,16 +149,21 @@ class Matrix:
         if rows != cols:
             raise MpnError("LU needs a square matrix")
         work = [list(row) for row in self.rows]
+        # scale[r][k]: top bit of the largest operand entry (r, k) has
+        # been through, the magnitude its rounding errors are relative to.
+        scale = [[_top(entry) for entry in row] for row in work]
         pivots = list(range(rows))
         sign = 1
         for col in range(rows):
             # Pivot: largest magnitude in the column.
             best_row = max(range(col, rows),
                            key=lambda r: abs(work[r][col]))
-            if not work[best_row][col]:
+            if _negligible(work[best_row][col], scale[best_row][col],
+                           self.precision):
                 raise MpnError("singular matrix")
             if best_row != col:
                 work[col], work[best_row] = work[best_row], work[col]
+                scale[col], scale[best_row] = scale[best_row], scale[col]
                 pivots[col], pivots[best_row] = (pivots[best_row],
                                                  pivots[col])
                 sign = -sign
@@ -145,7 +172,10 @@ class Matrix:
                 factor = work[row][col] / pivot
                 work[row][col] = factor
                 for k in range(col + 1, rows):
-                    work[row][k] = work[row][k] - factor * work[col][k]
+                    term = factor * work[col][k]
+                    scale[row][k] = max(scale[row][k], _top(work[row][k]),
+                                        _top(term))
+                    work[row][k] = work[row][k] - term
         return LUFactorization(work, pivots, sign)
 
     def solve(self, rhs: Sequence[MPF],

@@ -158,11 +158,10 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
     """Profiled modular exponentiation.
 
     ``backend="auto"`` asks :func:`repro.plan.select.powmod_backend`:
-    the packed block ladder (block Montgomery for odd moduli, block
-    division for even) at every modulus width, or the limb CIOS kernel
-    under ``REPRO_PACKED=0``.  ``"packed"``/``"limb"`` pin the choice
-    explicitly.  Both kernels produce the unique canonical residue,
-    bit-identically.
+    the packed kernel (CPython ``pow``) at every modulus width, or the
+    limb CIOS kernel under ``REPRO_PACKED=0``.  ``"packed"``/``"limb"``
+    pin the choice explicitly.  Both kernels produce the unique
+    canonical residue, bit-identically.
     """
     with kernel("powmod", bit_length(modulus), bit_length(exponent)):
         if backend == "auto":

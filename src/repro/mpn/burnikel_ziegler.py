@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from repro.mpn import nat
-from repro.mpn.div import basecase_divmod
+from repro.mpn.div import basecase_divmod, divmod_digits
 from repro.mpn.nat import LIMB_BITS, MpnError, Nat
 from repro.plan import select as _select
 
@@ -119,23 +119,11 @@ def divmod_bz(a: Nat, b: Nat, mul_fn: MulFn) -> Tuple[Nat, Nat]:
     b_norm = nat.shl(b, shift)
     b_norm = _pad(b_norm, target)
 
-    # Chop the dividend into blocks of `target` limbs, divide from the
-    # most significant block down (standard schoolbook over big blocks).
-    blocks = []
-    remaining = list(a_norm)
-    while remaining:
-        blocks.append(nat.normalize(remaining[:target]))
-        remaining = remaining[target:]
-    blocks.reverse()  # most significant first
-
-    quotient: Nat = []
-    remainder: Nat = []
-    for block in blocks:
-        # ``block`` is already normalized; _div_2n1n pads internally.
-        # (Padding here leaked a trailing-zero buffer into nat.add /
-        # divmod_schoolbook in the basecase branch.)
-        q_block, remainder = _div_2n1n(remainder, block,
-                                       b_norm, target // 2, mul_fn)
-        quotient = nat.add(nat.shl(quotient, target * LIMB_BITS),
-                           q_block)
-    return nat.normalize(quotient), nat.shr(remainder, shift)
+    # Divide a_norm digit by digit, each digit one _div_2n1n over
+    # ``target`` limbs.  (The digits arrive normalized; _div_2n1n pads
+    # internally -- padding here leaked a trailing-zero buffer into
+    # nat.add / divmod_schoolbook in the basecase branch.)
+    quotient, remainder = divmod_digits(
+        a_norm, target, lambda high, low: _div_2n1n(
+            high, low, b_norm, target // 2, mul_fn))
+    return quotient, nat.shr(remainder, shift)

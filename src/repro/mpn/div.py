@@ -33,7 +33,6 @@ DIV_BACKENDS = ("auto", "limb", "packed")
 #: planner sees the same threshold this kernel does.
 NEWTON_DIV_THRESHOLD_BITS = 2048
 
-
 def divmod_schoolbook(a: Nat, b: Nat) -> Tuple[Nat, Nat]:
     """Exact (quotient, remainder) by Knuth Algorithm D."""
     if nat.is_zero(b):
@@ -124,21 +123,49 @@ def _reciprocal(b: Nat, precision_bits: int, mul_fn: MulFn) -> Nat:
 
 
 def divmod_newton(a: Nat, b: Nat, mul_fn: MulFn) -> Tuple[Nat, Nat]:
-    """Exact (quotient, remainder) via reciprocal multiplication."""
+    """Exact (quotient, remainder) via reciprocal multiplication.
+
+    The reciprocal is taken once, at the precision of one quotient
+    digit: the whole quotient when it is no wider than the divisor,
+    otherwise a ``len(b)``-limb digit of a :func:`divmod_digits` walk.
+    The Newton steps and products stay at divisor width however wide
+    the dividend is.
+    """
     if nat.is_zero(b):
         raise MpnError("division by zero")
     if nat.cmp(a, b) < 0:
         return [], list(a)
-    dividend_bits = nat.bit_length(a)
     divisor_bits = nat.bit_length(b)
     if _select.div_algorithm(
             divisor_bits, NEWTON_DIV_THRESHOLD_BITS) == "schoolbook":
         return divmod_schoolbook(a, b)
 
-    precision = dividend_bits - divisor_bits + 4
+    digit_bits = LIMB_BITS * len(b)
+    quotient_bits = nat.bit_length(a) - divisor_bits
+    precision = min(quotient_bits, digit_bits) + 4
     reciprocal = _reciprocal(b, precision, mul_fn)
-    # q ~= a * (2^(nb+p)/b) >> (nb+p)
-    quotient = nat.shr(mul_fn(a, reciprocal), divisor_bits + precision)
+    if quotient_bits <= digit_bits:
+        return _newton_digit(a, b, reciprocal, precision, mul_fn)
+    return divmod_digits(a, len(b), lambda high, low: _newton_digit(
+        nat.add(nat.shl(high, digit_bits), low), b, reciprocal, precision,
+        mul_fn))
+
+
+def _newton_digit(a: Nat, b: Nat, reciprocal: Nat, precision: int,
+                  mul_fn: MulFn) -> Tuple[Nat, Nat]:
+    """``divmod(a, b)`` for a quotient of at most ``precision - 4``
+    bits, by ``reciprocal`` (``2**(bit_length(b) + precision) // b``
+    from below).
+
+    The estimate reads only the top of ``a``: dropping all but 32 of
+    its bits under ``b``'s width lowers it by under ``2**-31`` units,
+    so the product is quotient-wide on both sides.
+    """
+    divisor_bits = nat.bit_length(b)
+    drop = max(0, divisor_bits - 32)
+    # q ~= (a >> drop) * (2^(nb+p)/b) >> (nb+p-drop)
+    quotient = nat.shr(mul_fn(nat.shr(a, drop), reciprocal),
+                       divisor_bits + precision - drop)
     # Correction loop: the reciprocal is accurate to a few ulps, so this
     # runs O(1) times (asserted by tests over adversarial operands).
     while True:
@@ -152,6 +179,33 @@ def divmod_newton(a: Nat, b: Nat, mul_fn: MulFn) -> Tuple[Nat, Nat]:
             quotient = nat.add(quotient, extra)
             remainder = fine
         return quotient, remainder
+
+
+def divmod_digits(a: Nat, digit_limbs: int,
+                  divide_digit: Callable[[Nat, Nat], Tuple[Nat, Nat]]
+                  ) -> Tuple[Nat, Nat]:
+    """Schoolbook division of ``a`` over ``digit_limbs``-limb digits.
+
+    ``a`` is cut into digits from the bottom and divided from the top
+    down.  ``divide_digit(remainder, digit)`` returns the quotient and
+    remainder of ``remainder * B**digit_limbs + digit`` (B the limb
+    base) by the divisor; with ``remainder`` below the divisor that
+    quotient is below ``B**digit_limbs``: one digit.  The recursive
+    dividers (Newton, Burnikel-Ziegler) thus only ever divide at
+    divisor width.
+    """
+    digits = []
+    remainder: Nat = []
+    for low in range((len(a) - 1) // digit_limbs * digit_limbs, -1,
+                     -digit_limbs):
+        digit, remainder = divide_digit(
+            remainder, nat.normalize(a[low:low + digit_limbs]))
+        digits.append(digit)
+    limbs: Nat = []
+    for digit in reversed(digits):
+        limbs.extend(digit)
+        limbs.extend([0] * (digit_limbs - len(digit)))
+    return nat.normalize(limbs), remainder
 
 
 def basecase_divmod(a: Nat, b: Nat) -> Tuple[Nat, Nat]:

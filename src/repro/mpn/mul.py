@@ -173,9 +173,9 @@ def mul(a: Nat, b: Nat, policy: MulPolicy = GMP_POLICY,
 
     ``backend="auto"`` consults the tuned packed-vs-limb crossover and
     routes whole operands to :func:`repro.mpn.packed.mul_packed` when
-    the block-packed kernels win; the block multiplier carries its own
-    schoolbook/Karatsuba ladder at block granularity, so the limb
-    ladder below only runs for the limb backend.  The limb ladder is a
+    the packed backend wins; that is one CPython int product, which
+    carries its own Karatsuba in C, so the limb ladder below only runs
+    for the limb backend.  The limb ladder is a
     *committed schedule*: the full recursion structure is derived once
     per (size, policy) and walked without further threshold lookups.
     """

@@ -1,49 +1,38 @@
-"""Block-packed fast kernels: base ``2**(32*k)`` basecases (k limbs/block).
+"""Packed fast kernels: whole Python ints and base ``2**(32*k)`` blocks.
 
-Every kernel in this package spends its wall time in the Python
-interpreter, one loop iteration per 32-bit limb.  This module packs
-consecutive limbs into a single Python int — a *block*, the packed
-backend's machine word — and runs the add/sub/mul/sqr/shift basecases
-one block at a time, the wide-block digit processing that *Fast
-Arbitrary Precision Floating Point on FPGA* (de Fine Licht et al.) and
-ARCHITECT (Li et al.) identify as the arbitrary-precision throughput
-lever.  Each kernel has its own block width:
+Every limb kernel in this package spends its wall time in the Python
+interpreter, one loop iteration per 32-bit limb.  The packed backend
+drops that digit: it computes on wide digits, the arbitrary-precision
+throughput lever that *Fast Arbitrary Precision Floating Point on
+FPGA* (de Fine Licht et al.) and ARCHITECT (Li et al.) identify, and
+Cambricon-P's own case against cutting monolithic operands into 32-bit
+limbs.  The widest digit is the whole operand, and CPython's ``int``
+is the host's monolithic multiplier, so:
 
-* ``mul``/``sqr`` pack ``MUL_PACK_LIMBS`` limbs (35904 bits), the width
-  Cambricon-P multiplies in one monolithic pass, so every product up
-  to that width is one C-level int product;
-* ``add``/``sub`` and the shifts pack ``PACK_LIMBS`` limbs (1024 bits);
-* ``powmod`` packs ``POWMOD_PACK_LIMBS`` limbs (256 bits).
-
-Division has no block at all: it takes the whole operands as Python
-ints, the widest digit there is.
-
-Carries resolve once per operation, the way Cambricon-P's IPUs compute
-carry-free inner products and leave the carries to the gatherer.
-``add``/``sub`` are one elementwise ``map`` and one carry sweep; the
-other kernels go further:
-
-* ``mul``/``sqr`` run a carry-free block convolution (a Karatsuba split
-  over raw, unnormalized coefficients from two blocks up, the way MPApca
-  decomposes operands past the monolithic width, down to a
-  row-convolution basecase, one C-level ``map`` per row) and then one
-  floor-carry sweep;
+* ``mul``/``sqr`` are one CPython int product
+  (:func:`mul_packed_int`);
 * ``divmod`` runs the Burnikel–Ziegler recursion (2n/1n and 3n/2n
   steps) over CPython int products, with one ``divmod`` below
   ``DIV_RECURSION_BITS``: the division MPApca prices as a few
-  multiplies at operand width, not a quadratic digit loop;
-* ``powmod`` runs a windowed ladder that stays on block lists from the
-  first pack to the last unpack: block Montgomery REDC (one C-level
-  ``map`` row per low block of the modulus) for odd moduli, block
-  products reduced by a signed-digit block division for even ones.
+  multiplies at operand width, not a quadratic digit loop
+  (:func:`divmod_packed_int`);
+* ``powmod`` is CPython's ``pow`` (:func:`powmod_packed_int`).
 
-Inside those kernels coefficients may exceed the block base or go
-negative; Python ints carry both exactly.  Operands and results are
-ordinary normalized limb lists (:mod:`repro.mpn.nat`), except
-:func:`divmod_packed_int`, which serves a lowered plan on the request's
-ints directly; every kernel is bit-identical to its limb sibling —
-``tests/differential`` proves it against both the limb kernels and
-Python bigints.
+A lowered ``backend="packed"`` plan calls these ``*_int`` entries on
+the request's ints directly.  :func:`mul_packed`, :func:`sqr_packed`,
+:func:`divmod_packed` and :func:`powmod_packed` are their limb-list
+wrappers for the mpn dispatchers: each operand converts once each way.
+
+``add``/``sub`` and the shifts stay on limb lists and pack
+``PACK_LIMBS`` limbs (1024 bits) into a *block*: ``add``/``sub`` are
+one elementwise ``map`` and one carry sweep, the way Cambricon-P's IPUs
+compute carry-free and leave the carries to the gatherer; the shifts
+step one block at a time.
+
+Operands and results of the limb-list kernels are ordinary normalized
+limb lists (:mod:`repro.mpn.nat`); every kernel is bit-identical to its
+limb sibling — ``tests/differential`` proves it against both the limb
+kernels and Python bigints.
 
 Reachability contract (lint rule RPR012): these kernels are selected by
 ``repro.plan.select`` crossovers and invoked only through the mpn
@@ -57,24 +46,11 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul, sub
-from typing import Callable, Iterable, List, Tuple
+from operator import add, sub
+from typing import Iterable, List, Tuple
 
 from repro.mpn.nat import (LIMB_BITS, MpnError, Nat, nat_from_int,
                             nat_to_int, normalize)
-
-#: Limbs per block for :func:`mul_packed` and :func:`sqr_packed`: the
-#: width of Cambricon-P's monolithic multiplier, 35904 bits (1122
-#: limbs; ``core.model.CambriconPConfig.monolithic_max_bits`` and
-#: ``mpn.mul.MPAPCA_POLICY.karatsuba_limbs``, pinned equal by
-#: ``tests/mpn/test_packed.py``).  Every product whose operands fit one
-#: block is one C-level int product; wider operands split by block
-#: Karatsuba, the way MPApca decomposes only what the hardware cannot
-#: multiply in one pass (Section VII-B).  Against 1024-bit blocks (best
-#: of 9, a over a half-width b): 1.23 -> 0.62 ms geometric mean over
-#: 36-96 kbit, 92 -> 49 ms at 1 Mbit, 50 -> 34 us at 8 kbit.
-MUL_PACK_LIMBS = 1122
 
 #: Limbs packed per block for add/sub and shift.  k=32 -> 1024-bit
 #: blocks (radix 2^1024): one interpreter iteration per 32 limbs.
@@ -92,34 +68,8 @@ PACK_LIMBS = 32
 #: against 0.184 for ``divmod``.
 DIV_RECURSION_BITS = 4096
 
-#: Limbs per block for :func:`powmod_packed`: 256-bit blocks.  Served
-#: moduli are odd and at most 512 bits wide, and there the wider block
-#: loses: over serve-mix's 628 seed-7 powmods, 1024-bit blocks took
-#: 169-268 us per call against 153-249 us at 256 bits, slower in 3 of
-#: 4 alternating rounds (a rerun: 261-282 against 245-255 us, 4 of 4).
-#: From 1024-bit moduli up the wider block wins (2.1x at 1024 bits).
-POWMOD_PACK_LIMBS = 8
-
 #: Bytes per limb (limbs are base 2^32).
 _LIMB_BYTES = LIMB_BITS // 8
-
-#: Block count (of the shorter operand) at or above which
-#: :func:`mul_packed`/:func:`sqr_packed` split by block Karatsuba;
-#: below it they run the row-convolution basecase.  At 35904-bit
-#: blocks a block product is a long C-level multiply, so one saved
-#: product outweighs the split's bookkeeping from two blocks up.
-#: Geometric mean of best-of-9 over 11 shapes (a 36-96 kbit over a/2):
-#: 0.63 ms at 2 against 0.68 at 3, 0.65 at 4 and 0.68 at 6; at 1 Mbit
-#: 50.9 ms against 67.1, 67.6 and 83.2.
-KARATSUBA_BLOCKS = 2
-
-#: The same threshold for powmod's 256-bit blocks
-#: (:func:`_bmont_mul`, and :func:`_bmul` on even moduli): block
-#: products there are short, and a split pays only from six blocks.
-#: Odd moduli, 64-bit exponents, best of 30: 742 us at 2 against 489
-#: at 6 for a 512-bit modulus, 18.9 against 9.9 ms at 4096 bits; 8
-#: ties 6.
-POWMOD_KARATSUBA_BLOCKS = 6
 
 #: Limb count at/above which the O(n) kernels (add/shift) are worth
 #: packing; below it the pack/unpack round trip eats the win (measured
@@ -132,8 +82,7 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 
 @lru_cache(maxsize=16)
 def _mask(bits: int) -> int:
-    """``2**bits - 1``, built once per block width (at 35904 bits a
-    fresh mask costs about a microsecond per call)."""
+    """``2**bits - 1``, built once per block width."""
     return (1 << bits) - 1
 
 
@@ -216,9 +165,8 @@ def unpack_blocks(blocks: List[int], k: int = PACK_LIMBS) -> Nat:
 #
 # Private helpers over little-endian block lists, parameterized by the
 # block width in bits.  The shifts mirror the limb kernels in
-# repro.mpn.nat one-for-one with the block as the digit; add, sub, mul
-# and divmod work on raw coefficient lists and resolve carries in one
-# sweep.
+# repro.mpn.nat one-for-one with the block as the digit; add and sub
+# work on raw coefficient lists and resolve carries in one sweep.
 
 
 def _bnormalize(blocks: List[int]) -> List[int]:
@@ -292,143 +240,7 @@ def _vadd(x: List[int], y: List[int]) -> List[int]:
     return out
 
 
-def _bconv(a: List[int], b: List[int],
-           karatsuba_blocks: int) -> List[int]:
-    """Carry-free block product: the ``len(a)+len(b)-1`` coefficients.
-
-    Coefficients are raw convolution sums that may exceed the block
-    base (Python ints carry them exactly); the caller resolves every
-    carry in one sweep.  The basecase is a row convolution, one C-level
-    ``map`` per block of the shorter operand; from ``karatsuba_blocks``
-    blocks up one block Karatsuba split, with its sums and differences
-    taken elementwise (the middle term ``cross - z0 - z2`` is the mixed
-    products, so it never goes negative).
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        # One row.  At the monolithic width every operand up to 35904
-        # bits is one block, so this is one int product per block.
-        return list(map(mul, a, repeat(b[0])))
-    if len(b) < karatsuba_blocks:
-        width = len(a)
-        out = [0] * (width + len(b) - 1)
-        for i, digit in enumerate(b):
-            if digit:
-                out[i:i + width] = map(add, out[i:i + width],
-                                       map(mul, a, repeat(digit)))
-        return out
-    split = (len(a) + 1) // 2
-    a0, a1 = a[:split], a[split:]
-    if len(b) <= split:
-        # Unbalanced: the short operand fits in the low half, so the
-        # product is two half-width sub-products, no cross term.
-        out = _bconv(a0, b, karatsuba_blocks) + [0] * (len(a) - split)
-        out[split:] = map(add, out[split:],
-                          _bconv(a1, b, karatsuba_blocks))
-        return out
-    b0, b1 = b[:split], b[split:]
-    z0 = _bconv(a0, b0, karatsuba_blocks)
-    z2 = _bconv(a1, b1, karatsuba_blocks)
-    z1 = _bconv(_vadd(a0, a1), _vadd(b0, b1), karatsuba_blocks)
-    z1[:len(z0)] = map(sub, z1, z0)
-    z1[:len(z2)] = map(sub, z1, z2)
-    # len(z0) == 2*split - 1, so z2 starts right after one zero slot.
-    out = z0 + [0] + z2
-    end = split + len(z1)
-    out[split:end] = map(add, out[split:end], z1)
-    return out
-
-
-def _bmul(a: List[int], b: List[int], bits: int, mask: int,
-          karatsuba_blocks: int) -> List[int]:
-    """Block product: carry-free convolution, then one carry sweep.
-
-    The shape of Cambricon-P's carry-parallel gathering: the inner
-    products accumulate without carries and the carries resolve once,
-    at the top.  At the monolithic width one block stands for 1122
-    limbs, so a block Karatsuba over C-speed block products beats every
-    limb-level regime at the sizes reached in practice.
-    """
-    if not a or not b:
-        return []
-    out, carry = _bcarry(_bconv(a, b, karatsuba_blocks), bits, mask)
-    if carry:
-        out.append(carry)
-    return _bnormalize(out)
-
-
-def _bdivrem(w: List[int], v: List[int], bits: int,
-             mask: int) -> Tuple[List[int], List[int]]:
-    """Signed-digit block division of ``w`` by a normalized ``v``.
-
-    ``v`` has at least two blocks and its top block has the high bit set
-    (Knuth's D1, done by the caller), and ``len(w) >= len(v)``.  Each
-    quotient position folds the retired top coefficient into the next
-    one, estimates a *signed* digit from the top two window coefficients
-    against ``v``'s top two blocks, and subtracts ``digit * v`` as one
-    C-level ``map`` row.  Window coefficients stay unnormalized until
-    the end, where one carry sweep over the digits and one over the
-    remainder resolve them, and a fix-up adds or subtracts ``v`` while
-    the remainder lies outside ``[0, v)``.  ``W == Q*V + R`` holds after
-    every step, so the result is exact whatever the estimates were.
-    Returns the normalized (quotient, remainder) blocks.
-    """
-    n = len(v)
-    m = len(w) - n
-    w = w + [0]
-    v_top2 = (v[-1] << bits) | v[-2]
-    digits = [0] * (m + 1)
-
-    for j in range(m, -1, -1):
-        top = j + n - 1
-        w[top] += w[top + 1] << bits
-        digit = ((w[top] << bits) + w[top - 1]) // v_top2
-        if digit:
-            w[j:top + 1] = map(sub, w[j:top + 1],
-                               map(mul, v, repeat(digit)))
-        digits[j] = digit
-
-    remainder, high = _bcarry(w[:n], bits, mask)
-    while high < 0:
-        remainder, carry = _bcarry(map(add, remainder, v), bits, mask)
-        high += carry
-        digits[0] -= 1
-    while high > 0 or _bcmp(remainder, v) >= 0:
-        remainder, carry = _bcarry(map(sub, remainder, v), bits, mask)
-        high += carry
-        digits[0] += 1
-    # The fixed-up quotient fits its m + 1 blocks: no carry out.
-    quotient = _bcarry(digits, bits, mask)[0]
-    return _bnormalize(quotient), _bnormalize(remainder)
-
-
 # -- public kernels (Nat in, Nat out) ----------------------------------------
-
-
-def mul_packed(a: Nat, b: Nat, k: int = MUL_PACK_LIMBS) -> Nat:
-    """Product of two naturals through the block-packed multiplier."""
-    if not a or not b:
-        return []
-    bits = LIMB_BITS * k
-    return unpack_blocks(_bmul(pack_blocks(a, k), pack_blocks(b, k),
-                               bits, _mask(bits), KARATSUBA_BLOCKS), k)
-
-
-def sqr_packed(a: Nat, k: int = MUL_PACK_LIMBS) -> Nat:
-    """Square of a natural through the carry-free block convolution.
-
-    ``_bmul(a, a)`` keeps the square shape down the whole Karatsuba
-    recursion (every sub-product has equal operands) and resolves the
-    carries in one sweep at the top, so a dedicated symmetric basecase
-    would only shave a constant factor.
-    """
-    if not a:
-        return []
-    bits = LIMB_BITS * k
-    blocks = pack_blocks(a, k)
-    return unpack_blocks(_bmul(blocks, blocks, bits, _mask(bits),
-                               KARATSUBA_BLOCKS), k)
 
 
 def add_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Nat:
@@ -488,11 +300,66 @@ def shr_packed(a: Nat, count: int, k: int = PACK_LIMBS) -> Nat:
                                     bits, mask), k)
 
 
+# -- whole-int kernels (int in, int out) and their limb-list wrappers -------
+
+
+def mul_packed_int(a: int, b: int) -> int:
+    """Product of two naturals: one CPython int product.
+
+    CPython multiplies by Karatsuba on 30-bit digits past about 70
+    digits and squares faster when ``a is b``, so a square passes the
+    same object twice.  Against the 35904-bit block Karatsuba this
+    replaced (best of 5, a over a/2, the served path with its limb
+    conversions): 0.297 -> 0.188 ms at 36 kbit, 1.342 -> 0.951 ms at
+    96 kbit and 49.4 -> 47.3 ms at 1 Mbit.
+    """
+    if a < 0 or b < 0:
+        raise MpnError("naturals cannot be negative")
+    return a * b
+
+
+def powmod_packed_int(base: int, exponent: int, modulus: int) -> int:
+    """``base**exponent mod modulus`` of naturals: CPython's ``pow``.
+
+    ``pow`` runs its whole square-and-multiply ladder in C, reducing
+    each product by a C-level division, for either modulus parity.
+    Against the 256-bit-block Montgomery ladder this replaced
+    (64-bit exponents): 155 -> 16.7 us at a 511-bit modulus, 1.12 ->
+    0.20 ms at 1024 bits.  A zero modulus raises ``MpnError`` like
+    every other mpn kernel, not ``pow``'s ``ValueError``.
+    """
+    if base < 0 or exponent < 0 or modulus < 0:
+        raise MpnError("naturals cannot be negative")
+    if not modulus:
+        raise MpnError("zero modulus")
+    return pow(base, exponent, modulus)
+
+
+def mul_packed(a: Nat, b: Nat) -> Nat:
+    """Product of limb lists by :func:`mul_packed_int`."""
+    product = mul_packed_int(nat_to_int(a), nat_to_int(b))  # repro: noqa=bigint-in-kernel -- packed products run on whole ints
+    return nat_from_int(product)  # repro: noqa=bigint-in-kernel -- and converts back once
+
+
+def sqr_packed(a: Nat) -> Nat:
+    """Square of a limb list by :func:`mul_packed_int` on one int."""
+    value = nat_to_int(a)  # repro: noqa=bigint-in-kernel -- packed products run on whole ints
+    return nat_from_int(mul_packed_int(value, value))  # repro: noqa=bigint-in-kernel -- and converts back once
+
+
 def divmod_packed(a: Nat, b: Nat) -> Tuple[Nat, Nat]:
     """Exact (quotient, remainder) of limb lists by
     :func:`divmod_packed_int`: the operands convert once each way."""
     quotient, remainder = divmod_packed_int(nat_to_int(a), nat_to_int(b))  # repro: noqa=bigint-in-kernel -- packed division runs on whole ints
     return nat_from_int(quotient), nat_from_int(remainder)  # repro: noqa=bigint-in-kernel -- and converts back once
+
+
+def powmod_packed(base: Nat, exponent: Nat, modulus: Nat) -> Nat:
+    """``base**exponent mod modulus`` of limb lists by
+    :func:`powmod_packed_int`."""
+    value = powmod_packed_int(nat_to_int(base), nat_to_int(exponent),  # repro: noqa=bigint-in-kernel -- packed powmod runs on whole ints
+                              nat_to_int(modulus))  # repro: noqa=bigint-in-kernel -- the same boundary crossing
+    return nat_from_int(value)  # repro: noqa=bigint-in-kernel -- and converts back once
 
 
 # -- division ----------------------------------------------------------------
@@ -586,146 +453,3 @@ def _div_3n2n(a12: int, a3: int, b: int, b_high: int, b_low: int,
     return quotient, remainder
 
 
-# -- modular exponentiation --------------------------------------------------
-
-#: Fixed-window width by exponent length, ``(below_bits, width)`` rows
-#: scanned in order; exponents past the last row use
-#: :data:`WINDOW_BITS_MAX`.  A wider window trades ``2**width - 2``
-#: table products for fewer ladder multiplies, which pays only on long
-#: exponents.  Measured over 256-1024-bit moduli: 2-bit windows win
-#: below 24 exponent bits, 3-4 bits tie from 32 to 96, 4 bits win at
-#: 128 and 5 bits at 1024.
-WINDOW_TABLE = ((24, 2), (48, 3), (128, 4))
-WINDOW_BITS_MAX = 5
-
-
-def _window_bits(exponent_bits: int) -> int:
-    for below, width in WINDOW_TABLE:
-        if exponent_bits < below:
-            return width
-    return WINDOW_BITS_MAX
-
-
-def _bmodder(v: List[int], bits: int,
-             mask: int) -> Callable[[List[int]], List[int]]:
-    """``u -> u mod v`` over block lists, ``v`` normalized once (D1).
-
-    A single-block divisor gains a zero low block on both sides (the
-    remainder of ``B*u`` by ``B*v`` is ``B * (u mod v)``), so
-    :func:`_bdivrem` always estimates against two divisor blocks.
-    """
-    shift = bits - v[-1].bit_length()
-    pad = [0] if len(v) == 1 else []
-    v_norm = pad + _bshl_bits(v, shift, bits, mask)
-
-    def reduce(u: List[int]) -> List[int]:
-        if _bcmp(u, v) < 0:
-            return u
-        remainder = _bdivrem(pad + _bshl_bits(u, shift, bits, mask),
-                             v_norm, bits, mask)[1]
-        return _bshr_bits(remainder[len(pad):], shift, bits, mask)
-
-    return reduce
-
-
-def _bmont_mul(a: List[int], b: List[int], modulus: List[int],
-               n_inv: int, bits: int, mask: int) -> List[int]:
-    """Block Montgomery product ``a * b / B**n mod N`` (``a, b < N``).
-
-    The carry-free convolution, then block REDC over the raw
-    coefficients: each of the ``n`` low blocks picks ``q`` so that
-    adding ``q * N`` (one C-level ``map`` row) clears it, and folds its
-    high part into the next block.  One carry sweep over the top ``n``
-    blocks and one conditional subtract of ``N`` finish.
-    """
-    if not a or not b:
-        return []
-    n = len(modulus)
-    t = _bconv(a, b, POWMOD_KARATSUBA_BLOCKS)
-    t.extend(repeat(0, 2 * n + 1 - len(t)))
-    for i in range(n):
-        q = (t[i] * n_inv) & mask
-        if q:
-            t[i:i + n] = map(add, t[i:i + n], map(mul, modulus, repeat(q)))
-        t[i + 1] += t[i] >> bits
-    # (a*b + Q*N) / B**n < 2N, so the sweep leaves no carry out.
-    out = _bnormalize(_bcarry(t[n:], bits, mask)[0])
-    if _bcmp(out, modulus) >= 0:
-        out[:n] = map(sub, out, modulus)
-        out = _bnormalize(_bcarry(out, bits, mask)[0])
-    return out
-
-
-def _bpow(x: List[int], exponent: int,
-          mulmod: Callable[[List[int], List[int]], List[int]]
-          ) -> List[int]:
-    """``x**exponent`` (``exponent >= 1``) by fixed-window left-to-right
-    exponentiation under ``mulmod``."""
-    width = _window_bits(exponent.bit_length())
-    digit_mask = (1 << width) - 1
-    table = [[], x]
-    for _ in range(digit_mask - 1):
-        table.append(mulmod(table[-1], x))
-    shift = (exponent.bit_length() - 1) // width * width
-    acc = table[exponent >> shift]
-    while shift:
-        shift -= width
-        for _ in range(width):
-            acc = mulmod(acc, acc)
-        digit = (exponent >> shift) & digit_mask
-        if digit:
-            acc = mulmod(acc, table[digit])
-    return acc
-
-
-def powmod_packed(base: Nat, exponent: Nat, modulus: Nat,
-                  k: int = POWMOD_PACK_LIMBS) -> Nat:
-    """``base**exponent mod modulus`` as a ladder on packed blocks.
-
-    The base and modulus pack once, every ladder step stays on block
-    lists, and the result unpacks once.  An odd modulus runs block
-    Montgomery (:func:`_bmont_mul`, radix ``B**n`` for an ``n``-block
-    modulus): the base enters the domain by one block division of
-    ``base * B**n`` and leaves by one REDC.  An even modulus runs the
-    same ladder on :func:`_bmul` and a block division whose divisor is
-    normalized once.  The window width comes from
-    :data:`WINDOW_TABLE`.
-    """
-    if not modulus:
-        raise MpnError("zero modulus")
-    bits = LIMB_BITS * k
-    mask = _mask(bits)
-    n_blocks = pack_blocks(modulus, k)
-    if n_blocks == [1]:
-        return []
-    if not exponent:
-        return [1]
-    # The exponent is only read, never computed on: one wide block.
-    power = pack_blocks(exponent, len(exponent))[0]
-    reduce = _bmodder(n_blocks, bits, mask)
-    n = len(n_blocks)
-    base_blocks = pack_blocks(base, k)
-    if n_blocks[0] & 1:
-        # -N0^-1 mod B by Newton lifting: an odd N0 is its own inverse
-        # mod 8, and each step doubles the correct low bits.
-        inverse, correct = n_blocks[0], 3
-        while correct < bits:
-            inverse = (inverse * (2 - n_blocks[0] * inverse)) & mask
-            correct *= 2
-        n_inv = -inverse & mask
-
-        def mulmod(x: List[int], y: List[int]) -> List[int]:
-            return _bmont_mul(x, y, n_blocks, n_inv, bits, mask)
-
-        x = reduce(_bshl_blocks(base_blocks, n))
-        if not x:
-            return []
-        return unpack_blocks(mulmod(_bpow(x, power, mulmod), [1]), k)
-
-    def mulmod(x: List[int], y: List[int]) -> List[int]:
-        return reduce(_bmul(x, y, bits, mask, POWMOD_KARATSUBA_BLOCKS))
-
-    x = reduce(base_blocks)
-    if not x:
-        return []
-    return unpack_blocks(_bpow(x, power, mulmod), k)

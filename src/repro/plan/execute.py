@@ -2,7 +2,9 @@
 
 The library backend executes through the mpn kernels *under the plan's
 own selection policy*, so what runs is exactly what the plan priced and
-what the memo key describes.  The device backend allocs operands into
+what the memo key describes.  The packed backend runs the whole-int
+kernels of :mod:`repro.mpn.packed` on the request's ints, with no limb
+lists and no conversions.  The device backend allocs operands into
 a driver's shared LLC and retires the plan's instruction stream
 (:mod:`repro.plan.streams`).
 
@@ -20,23 +22,14 @@ from typing import Any, Dict, Optional
 from repro.plan.spec import OpSpec, PlanError
 
 
-def _plan_backend(plan) -> str:
-    """The mpn-dispatcher backend a plan's kernels must run on.
-
-    A ``library`` plan priced the limb ladder, a ``packed`` plan the
-    block kernels; execution pins the matching backend so what runs is
-    exactly what the plan's memo key describes.
-    """
-    if plan.backend == "packed":
-        return plan.backend
-    return "limb"
-
-
 def _plan_mul_fn(plan):
+    """The multiplier a ``library`` plan priced: the limb ladder under
+    the plan's own policy, pinned so what runs is exactly what the
+    plan's memo key describes.  (``packed`` plans run on the request's
+    ints and never reach it.)"""
     from repro.mpn.mul import mul as raw_mul
     policy = plan.policy()
-    backend = _plan_backend(plan)
-    return lambda x, y: raw_mul(x, y, policy, backend)
+    return lambda x, y: raw_mul(x, y, policy, "limb")
 
 
 def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
@@ -56,6 +49,9 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
         return {"product": _device_mul(plan, params["a"], params["b"],
                                        device)}
     if op == "mul":
+        if plan.backend == "packed":
+            from repro.mpn.packed import mul_packed_int
+            return {"product": mul_packed_int(params["a"], params["b"])}
         product = _plan_mul_fn(plan)(nat_from_int(params["a"]),
                                      nat_from_int(params["b"]))
         return {"product": nat_to_int(product)}
@@ -68,21 +64,20 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
             from repro.mpn.div import divmod_nat
             quotient, remainder = map(nat_to_int, divmod_nat(
                 nat_from_int(params["a"]), nat_from_int(params["b"]),
-                _plan_mul_fn(plan), backend=_plan_backend(plan)))
+                _plan_mul_fn(plan), backend="limb"))
         if op == "mod":
             return {"remainder": remainder}
         return {"quotient": quotient, "remainder": remainder}
     if op == "powmod":
-        operands = (nat_from_int(params["base"]),
-                    nat_from_int(params["exp"]),
-                    nat_from_int(params["mod"]))
         if plan.backend == "packed":
-            from repro.mpn.packed import powmod_packed
-            value = powmod_packed(*operands)
-        else:
-            from repro.mpn.montgomery import powmod
-            value = powmod(*operands, _plan_mul_fn(plan),
-                           _plan_backend(plan))
+            from repro.mpn.packed import powmod_packed_int
+            return {"value": powmod_packed_int(
+                params["base"], params["exp"], params["mod"])}
+        from repro.mpn.montgomery import powmod
+        value = powmod(nat_from_int(params["base"]),
+                       nat_from_int(params["exp"]),
+                       nat_from_int(params["mod"]),
+                       _plan_mul_fn(plan), "limb")
         return {"value": nat_to_int(value)}
     if op == "pi_digits":
         from repro.apps import pi
@@ -134,16 +129,19 @@ def plan_for_job(op: str, params: Dict[str, Any],
                  thresholds=None, backend: Optional[str] = None):
     """Spec + lower in one call, honouring value-derived detail.
 
-    The one extra over :meth:`OpSpec.for_job`: powmod records the
-    modulus parity (it selects Montgomery vs. division-based
-    exponentiation), which only the values can tell.
+    The one extra over :meth:`OpSpec.for_job`: a library powmod records
+    the modulus parity (it selects Montgomery vs. division-based
+    exponentiation), which only the values can tell.  A packed powmod
+    is ``pow`` for either parity, so its spec carries none and both
+    parities share one cached plan.
     """
+    from repro.plan import select
     from repro.plan.lowering import lower
     spec = OpSpec.for_job(op, params)
-    if op == "powmod":
-        spec = OpSpec("powmod", spec.bits_a, spec.bits_b, spec.backend,
-                      (("mod_odd", int(params["mod"] & 1)),))
     if backend is not None:
         spec = OpSpec(spec.op, spec.bits_a, spec.bits_b, backend,
                       spec.detail)
+    if op == "powmod" and not select.powmod_is_pow(spec.backend):
+        spec = OpSpec("powmod", spec.bits_a, spec.bits_b, spec.backend,
+                      (("mod_odd", int(params["mod"] & 1)),))
     return lower(spec, thresholds)

@@ -63,7 +63,12 @@ from repro.plan.spec import OpSpec, PlanError
 #: ``describe()`` lost its line.
 #: v14: packed div/mod lower to ``packed-recursive`` (Burnikel–Ziegler
 #: over int products on the request's ints), not ``packed-schoolbook``.
-PLAN_SCHEMA_VERSION = 14
+#: v15: packed mul lowers to one ``packed-product`` step (one CPython
+#: int product on the request's ints), not the ``packed-karatsuba`` /
+#: ``packed-basecase`` block chain; packed powmod lowers to one
+#: ``packed-pow`` step (CPython ``pow``) for either modulus parity, not
+#: ``packed-montgomery``/``packed-division``.
+PLAN_SCHEMA_VERSION = 15
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -197,7 +202,7 @@ def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
                                      policy_name))
 
 
-#: Ops the block-packed backend can execute.
+#: Ops the packed backend can execute.
 _PACKED_OPS = ("mul", "div", "mod", "powmod")
 
 
@@ -262,12 +267,9 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
                               "one MUL instruction, %dx%d bits"
                               % (spec.bits_a, spec.bits_b))]
         elif backend == "packed":
-            min_limbs = -(-min(max(spec.bits_a, 1),
-                               max(spec.bits_b, 1)) // LIMB_BITS)
-            steps = [PlanStep("kernel", name, "%d block%s"
-                              % (blocks, "" if blocks == 1 else "s"))
-                     for name, blocks in select.packed_chain(min_limbs)]
-            algorithm = steps[0].algorithm
+            algorithm = select.PACKED_MUL_ALGORITHM
+            steps = [PlanStep("kernel", algorithm,
+                              "one CPython int product")]
         else:
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
@@ -299,17 +301,11 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
                           "precision-doubling Newton")]
         cost = mpapca.sqrt_cycles(spec.bits_a)
     elif op == "powmod":
-        odd = bool(spec.detail_value("mod_odd", 1))
         if backend == "packed":
-            from repro.mpn.packed import POWMOD_PACK_LIMBS
-            algorithm = "packed-montgomery" if odd else "packed-division"
-            blocks = -(-max(spec.bits_a, 1)
-                       // (LIMB_BITS * POWMOD_PACK_LIMBS))
-            note = ("odd modulus: block Montgomery REDC, %d blocks"
-                    if odd else "even modulus: block product + "
-                    "block division, %d blocks") % blocks
-            steps = [PlanStep("kernel", algorithm, note)]
+            algorithm = "packed-pow"
+            steps = [PlanStep("kernel", algorithm, "CPython pow")]
         else:
+            odd = bool(spec.detail_value("mod_odd", 1))
             algorithm = "montgomery" if odd else "binary-division"
             note = "odd modulus: Montgomery domain" if odd \
                 else "even modulus: square-and-multiply over division"

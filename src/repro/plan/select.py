@@ -41,6 +41,11 @@ MUL_LADDER = ("karatsuba", "toom3", "toom4", "toom6", "ssa")
 #: display; SSA's split varies with size and is reported as 0).
 MUL_SPLIT = {"karatsuba": 2, "toom3": 3, "toom4": 4, "toom6": 6, "ssa": 0}
 
+#: The one algorithm of a packed mul at every width: one CPython int
+#: product (:func:`repro.mpn.packed.mul_packed_int`), which runs its
+#: own Karatsuba in C, so the packed backend has no descent to select.
+PACKED_MUL_ALGORITHM = "packed-product"
+
 
 def mul_algorithm(min_limbs: int, policy) -> str:
     """The multiplication regime for operands of ``min_limbs`` limbs.
@@ -120,35 +125,19 @@ def div_backend(divisor_limbs: int, thresholds=None) -> str:
 def powmod_backend() -> str:
     """``"packed"`` or ``"limb"`` for every modular exponentiation.
 
-    The packed block-Montgomery ladder (:func:`repro.mpn.packed.
-    powmod_packed`) beats the limb CIOS kernel from 8-bit moduli up, so
-    there is no crossover: ``packed`` at every modulus width, ``limb``
-    only under the ``REPRO_PACKED=0`` kill switch.
+    The packed kernel, CPython's ``pow`` (:func:`repro.mpn.packed.
+    powmod_packed_int`), beats the limb CIOS kernel from 8-bit moduli
+    up, so there is no crossover: ``packed`` at every modulus width,
+    ``limb`` only under the ``REPRO_PACKED=0`` kill switch.
     """
     return "packed" if _packed_enabled() else "limb"
 
 
-def packed_chain(min_limbs: int) -> List[Tuple[str, int]]:
-    """Descent ``[(algorithm, blocks), ...]`` inside the packed backend.
-
-    The packed multiplier is a carry-free block convolution with exactly
-    two regimes — a Karatsuba split from ``KARATSUBA_BLOCKS`` blocks up,
-    a row-convolution basecase below — and one carry sweep at the top,
-    so the chain is short; the unit is the multiplier's own *block*
-    (``MUL_PACK_LIMBS`` limbs, Cambricon-P's 35904-bit monolithic
-    width), so every operand up to 35904 bits is a one-block
-    ``packed-basecase``: one int product.  Karatsuba sums stay raw
-    coefficients (no carry block), so each level halves the count
-    exactly.
-    """
-    from repro.mpn.packed import KARATSUBA_BLOCKS, MUL_PACK_LIMBS
-    blocks = max(1, -(-max(1, min_limbs) // MUL_PACK_LIMBS))
-    chain: List[Tuple[str, int]] = []
-    while blocks >= KARATSUBA_BLOCKS:
-        chain.append(("packed-karatsuba", blocks))
-        blocks = -(-blocks // 2)
-    chain.append(("packed-basecase", blocks))
-    return chain
+def powmod_is_pow(backend: str) -> bool:
+    """True when a powmod requested on ``backend`` runs as CPython
+    ``pow``: the one packed step, the same for either modulus parity."""
+    return backend == "packed" or (backend == "auto"
+                                   and powmod_backend() == "packed")
 
 
 def div_algorithm(divisor_bits: int,

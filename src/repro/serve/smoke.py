@@ -13,9 +13,7 @@ sequence:
    simulator; then serve a few wide mul and div requests
    (:data:`WIDE_SHAPES`): divisions on both sides of the packed
    recursion's cutoff and at serve-large's widest shape, and products
-   spanning two and three of the packed multiplier's 35904-bit blocks,
-   past its block-Karatsuba split, and verify them against Python
-   ``int``;
+   up to 80 kbit, and verify them against Python ``int``;
 3. scrape ``/metrics`` and require the core series to be present and
    consistent with the load generator's own counts (the sharded scrape
    must carry both the merged ``repro_serve_*`` shard series and the
@@ -42,8 +40,7 @@ import subprocess
 import sys
 import time
 
-from repro.mpn.nat import LIMB_BITS
-from repro.mpn.packed import DIV_RECURSION_BITS, MUL_PACK_LIMBS
+from repro.mpn.packed import DIV_RECURSION_BITS
 from repro.serve.client import ServeClient, expected_result, run_load
 
 _LISTEN_RE = re.compile(
@@ -56,25 +53,23 @@ _BOOT_TIMEOUT_S = 30.0
 #: How long SIGTERM may take to drain (sharded: router + workers).
 _DRAIN_TIMEOUT_S = 60.0
 
-#: Width step of the first wide shapes (division has no block width;
-#: it recurses on whole ints).
+#: Width step of the first wide shapes.
 _STEP_BITS = 1024
-_MUL_BLOCK_BITS = LIMB_BITS * MUL_PACK_LIMBS
 
 #: ``(op, a bits, b bits)`` of the wide requests.  mul and div at a
 #: ``b`` of 7, 13 and 25 kbit under an ``a`` twice as wide; then mul
-#: at a 40-kbit ``b`` (two 35904-bit mul blocks, so the block
-#: Karatsuba splits) under a 40-kbit and an 80-kbit ``a`` (two and
-#: three blocks); then div at a ``b`` one bit under and one bit over
-#: ``DIV_RECURSION_BITS`` (one ``divmod``, then the recursion) and at
-#: serve-large's widest shape, 96 kbit over 48 kbit.  With packed
+#: at a 40-kbit ``b`` under a 40-kbit and an 80-kbit ``a``, past
+#: Cambricon-P's 35904-bit monolithic width; then div at a ``b`` one
+#: bit under and one bit over ``DIV_RECURSION_BITS`` (one ``divmod``,
+#: then the recursion) and at serve-large's widest shape, 96 kbit over
+#: 48 kbit.  With packed
 #: killswitched the limb kernels answer the widest (an 80-kbit mul, a
 #: 96-kbit division) in about a second each at most.
 WIDE_SHAPES = tuple(
     (op, 2 * steps * _STEP_BITS, steps * _STEP_BITS)
     for steps in (7, 13, 25) for op in ("mul", "div")) + (
-    ("mul", _MUL_BLOCK_BITS + 4096, _MUL_BLOCK_BITS + 4096),
-    ("mul", 2 * _MUL_BLOCK_BITS + 8192, _MUL_BLOCK_BITS + 4096),
+    ("mul", 40000, 40000),
+    ("mul", 80000, 40000),
     ("div", 2 * (DIV_RECURSION_BITS - 1), DIV_RECURSION_BITS - 1),
     ("div", 2 * (DIV_RECURSION_BITS + 1), DIV_RECURSION_BITS + 1),
     ("div", 98304, 49152))

@@ -1,4 +1,4 @@
-"""The block-packed backend is bit-identical to the limb backend.
+"""The packed backend is bit-identical to the limb backend.
 
 The packed kernels exist purely for speed, so the contract is strict:
 at every size — especially straddling the ``packed_mul_limbs`` /
@@ -9,7 +9,10 @@ both must match Python's bigints.  The plan layer rides the same
 crossovers, so lowered ``packed`` plans are checked against ``library``
 plans and the memo-key salting is checked against threshold changes.
 powmod has no crossover (``auto`` runs packed at every width), so it is
-checked through every entry point against one oracle, ``pow``.
+checked through every entry point against one oracle, ``pow``.  Packed
+mul/sqr/powmod run on whole ints, so :class:`TestIntBoundary` checks
+the int entries at the deleted block kernels' edges and the degenerate
+operands, from the dispatcher to the HTTP front door.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from repro.mpn import div as div_kernels, montgomery, packed as packed_kernels
 from repro.mpn.div import divmod_nat
 from repro.mpn.mul import GMP_POLICY, mul, sqr
 from repro.mpn.nat import LIMB_BITS, MpnError
-from repro.mpn.packed import (DIV_RECURSION_BITS, KARATSUBA_BLOCKS,
-                              LINEAR_PACK_MIN_LIMBS, MUL_PACK_LIMBS,
-                              POWMOD_PACK_LIMBS)
+from repro.mpn.packed import DIV_RECURSION_BITS, LINEAR_PACK_MIN_LIMBS
 from repro.plan import OpSpec, select
 from repro.plan.execute import plan_for_job, run
 from repro.plan.lowering import lower
@@ -59,10 +60,10 @@ SERVE_LARGE_BITS = (16384, 35905, 65536, 98304)
 #: Widest operand checked against the limb kernels as well as ints.
 LIMB_ORACLE_MAX_BITS = 16384
 
-#: powmod modulus widths (limbs): inside one of powmod's blocks,
-#: exactly one and two blocks, and one limb past each.
-POWMOD_LIMBS = (1, 2, POWMOD_PACK_LIMBS, POWMOD_PACK_LIMBS + 1,
-                2 * POWMOD_PACK_LIMBS, 2 * POWMOD_PACK_LIMBS + 1)
+#: powmod modulus widths (limbs): inside one 256-bit block (the block
+#: the deleted packed powmod ladder ran on), exactly one and two
+#: blocks, and one limb past each.
+POWMOD_LIMBS = (1, 2, 8, 9, 16, 17)
 
 
 def _bits_operand(bits: int, seed: int) -> int:
@@ -261,27 +262,26 @@ class TestServeLargeServedPath:
                     payload["id"]
 
 
-#: Operand shapes around the packed multiplier's 35904-bit block, as
+#: Operand shapes around Cambricon-P's 35904-bit monolithic width
+#: (1122 limbs, the block of the deleted block multiplier), as
 #: ``(name, a limbs, b limbs)``: one block, a limb either side of it,
-#: two blocks, the Karatsuba threshold and a block either side of it,
-#: and unbalanced shapes (a multi-block ``a`` over a one-block and a
-#: few-limb ``b``).
-_K = MUL_PACK_LIMBS
+#: two blocks, the deleted block Karatsuba's threshold (two blocks) and
+#: a block either side of it, and unbalanced shapes (a multi-block
+#: ``a`` over a one-block and a few-limb ``b``).
+_K = 1122
 _MONOLITHIC_SHAPES = [
     ("1-block", _K, _K), ("1-block-1limb", _K - 1, _K - 1),
     ("1-block+1limb", _K + 1, _K + 1), ("1-block+1limb-over-1", _K + 1, 1),
     ("2-blocks", 2 * _K, 2 * _K),
-    ("karatsuba-1block", (KARATSUBA_BLOCKS - 1) * _K,
-     (KARATSUBA_BLOCKS - 1) * _K),
-    ("karatsuba", KARATSUBA_BLOCKS * _K, KARATSUBA_BLOCKS * _K),
-    ("karatsuba+1block", (KARATSUBA_BLOCKS + 1) * _K,
-     (KARATSUBA_BLOCKS + 1) * _K),
+    ("karatsuba-1block", _K, _K),
+    ("karatsuba", 2 * _K, 2 * _K),
+    ("karatsuba+1block", 3 * _K, 3 * _K),
     ("unbalanced-3x1", 3 * _K + 5, _K - 3),
     ("unbalanced-3xfew", 3 * _K + 1, 3),
 ]
 
 
-_B = 1 << (LIMB_BITS * MUL_PACK_LIMBS)
+_B = 1 << (LIMB_BITS * _K)
 
 #: ``(name, a, b)``: the shapes as random operands, then powers of the
 #: block base ``B`` (``B**2`` is three blocks, all but the top zero).
@@ -293,10 +293,10 @@ MONOLITHIC_PAIRS = [
 
 
 class TestMonolithicWidth:
-    """Products around the packed multiplier's block (Cambricon-P's
-    35904-bit monolithic width) against Python ``int`` through the mpn
-    dispatcher, the executor the server runs and the HTTP front door.
-    Under ``REPRO_PACKED=0`` the same requests run the limb kernels."""
+    """Products around Cambricon-P's 35904-bit monolithic width against
+    Python ``int`` through the mpn dispatcher, the executor the server
+    runs and the HTTP front door.  Under ``REPRO_PACKED=0`` the same
+    requests run the limb kernels."""
 
     @pytest.mark.parametrize("name, a, b", MONOLITHIC_PAIRS,
                              ids=[pair[0] for pair in MONOLITHIC_PAIRS])
@@ -323,6 +323,114 @@ class TestMonolithicWidth:
                 status, body = client.request(payload)
                 assert status == 200, (name, body)
                 assert body["result"] == expected_result(payload), name
+
+
+_MEGABIT = 1 << 20
+
+#: ``(name, a, b)`` at the int boundary: zero and one operands, a 1-bit
+#: by 1-Mbit product both ways, a square, and the deleted block
+#: multiplier's one- and two-block edges as literal widths (35904 and
+#: 71808 bits, a bit either side), balanced and over a half-width ``b``.
+INT_BOUNDARY_PAIRS = [
+    ("zero-by-zero", 0, 0), ("zero-by-wide", 0, _bits_operand(40000, 71)),
+    ("wide-by-zero", _bits_operand(40000, 71), 0), ("one-by-one", 1, 1),
+    ("one-by-wide", 1, _bits_operand(40000, 72)),
+    ("1bit-by-1mbit", 1, _bits_operand(_MEGABIT, 73)),
+    ("1mbit-by-1bit", _bits_operand(_MEGABIT, 73), 1),
+    ("square-35904", _bits_operand(35904, 74), _bits_operand(35904, 74)),
+] + [
+    ("%d-bits%s" % (bits, shape), _bits_operand(bits, 75),
+     _bits_operand(bits // divisor, 76))
+    for bits in (35903, 35904, 35905, 71807, 71808, 71809)
+    for shape, divisor in (("", 1), ("-over-half", 2))]
+
+#: ``(name, base, exp, mod)``: modulus 1, exponent 0 (with a zero base
+#: too), even moduli, bases at and above the modulus, and the 256-bit
+#: block edges of the deleted powmod ladder.
+INT_BOUNDARY_POWMODS = [
+    ("mod-1", 12345, 65537, 1), ("mod-1-exp-0", 5, 0, 1),
+    ("exp-0", 12345, 0, 1000003), ("zero-to-zero", 0, 0, 7),
+    ("zero-base", 0, 3, 7), ("even-mod", 3, 65537, 1 << 20),
+    ("even-mod-wide", _bits_operand(600, 77), 0xABCDEF,
+     _bits_operand(512, 78) & ~1),
+    ("base-is-mod", 1000003, 17, 1000003),
+    ("base-above-mod", 5 * 1000003 + 2, 17, 1000003),
+    ("wide-base-over-even", _bits_operand(2000, 79), 65537,
+     _bits_operand(256, 80) & ~1),
+    ("mod-2^256-1", 3, (1 << 130) - 1, (1 << 256) - 1),
+    ("mod-2^256+1", 3, (1 << 130) - 1, (1 << 256) + 1),
+]
+
+
+class TestIntBoundary:
+    """Packed mul/sqr/powmod run on whole ints (one CPython product,
+    ``pow``); limb-list callers convert once each way.  Every case is
+    bit-identical to Python ``int`` through the mpn dispatchers with
+    packed pinned, the executor the server runs, and the HTTP front
+    door, with packed live and killswitched."""
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_dispatcher_matches_int(self, killswitch, reselect):
+        reselect(select.PACKED_ENV, killswitch)
+        for name, a, b in INT_BOUNDARY_PAIRS:
+            an, bn = to_nat(a), to_nat(b)
+            assert from_nat(mul(an, bn, GMP_POLICY, backend="packed")) \
+                == a * b, name
+            assert from_nat(mul(an, an, GMP_POLICY, backend="packed")) \
+                == a * a, name
+            assert from_nat(sqr(an, GMP_POLICY, backend="packed")) \
+                == a * a, name
+        for name, base, exponent, modulus in INT_BOUNDARY_POWMODS:
+            assert from_nat(mpn.powmod(
+                to_nat(base), to_nat(exponent), to_nat(modulus),
+                backend="packed")) == pow(base, exponent, modulus), name
+        with pytest.raises(MpnError, match="zero modulus"):
+            mpn.powmod(to_nat(3), to_nat(5), [], backend="packed")
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_executor_matches_int(self, killswitch, reselect,
+                                  fresh_plans):
+        reselect(select.PACKED_ENV, killswitch)
+        for name, a, b in INT_BOUNDARY_PAIRS:
+            plan = plan_for_job("mul", {"a": a, "b": b})
+            assert run(plan, {"a": a, "b": b}) == {"product": a * b}, name
+            if a.bit_length() < _MEGABIT:
+                # a is b: the square the server runs on one object.
+                plan = plan_for_job("mul", {"a": a, "b": a})
+                assert run(plan, {"a": a, "b": a}) \
+                    == {"product": a * a}, name
+        for name, base, exponent, modulus in INT_BOUNDARY_POWMODS:
+            params = {"base": base, "exp": exponent, "mod": modulus}
+            plan = plan_for_job("powmod", params)
+            assert plan.backend == ("packed" if killswitch == "1"
+                                    else "library"), name
+            assert run(plan, params) \
+                == {"value": pow(base, exponent, modulus)}, name
+        plan = plan_for_job("powmod", {"base": 3, "exp": 5, "mod": 0},
+                            backend="packed")
+        with pytest.raises(MpnError, match="zero modulus"):
+            run(plan, {"base": 3, "exp": 5, "mod": 0})
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_front_door_matches_int(self, killswitch, reselect,
+                                    fresh_plans):
+        reselect(select.PACKED_ENV, killswitch)
+        payloads = [{"op": "mul", "id": "int-" + name,
+                     "params": {"a": hex(a), "b": hex(b)}}
+                    for name, a, b in INT_BOUNDARY_PAIRS]
+        payloads += [{"op": "powmod", "id": "int-" + name,
+                      "params": {"base": hex(base), "exp": hex(exponent),
+                                 "mod": hex(modulus)}}
+                     for name, base, exponent, modulus
+                     in INT_BOUNDARY_POWMODS]
+        config = ServeConfig(port=0, max_wait_ms=60_000.0)
+        with ServerThread(config) as server:
+            client = ServeClient(server.host, server.port)
+            for payload in payloads:
+                status, body = client.request(payload)
+                assert status == 200, (payload["id"], body)
+                assert body["result"] == expected_result(payload), \
+                    payload["id"]
 
 
 _C = DIV_RECURSION_BITS
@@ -507,8 +615,8 @@ def _powmod_params(limbs: int, parity: str, seed: int):
 
 #: The plan algorithm of each (backend, modulus parity).
 POWMOD_ALGORITHMS = {
-    ("packed", "odd"): "packed-montgomery",
-    ("packed", "even"): "packed-division",
+    ("packed", "odd"): "packed-pow",
+    ("packed", "even"): "packed-pow",
     ("library", "odd"): "montgomery",
     ("library", "even"): "binary-division",
 }
@@ -558,32 +666,52 @@ class TestPowmodEntryPoints:
                 assert plan.algorithm == POWMOD_ALGORITHMS[expected, parity]
 
     @pytest.mark.parametrize("parity", ("odd", "even"))
-    def test_plan_counts_powmod_blocks(self, parity, reselect,
-                                       fresh_plans):
-        """Across powmod's own one-block/two-block boundary the packed
-        plan's note counts blocks of powmod's width (not the
-        multiplier's wider one), and every plan answers ``pow``."""
+    def test_plan_is_one_pow_step(self, parity, reselect, fresh_plans):
+        """At every modulus width, across the deleted ladder's 256-bit
+        block edges, the packed plan is one ``packed-pow`` step, and
+        every plan answers ``pow``."""
         reselect(select.PACKED_ENV, "1")
-        width = LIMB_BITS * POWMOD_PACK_LIMBS
-        for bits, blocks in ((width - 1, 1), (width, 1), (width + 1, 2),
-                             (2 * width, 2), (2 * width + 1, 3)):
+        for bits in (255, 256, 257, 512, 513, 4096):
             modulus = _bits_operand(bits, 23)
             modulus = modulus | 1 if parity == "odd" else modulus & ~1
             params = {"base": _bits_operand(bits + 40, 24),
                       "exp": 0x10001, "mod": modulus}
             plan = plan_for_job("powmod", params)
             assert plan.algorithm == POWMOD_ALGORITHMS["packed", parity]
-            assert plan.steps[0].note.endswith("%d blocks" % blocks), \
-                (bits, plan.steps[0].note)
+            assert [step.describe() for step in plan.steps] \
+                == ["kernel:packed-pow (CPython pow)"], bits
             assert run(plan, params)["value"] \
                 == pow(params["base"], params["exp"], modulus)
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    def test_parity_only_in_library_specs(self, killswitch, reselect,
+                                          fresh_plans):
+        """``pow`` takes either parity, so odd and even moduli share one
+        packed plan; a library plan still keys on the parity it runs."""
+        reselect(select.PACKED_ENV, killswitch)
+        odd = {"base": 5, "exp": 0x10001, "mod": _bits_operand(2048, 25) | 1}
+        even = dict(odd, mod=odd["mod"] - 1)
+        auto = [plan_for_job("powmod", params) for params in (odd, even)]
+        library = [plan_for_job("powmod", params, backend="library")
+                   for params in (odd, even)]
+        assert [plan.spec.detail_value("mod_odd", None)
+                for plan in library] == [1, 0]
+        if killswitch == "1":
+            assert auto[0].spec == auto[1].spec
+            assert auto[0].spec.detail == ()
+        else:
+            assert [plan.memo_key for plan in auto] \
+                == [plan.memo_key for plan in library]
+        packed = [plan_for_job("powmod", params, backend="packed")
+                  for params in (odd, even)]
+        assert packed[0].spec == packed[1].spec
 
     @pytest.mark.parametrize("parity", ("odd", "even"))
     def test_library_plan_runs_no_packed_division(self, parity,
                                                   monkeypatch, reselect,
                                                   fresh_plans):
         # Packed is live, so an ``auto`` division of a 600-bit modulus
-        # would run block division; a library plan must reduce on the
+        # would run packed division; a library plan must reduce on the
         # limb kernels it priced.
         reselect(select.PACKED_ENV, "1")
         packed_divisions = []

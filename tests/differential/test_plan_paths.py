@@ -122,7 +122,7 @@ class TestPowmodAndApps:
         base, exp, mod = _operand(4, 9), 65537, (1 << 127) - 1
         plan = plan_for_job("powmod", {"base": base, "exp": exp,
                                        "mod": mod})
-        assert plan.algorithm == {"packed": "packed-montgomery",
+        assert plan.algorithm == {"packed": "packed-pow",
                                   "library": "montgomery"}[plan.backend]
         assert run(plan, {"base": base, "exp": exp, "mod": mod})[
             "value"] == pow(base, exp, mod)

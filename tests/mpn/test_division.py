@@ -73,6 +73,34 @@ class TestNewtonDivision:
         quotient, remainder = divmod_newton(to_nat(a), to_nat(b), mul_fn)
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
+    @pytest.mark.parametrize("b", [
+        pytest.param((1 << 2100) - 1, id="ones-2100"),
+        pytest.param(1 << 2100, id="power-2100"),
+        pytest.param((1 << 2143) + 12345, id="67-limbs"),
+        pytest.param((1 << 2176) - (1 << 1000) + 7, id="68-full-limbs"),
+    ])
+    def test_wide_dividend_walks_divisor_width_digits(self, b):
+        """A dividend many divisor-widths wide: the top part (one limb
+        of quotient) and every digit, with all-ones and exact-multiple
+        dividends, a zero top digit and remainders of b - 1 and 0.
+        Every product stays at divisor width, however wide ``a``."""
+        width = len(to_nat(b))
+        widest = []
+
+        def recording(x, y):
+            widest.append(max(len(x), len(y)))
+            return mul_fn(x, y)
+
+        for a in ((1 << 40000) - 1, b << 30000, (b << 30000) - 1,
+                  b * ((1 << 25000) + 3) + b - 1,
+                  (b * 12345 + 17) << (32 * width * 7),
+                  ((1 << 20000) + 1) * b * b):
+            quotient, remainder = divmod_newton(to_nat(a), to_nat(b),
+                                                recording)
+            assert (from_nat(quotient), from_nat(remainder)) \
+                == divmod(a, b)
+        assert max(widest) <= width + 2
+
 
 class TestDivmodFrontend:
     @given(naturals, positive_naturals)

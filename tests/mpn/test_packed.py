@@ -3,42 +3,42 @@
 The packed kernels are *re-representations* of the limb kernels, so the
 tests here are about the representation itself: pack/unpack round
 trips at awkward lengths, carry chains that cross block boundaries,
-normalization, and the error vocabulary.  Cross-backend equivalence at
-dispatcher level lives in ``tests/differential/test_packed_paths.py``.
+normalization, the whole-int entries and their limb-list wrappers at
+the widths the deleted block kernels had edges at, and the error
+vocabulary.  Cross-backend equivalence at dispatcher level lives in
+``tests/differential/test_packed_paths.py``.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import DEFAULT_CONFIG
 from repro.mpn import nat
 from repro.mpn import packed as packed_kernels
-from repro.mpn.mul import MPAPCA_POLICY
 from repro.mpn.nat import LIMB_BITS, MpnError
-from repro.mpn.packed import (DIV_RECURSION_BITS, KARATSUBA_BLOCKS,
-                              MUL_PACK_LIMBS, PACK_LIMBS,
-                              POWMOD_PACK_LIMBS, WINDOW_BITS_MAX,
-                              WINDOW_TABLE, _bmodder, _window_bits,
+from repro.mpn.packed import (DIV_RECURSION_BITS, PACK_LIMBS,
                               add_packed, divmod_packed,
                               divmod_packed_int, mul_packed,
-                              pack_blocks, powmod_packed, shl_packed,
-                              shr_packed, sqr_packed, sub_packed,
-                              unpack_blocks)
+                              mul_packed_int, pack_blocks,
+                              powmod_packed, powmod_packed_int,
+                              shl_packed, shr_packed, sqr_packed,
+                              sub_packed, unpack_blocks)
 
 from tests.conftest import from_nat, to_nat
 from tests.differential.conftest import diff_examples
 
+#: Width of Cambricon-P's monolithic multiplier in limbs (35904 bits),
+#: the block the deleted block multiplier packed.
+_WIDE_LIMBS = 1122
+
 #: Block widths exercised everywhere: degenerate (k=1 is the limb
-#: representation itself), odd, powmod's default, odd and wider than
-#: it, add/sub/shift's default, and mul's monolithic default.
-PACK_WIDTHS = (1, 2, 3, POWMOD_PACK_LIMBS, 13, PACK_LIMBS,
-               MUL_PACK_LIMBS)
+#: representation itself), odd, 256 bits, odd and wider than that,
+#: add/sub/shift's default, and the monolithic width.
+PACK_WIDTHS = (1, 2, 3, 8, 13, PACK_LIMBS, _WIDE_LIMBS)
 
 #: Raw limb lists with interesting shapes: empty, odd tails
 #: (``len % k != 0`` for every k above), saturated limbs, zero limbs
@@ -48,51 +48,19 @@ limb_lists = st.lists(
     max_size=4 * PACK_LIMBS + 3)
 
 
-#: Block base of the 1024-bit blocks the division fix-up operands were
-#: built for (``PACK_LIMBS``).
-_B = 1 << (LIMB_BITS * PACK_LIMBS)
+#: 1024-bit block base the division fix-up operands were built for.
+_B = 1 << 1024
 
-#: Block base at the multiplier's default (monolithic) width.
-_MB = 1 << (LIMB_BITS * MUL_PACK_LIMBS)
-
-#: Width in bits and base of powmod's own default block.
-_W = LIMB_BITS * POWMOD_PACK_LIMBS
+#: Width in bits and base of the 256-bit block the deleted powmod
+#: ladder ran on; its block edges stay as moduli.
+_W = 256
 _PB = 1 << _W
 
-#: (blocks of a, blocks of b) around the convolution's regime changes.
-#: ``(2K+1, K+1)`` and ``(2K, K)`` take the unbalanced branch (the
-#: short operand fits in the low half of the split); ``(2K+1, K-1)``
-#: meets a basecase row under a Karatsuba-sized operand.
-CONVOLUTION_SHAPES = [
-    (KARATSUBA_BLOCKS - 1, KARATSUBA_BLOCKS - 1),
-    (KARATSUBA_BLOCKS, KARATSUBA_BLOCKS),
-    (KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS + 1),
-    (KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS),
-    (2 * KARATSUBA_BLOCKS - 1, 2 * KARATSUBA_BLOCKS - 1),
-    (2 * KARATSUBA_BLOCKS + 1, 2 * KARATSUBA_BLOCKS + 1),
-    (2 * KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS + 1),
-    (2 * KARATSUBA_BLOCKS, KARATSUBA_BLOCKS),
-    (2 * KARATSUBA_BLOCKS + 1, KARATSUBA_BLOCKS - 1),
-]
 
-
-def _block_operand(blocks: int, fill: str, seed: int) -> int:
-    """An integer of exactly ``blocks`` of the multiplier's blocks."""
-    if fill == "ones":
-        return _MB ** blocks - 1
-    rng = random.Random(0xC0 + 31 * blocks + seed)
-    digits = [rng.randrange(_MB) for _ in range(blocks)]
-    if fill == "holes":
-        for i in range(1, blocks - 1, 3):
-            digits[i] = 0
-    digits[-1] |= 1
-    return sum(digit * _MB ** i for i, digit in enumerate(digits))
-
-
-#: Division operands pinned from a seeded search; each drives one
-#: repair path of the signed-digit block division :func:`_bdivrem`
-#: (B = the 1024-bit block base), which even-modulus powmod reduces
-#: through :func:`_bmodder`; ``divmod_packed`` must still answer them:
+#: Division operands pinned from a seeded search over 1024-bit blocks
+#: (B = the block base); each drove one repair path of the signed-digit
+#: block division that packed division and even-modulus powmod once
+#: ran, and ``divmod_packed`` must still answer them:
 #:
 #: * ``add-back``: the last digit overshoots, the remainder sweeps out
 #:   negative and the divisor is added back once;
@@ -119,40 +87,6 @@ DIVISION_FIXUPS = {
     "tall-quotient": (_B ** 66 - 1, _B * _B // 2 + 1),
 }
 
-
-def _block_remainder(a: int, b: int, monkeypatch) -> int:
-    """``a % b`` through :func:`_bmodder` at the 1024-bit block the
-    fix-up operands were built for, failing unless the signed-digit
-    core :func:`_bdivrem` ran."""
-    core, calls = packed_kernels._bdivrem, []
-
-    def recording(*args):
-        calls.append(args)
-        return core(*args)
-
-    monkeypatch.setattr(packed_kernels, "_bdivrem", recording)
-    bits = LIMB_BITS * PACK_LIMBS
-    reduce = _bmodder(pack_blocks(to_nat(b)), bits, (1 << bits) - 1)
-    remainder = from_nat(unpack_blocks(reduce(pack_blocks(to_nat(a)))))
-    assert calls, "the reduction never reached _bdivrem"
-    return remainder
-
-
-class TestMulBlockWidth:
-    def test_mul_block_is_the_monolithic_width(self):
-        """mul/sqr pack exactly the operand width Cambricon-P multiplies
-        in one pass, where MPApca's Karatsuba starts (Section VII-B)."""
-        assert MUL_PACK_LIMBS == MPAPCA_POLICY.karatsuba_limbs
-        assert MUL_PACK_LIMBS \
-            == DEFAULT_CONFIG.monolithic_max_bits // LIMB_BITS
-        assert LIMB_BITS * MUL_PACK_LIMBS \
-            == DEFAULT_CONFIG.monolithic_max_bits
-        for kernel in (mul_packed, sqr_packed):
-            assert inspect.signature(kernel).parameters["k"].default \
-                == MUL_PACK_LIMBS
-        for kernel in (add_packed, sub_packed, shl_packed, shr_packed):
-            assert inspect.signature(kernel).parameters["k"].default \
-                == PACK_LIMBS
 
 
 class TestPackUnpack:
@@ -192,11 +126,11 @@ class TestPackUnpack:
     def test_unpack_trims_leading_zero_limbs(self):
         """A top block narrower than k limbs must not grow the list."""
         assert unpack_blocks([1], PACK_LIMBS) == [1]
-        assert unpack_blocks([1], MUL_PACK_LIMBS) == [1]
+        assert unpack_blocks([1], _WIDE_LIMBS) == [1]
         assert unpack_blocks([0, 1], 2) == [0, 0, 1]
         assert unpack_blocks([5, 0], 3) == [5]
-        assert unpack_blocks([7, 1 << 40], MUL_PACK_LIMBS) \
-            == [7] + [0] * (MUL_PACK_LIMBS - 1) + [0, 1 << 8]
+        assert unpack_blocks([7, 1 << 40], _WIDE_LIMBS) \
+            == [7] + [0] * (_WIDE_LIMBS - 1) + [0, 1 << 8]
 
     def test_pack_trims_trailing_zero_blocks(self):
         # Unnormalized input is a caller bug elsewhere, but zero-valued
@@ -234,30 +168,30 @@ class TestPackUnpack:
             unpack_blocks([-1], 2)
         # The top block encodes at its own length; a too-wide or
         # negative one is still rejected at the wide mul width.
-        wide = LIMB_BITS * MUL_PACK_LIMBS
+        wide = LIMB_BITS * _WIDE_LIMBS
         for blocks in ([1 << wide], [5, 1 << wide], [(1 << wide) + 7],
                        [3, (1 << (wide + 100)) - 1], [5, -1], [-(1 << 40)]):
             with pytest.raises(MpnError):
-                unpack_blocks(blocks, MUL_PACK_LIMBS)
-        assert unpack_blocks([(1 << wide) - 1], MUL_PACK_LIMBS) \
-            == [(1 << LIMB_BITS) - 1] * MUL_PACK_LIMBS
+                unpack_blocks(blocks, _WIDE_LIMBS)
+        assert unpack_blocks([(1 << wide) - 1], _WIDE_LIMBS) \
+            == [(1 << LIMB_BITS) - 1] * _WIDE_LIMBS
 
 
 class TestArithmeticKernels:
     """Each public kernel against bigints across block widths."""
 
     @given(a=st.integers(min_value=0, max_value=(1 << 1200) - 1),
-           b=st.integers(min_value=0, max_value=(1 << 1200) - 1),
-           k=st.sampled_from(PACK_WIDTHS))
+           b=st.integers(min_value=0, max_value=(1 << 1200) - 1))
     @settings(max_examples=diff_examples(), deadline=None)
-    def test_mul_matches_bigint(self, a, b, k):
-        assert from_nat(mul_packed(to_nat(a), to_nat(b), k)) == a * b
+    def test_mul_matches_bigint(self, a, b):
+        assert mul_packed_int(a, b) == a * b
+        assert from_nat(mul_packed(to_nat(a), to_nat(b))) == a * b
 
-    @given(a=st.integers(min_value=0, max_value=(1 << 1200) - 1),
-           k=st.sampled_from(PACK_WIDTHS))
+    @given(a=st.integers(min_value=0, max_value=(1 << 1200) - 1))
     @settings(max_examples=diff_examples(), deadline=None)
-    def test_sqr_matches_bigint(self, a, k):
-        assert from_nat(sqr_packed(to_nat(a), k)) == a * a
+    def test_sqr_matches_bigint(self, a):
+        assert mul_packed_int(a, a) == a * a
+        assert from_nat(sqr_packed(to_nat(a))) == a * a
 
     @given(a=st.integers(min_value=0, max_value=(1 << 1200) - 1),
            b=st.integers(min_value=0, max_value=(1 << 1200) - 1),
@@ -284,80 +218,52 @@ class TestArithmeticKernels:
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
 
-    def test_block_karatsuba_regime(self):
-        """Block counts around every regime change of the convolution.
-
-        The basecase/Karatsuba boundary (``KARATSUBA_BLOCKS`` -1/0/+1),
-        a second split level (``2*KARATSUBA_BLOCKS`` +-1), and the
-        unbalanced branch where the short operand fits in the low half;
-        all-ones operands maximize every raw coefficient and zero
-        blocks inside leave holes in the rows.
-        """
-        for shape in CONVOLUTION_SHAPES:
-            for fill in ("random", "ones", "holes"):
-                a = _block_operand(shape[0], fill, seed=1)
-                b = _block_operand(shape[1], fill, seed=2)
-                case = (shape, fill)
-                assert from_nat(mul_packed(to_nat(a), to_nat(b))) \
-                    == a * b, case
-                assert from_nat(mul_packed(to_nat(b), to_nat(a))) \
-                    == a * b, case
-                assert from_nat(sqr_packed(to_nat(a))) == a * a, case
-
     @pytest.mark.parametrize("k", PACK_WIDTHS)
     def test_all_ones_carry_chains(self, k):
-        """Worst-case carry propagation across every block boundary,
-        including products wide enough for one and two Karatsuba
-        levels, whose raw coefficients all resolve in one sweep."""
+        """Worst-case carry propagation across every block boundary of
+        the add, and all-ones products (every bit of the product set
+        but its middle) at the same widths."""
         bits = LIMB_BITS * k
-        for width in (bits - 1, bits, bits + 1, 3 * bits, 3 * bits + 17,
-                      (KARATSUBA_BLOCKS - 1) * bits,
-                      KARATSUBA_BLOCKS * bits,
-                      (KARATSUBA_BLOCKS + 1) * bits - 1,
-                      (2 * KARATSUBA_BLOCKS + 1) * bits):
+        for width in (bits - 1, bits, bits + 1, 2 * bits, 3 * bits - 1,
+                      3 * bits, 3 * bits + 17, 5 * bits):
             a = (1 << width) - 1
             assert from_nat(add_packed(to_nat(a), to_nat(1), k)) == a + 1
-            assert from_nat(mul_packed(to_nat(a), to_nat(a), k)) == a * a
+            assert from_nat(mul_packed(to_nat(a), to_nat(a))) == a * a
             half = (1 << (width // 2 + 1)) - 1
-            assert from_nat(mul_packed(to_nat(a), to_nat(half), k)) \
+            assert from_nat(mul_packed(to_nat(a), to_nat(half))) \
                 == a * half
 
-    def test_divmod_add_back_case(self, monkeypatch):
-        """The classic Knuth D6 trigger no longer needs a fix-up.
-
-        Scaled to block base B, the one-block estimate for
-        ``(B//2)*B^2 + (B-2)*B`` over ``(B//2)*B + (B-1)`` is one too
-        large.  The signed-digit estimate divides by the divisor's top
-        *two* blocks, so a two-block divisor is divided exactly: this
-        pins the top-of-range quotient digit ``B - 1`` with no add-back.
-        """
-        base = 1 << (LIMB_BITS * PACK_LIMBS)
-        a = (base // 2) * base * base + (base - 2) * base
-        b = (base // 2) * base + (base - 1)
+    def test_divmod_add_back_case(self):
+        """The classic Knuth D6 trigger, scaled to block base B: the
+        one-block estimate for ``(B//2)*B^2 + (B-2)*B`` over
+        ``(B//2)*B + (B-1)`` is one too large; the quotient digit is
+        the top of the range, ``B - 1``."""
+        a = (_B // 2) * _B * _B + (_B - 2) * _B
+        b = (_B // 2) * _B + (_B - 1)
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
-        assert _block_remainder(a, b, monkeypatch) == a % b
+        assert divmod_packed_int(a, b) == divmod(a, b)
 
     @pytest.mark.parametrize("case", sorted(DIVISION_FIXUPS))
-    def test_divmod_fixup_paths(self, case, monkeypatch):
+    def test_divmod_fixup_paths(self, case):
         """Operands (found by a seeded search over block-structured
-        quotients, divisors and remainders) that drive each repair path
-        of the signed-digit division."""
+        quotients, divisors and remainders) that drove each repair path
+        of the deleted signed-digit division, as regression inputs."""
         a, b = DIVISION_FIXUPS[case]
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
         if case == "tall-quotient":
             assert len(pack_blocks(quotient)) >= 64
-        assert _block_remainder(a, b, monkeypatch) == a % b
+        assert divmod_packed_int(a, b) == divmod(a, b)
 
-    def test_single_block_divisor_path(self, monkeypatch):
-        """A one-block divisor: ``_bmodder`` pads both sides with a zero
-        low block so ``_bdivrem`` still estimates against two."""
+    def test_single_block_divisor_path(self):
+        """A divisor narrower than one 1024-bit block under a four-block
+        dividend."""
         a = (1 << 4096) - 123
-        b = (1 << 200) - 1  # one 1024-bit block
+        b = (1 << 200) - 1
         quotient, remainder = divmod_packed(to_nat(a), to_nat(b))
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
-        assert _block_remainder(a, b, monkeypatch) == a % b
+        assert divmod_packed_int(a, b) == divmod(a, b)
 
     def test_small_dividend_short_circuit(self):
         quotient, remainder = divmod_packed(to_nat(5), to_nat(7))
@@ -371,6 +277,13 @@ class TestArithmeticKernels:
             assert result == nat.normalize(list(result))
 
     def test_error_vocabulary(self):
+        for kernel, args in ((mul_packed_int, (-1, 3)),
+                             (mul_packed_int, (3, -1)),
+                             (powmod_packed_int, (-1, 3, 5)),
+                             (powmod_packed_int, (3, -1, 5)),
+                             (powmod_packed_int, (3, 1, -5))):
+            with pytest.raises(MpnError, match="negative"):
+                kernel(*args)
         with pytest.raises(MpnError):
             sub_packed(to_nat(3), to_nat(5))
         with pytest.raises(MpnError):
@@ -381,6 +294,7 @@ class TestArithmeticKernels:
             shr_packed(to_nat(3), -1)
 
     def test_zero_operands(self):
+        assert mul_packed_int(0, 9) == mul_packed_int(9, 0) == 0
         assert mul_packed([], to_nat(9)) == []
         assert mul_packed(to_nat(9), []) == []
         assert sqr_packed([]) == []
@@ -390,9 +304,9 @@ class TestArithmeticKernels:
         assert shr_packed([], 40) == []
 
 
-#: Moduli at powmod's block boundaries and with all-ones blocks, both
-#: parities.  Ids spell powmod's block base ``2^W`` in bits, so they
-#: follow ``POWMOD_PACK_LIMBS``.
+#: Moduli at the deleted powmod ladder's 256-bit block boundaries and
+#: with all-ones blocks, both parities.  Ids spell the block base
+#: ``2^W`` in bits.
 POWMOD_MODULI = [
     pytest.param(value, id=name) for name, value in (
         ("1", 1), ("2", 2), ("3", 3),
@@ -500,8 +414,8 @@ class TestRecursiveDivision:
 
 
 class TestPowmodPacked:
-    """``powmod_packed`` against ``pow``: block Montgomery for odd
-    moduli, the block-division ladder for even ones."""
+    """:func:`powmod_packed_int` and its limb-list wrapper
+    ``powmod_packed`` against ``pow``, both modulus parities."""
 
     @pytest.mark.parametrize("modulus", POWMOD_MODULI)
     def test_edge_bases_and_exponents(self, modulus):
@@ -509,14 +423,18 @@ class TestPowmodPacked:
                  3 * modulus, _PB ** 3 + 12345, _PB ** 2 - 1)
         for base in bases:
             for exponent in (0, 1, 2, 3, 65537, (1 << 130) - 1):
+                truth = pow(base, exponent, modulus)
+                assert powmod_packed_int(base, exponent, modulus) \
+                    == truth, (base, exponent, modulus)
                 got = powmod_packed(to_nat(base), to_nat(exponent),
                                     to_nat(modulus))
-                assert from_nat(got) == pow(base, exponent, modulus), \
-                    (base, exponent, modulus)
+                assert from_nat(got) == truth, (base, exponent, modulus)
                 assert got == nat.normalize(list(got))
 
     @pytest.mark.parametrize("exponent_bits", range(1, 131))
     def test_every_window_width(self, exponent_bits):
+        """Exponents of every width up to 130 bits, the range the
+        deleted ladder's window table covered."""
         rng = random.Random(exponent_bits)
         exponent = rng.getrandbits(exponent_bits) | (1 << (exponent_bits - 1))
         for modulus in (_PB - 1, _PB + 1, _PB ** 2 - 1, 6 * _PB + 2):
@@ -525,20 +443,21 @@ class TestPowmodPacked:
                 to_nat(base), to_nat(exponent), to_nat(modulus))) \
                 == pow(base, exponent, modulus)
 
-    def test_window_table_rows_are_all_reached(self):
-        widths = {_window_bits(bits) for bits in range(1, 131)}
-        assert widths == {width for _, width in WINDOW_TABLE} \
-            | {WINDOW_BITS_MAX}
-
     @pytest.mark.parametrize("k", PACK_WIDTHS)
     def test_block_widths(self, k):
+        """Moduli a bit either side of every ``PACK_WIDTHS`` block
+        width, and random ones, both parities."""
         rng = random.Random(k)
+        bits = LIMB_BITS * k
+        moduli = [(1 << bits) - 1, (1 << bits) + 1, 1 << bits,
+                  rng.getrandbits(bits - 1) | 1 << (bits - 2) | 1]
         for _ in range(10):
             modulus = rng.getrandbits(rng.randrange(2, 900)) | 1
-            modulus <<= rng.choice((0, 0, 1, 37))
-            base, exponent = rng.getrandbits(700), rng.getrandbits(70)
+            moduli.append(modulus << rng.choice((0, 0, 1, 37)))
+        for modulus in moduli:
+            base, exponent = rng.getrandbits(bits + 64), rng.getrandbits(70)
             assert from_nat(powmod_packed(
-                to_nat(base), to_nat(exponent), to_nat(modulus), k)) \
+                to_nat(base), to_nat(exponent), to_nat(modulus))) \
                 == pow(base, exponent, modulus)
 
     @given(base=st.integers(min_value=0, max_value=(1 << 1100) - 1),
@@ -554,5 +473,8 @@ class TestPowmodPacked:
             == pow(base, exponent, modulus)
 
     def test_zero_modulus_rejected(self):
-        with pytest.raises(MpnError):
+        with pytest.raises(MpnError, match="zero modulus"):
             powmod_packed(to_nat(3), to_nat(5), [])
+        for base, exponent in ((3, 5), (0, 0)):
+            with pytest.raises(MpnError, match="zero modulus"):
+                powmod_packed_int(base, exponent, 0)

@@ -179,6 +179,6 @@ class TestPvAlgo:
                                     MONOLITHIC_MAX_BITS + 1))
         assert plan.backend == "packed"
         assert verify_plan(plan) == []
-        forged = dc.replace(plan, algorithm="packed-basecase")
+        forged = dc.replace(plan, algorithm="packed-karatsuba")
         violations = verify_plan(forged)
         assert any(v.check == "PV-ALGO" for v in violations)

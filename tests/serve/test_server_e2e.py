@@ -42,7 +42,7 @@ class TestEndToEnd:
             {"op": "powmod", "params": {"base": "0xabcdef",
                                         "exp": "65537",
                                         "mod": hex((1 << 255) - 19)}},
-            # An even modulus runs the packed block-division ladder.
+            # An even modulus (the limb backend's division ladder).
             {"op": "powmod", "params": {"base": hex(3 ** 200),
                                         "exp": "0x1234567",
                                         "mod": hex((1 << 300) - 2)}},
@@ -253,12 +253,14 @@ class TestHostKernelMul:
 #: Every mpn kernel entry a served mul, div or powmod reaches, with the
 #: backend it belongs to.
 KERNEL_ENTRIES = (("repro.mpn.mul", "mul_packed", "packed"),
+                  ("repro.mpn.packed", "mul_packed_int", "packed"),
                   ("repro.mpn.mul", "_walk_mul", "library"),
                   ("repro.mpn.div", "divmod_packed", "packed"),
                   ("repro.mpn.packed", "divmod_packed_int", "packed"),
                   ("repro.mpn.div", "divmod_schoolbook", "library"),
                   ("repro.mpn.div", "divmod_newton", "library"),
                   ("repro.mpn.packed", "powmod_packed", "packed"),
+                  ("repro.mpn.packed", "powmod_packed_int", "packed"),
                   ("repro.mpn.montgomery", "powmod", "library"))
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import Matrix
@@ -46,10 +46,18 @@ class TestBasics:
         assert [float(v) for v in out] == [8.0, 19.0]
 
 
+#: An exactly singular matrix (columns 2 and 3 equal) whose second
+#: elimination leaves ``1 - (2/3)*1.5`` rounded at 160 bits, a residue
+#: near 2**-160, not zero.  Solving through that pivot once returned
+#: x ~ [-0.5, 4.9e47, -4.9e47].
+RESIDUE_PIVOT = ([[0, 1, 1], [1, 1, 1], [-2, 1, 1]], [0, 0, 1])
+
+
 class TestLUAndSolve:
     @given(st.lists(st.lists(small_ints, min_size=3, max_size=3),
                     min_size=3, max_size=3),
            st.lists(small_ints, min_size=3, max_size=3))
+    @example(*RESIDUE_PIVOT)
     @settings(max_examples=40, deadline=None)
     def test_solve_satisfies_system(self, rows, rhs):
         matrix = int_matrix(rows)
@@ -75,6 +83,27 @@ class TestLUAndSolve:
     def test_singular_rejected(self):
         with pytest.raises(MpnError):
             int_matrix([[1, 2], [2, 4]]).lu()
+
+    def test_rounding_residue_pivot_rejected(self):
+        rows, rhs = RESIDUE_PIVOT
+        with pytest.raises(MpnError, match="singular matrix"):
+            int_matrix(rows).lu()
+        with pytest.raises(MpnError, match="singular matrix"):
+            int_matrix(rows).solve([MPF(v, 160) for v in rhs])
+
+    @pytest.mark.parametrize("rows, rhs, expected, det", [
+        ([[1, 2**120], [0, 1]], [2**120 + 3, 1], [3, 1], 1),
+        ([[2**120, 1], [1, 0]], [2**121 + 5, 2], [2, 5], -1),
+    ])
+    def test_wide_entries_beside_pivot_still_solve(self, rows, rhs,
+                                                   expected, det):
+        """A pivot far below an entry of an earlier row (or of its own
+        row) is not a residue: nothing cancelled to produce it."""
+        matrix = Matrix.from_ints(rows)
+        solution = matrix.solve([MPF(v, 128) for v in rhs])
+        assert all(not (got - MPF(want, 128))
+                   for got, want in zip(solution, expected))
+        assert float(matrix.determinant()) == det
 
     def test_non_square_lu_rejected(self):
         with pytest.raises(MpnError):
