@@ -21,7 +21,7 @@ import pytest
 
 from benchmarks.conftest import emit, fmt_row
 from repro.core.accelerator import CambriconP
-from repro.mpn.tune import _random_operand
+from repro.bench.kernels import _random_operand
 from repro.parallel import ParallelExecutor, available_cpus
 
 OPERAND_LIMBS = 320     # ~10k bits: one simulated multiply ~0.3 s

@@ -156,20 +156,15 @@ CACHE = declare(
 
 CACHE_DIR = declare(
     "REPRO_CACHE_DIR", "~/.cache/repro", "path",
-    "Root directory for the persistent caches (thresholds, memo "
-    "spills).",
+    "Root directory for the persistent caches (memo spills, the "
+    "fitted cost model).",
     "parallel")
-
-THRESHOLDS = declare(
-    "REPRO_THRESHOLDS", "<cache root>/thresholds.json", "path",
-    "Explicit path of the tuned-thresholds file read once per "
-    "process by the plan selector and written by ``repro tune``.",
-    "mpn")
 
 PACKED = declare(
     "REPRO_PACKED", "on", "killswitch",
-    "Set to 0 to force the limb backend everywhere (disables the "
-    "block-packed kernels; differential-triage aid; read once per "
+    "Set to 0 to force the limb backend everywhere (``auto`` mul, "
+    "div and powmod otherwise run the packed kernels at every width; "
+    "safety valve and differential-triage aid; read once per "
     "process).",
     "plan")
 
@@ -183,7 +178,7 @@ COST = declare(
 
 COST_DATASET = declare(
     "REPRO_COST_DATASET", "results/COST_dataset.jsonl", "path",
-    "Where harvested and tuned (op, backend, limbs, ns) measurement "
+    "Where harvested (op, backend, limbs, ns) measurement "
     "rows accumulate for ``repro cost fit``.",
     "cost")
 

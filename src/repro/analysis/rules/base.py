@@ -13,7 +13,6 @@ MPN_BOUNDARY_MODULES = frozenset({
     "nat.py",        # defines the representation and its converters
     "signed.py",     # the (sign, magnitude) conversion layer
     "__init__.py",   # profiled re-export wrappers
-    "tune.py",       # host-timing harness, not a kernel
     "radix.py",      # decimal string <-> Nat conversion boundary
 })
 

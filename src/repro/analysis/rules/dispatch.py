@@ -2,11 +2,11 @@
 
 Every layer above the mpn package is supposed to lower requests through
 :mod:`repro.plan` — ``OpSpec → select → Plan`` — and execute the Plan,
-so algorithm choice stays behind the tuned thresholds and every cost /
-cache key comes from one place.  A caller that invokes a concrete
-kernel entrypoint (``mul_karatsuba``, ``divmod_newton``, ...) or
-hand-builds an ISA ``Instruction`` has bypassed that contract: its
-algorithm choice silently ignores ``repro tune`` output and its work is
+so algorithm choice stays behind :mod:`repro.plan.select` and every
+cost / cache key comes from one place.  A caller that invokes a
+concrete kernel entrypoint (``mul_karatsuba``, ``divmod_newton``, ...)
+or hand-builds an ISA ``Instruction`` has bypassed that contract: its
+algorithm choice silently ignores backend selection and its work is
 invisible to plan verification and memo-key salting.
 """
 
@@ -46,11 +46,10 @@ RECURSION_INTERNALS = frozenset({
 })
 
 #: The sanctioned homes of recursion-internal calls: each internal's
-#: defining module, the schedule-walking dispatchers (``mul.py``,
-#: ``div.py``), and the host-timing harness (``tune.py``), which races
-#: the internals against each other to find crossovers.
+#: defining module and the schedule-walking dispatchers (``mul.py``,
+#: ``div.py``).
 _SCHEDULE_LAYER_FILES = frozenset({
-    "mul.py", "div.py", "tune.py",
+    "mul.py", "div.py",
     "karatsuba.py", "toom.py", "ssa.py", "burnikel_ziegler.py",
 })
 
@@ -63,8 +62,8 @@ class DirectDispatch(Rule):
     code = "RPR012"
     rationale = ("Layers above mpn must lower work through repro.plan "
                  "(OpSpec -> select -> Plan); calling a concrete kernel "
-                 "or hand-building an ISA Instruction bypasses the "
-                 "tuned thresholds, plan verification, and the memo-key "
+                 "or hand-building an ISA Instruction bypasses backend "
+                 "selection, plan verification, and the memo-key "
                  "salting that keeps result caches honest.")
 
     def applies(self, ctx: FileContext) -> bool:
@@ -109,8 +108,7 @@ class ScheduleBypass(Rule):
     def applies(self, ctx: FileContext) -> bool:
         # RPR012 already polices everything above mpn/plan; this rule
         # covers the inside, minus the schedule layer itself (the
-        # walking dispatchers, the internals' own defining modules,
-        # and the tuner that times them against each other).
+        # walking dispatchers and the internals' own defining modules).
         if not (ctx.in_mpn or "plan" in ctx.parts):
             return False
         return ctx.filename not in _SCHEDULE_LAYER_FILES

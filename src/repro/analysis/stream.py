@@ -31,7 +31,7 @@ SV-PLAN    MUL operands fit the monolithic chunk/window plan (the
 lowered :class:`~repro.plan.lowering.Plan` IR (checks ``PV-*``): the
 cost estimate is sane, the backend resolution is legal, the recorded
 algorithm matches what re-running selection under the plan's own
-thresholds fingerprint produces, and — for device plans given
+policy fingerprint produces, and — for device plans given
 operands — the materialized instruction stream passes every ``SV-*``
 check above.
 """
@@ -247,9 +247,9 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
       (``device`` only for muls within the monolithic limit,
       ``packed`` only for mul/div/mod/powmod);
     * **PV-ALGO** — for muls, re-deriving selection from the plan's
-      recorded thresholds fingerprint reproduces the recorded
-      algorithm (a mismatch means the plan was built under different
-      tuning than it claims, so its memo key is a lie);
+      recorded policy fingerprint reproduces the recorded
+      algorithm (a mismatch means the plan was built under a
+      different policy than it claims, so its memo key is a lie);
     * **PV-STEPS** — the step chain is non-empty and device plans
       carry a stream step.
 
@@ -309,7 +309,7 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
         if plan.algorithm != expected:
             report("PV-ALGO",
                    "plan records algorithm %r but selection under its "
-                   "own thresholds fingerprint yields %r"
+                   "own policy fingerprint yields %r"
                    % (plan.algorithm, expected))
 
     if not plan.steps:

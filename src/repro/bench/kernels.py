@@ -11,14 +11,14 @@ backend pinned explicitly, so what is timed is exactly what a lowered
   int products for div, and CPython ``pow`` for the powmod ``auto``
   runs, each behind its limb-list wrapper.
 
-Timings are best-of-N ``perf_counter_ns`` (the same discipline as
-:mod:`repro.mpn.tune`).  Every measured point asserts that *all*
-available backends return bit-identical results **and** that they
-match a Python-bigint ground-truth oracle — not just the backends the
-tuned plan happens to select — so a mistuned crossover can never hide
-an incorrect backend, and a benchmark run doubles as a differential
-test.  A cProfile pass over the largest measured multiply records
-where the interpreter time actually goes.
+Timings are best-of-N ``perf_counter_ns``: the minimum discards
+scheduler noise rather than averaging it in.  Every measured point
+asserts that *all* available backends return bit-identical results
+**and** that they match a Python-bigint ground-truth oracle — not just
+the backend ``auto`` happens to select — so a disabled backend can
+never hide an incorrect one, and a benchmark run doubles as a
+differential test.  A cProfile pass over the largest measured multiply
+records where the interpreter time actually goes.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.mpn import nat
 from repro.mpn import powmod as mpn_powmod
 from repro.mpn.div import divmod_nat
-from repro.mpn.mul import mul, sqr
+from repro.mpn.mul import PYTHON_POLICY, mul, sqr
 from repro.mpn.nat import Nat
-from repro.mpn.tune import _random_operand, tuned_policy
 
 #: Bump when the JSON layout changes meaning.
 #: v2: per-backend ``ns``/``speedup`` maps replaced the limb/packed
@@ -97,6 +96,18 @@ CHECK_MIN_SPEEDUP = 0.9
 #: measured modulus (packed ``pow`` wins well over 10x on measured
 #: hosts; 1.2 is the noise-tolerant floor).
 CHECK_PACKED_POWMOD_MIN_SPEEDUP = 1.2
+
+
+def _random_operand(limbs: int, seed: int) -> Nat:
+    """A deterministic pseudo-random operand of exactly ``limbs`` limbs."""
+    state = seed or 1
+    out = []
+    for _ in range(limbs):
+        state = (state * 6364136223846793005 + 1442695040888963407) \
+            % (1 << 64)
+        out.append(state & nat.LIMB_MASK)
+    out[-1] |= 1 << (nat.LIMB_BITS - 1)
+    return out
 
 
 def _best_ns(fn: Callable[[], object], repeats: int) -> int:
@@ -188,9 +199,8 @@ def check_point(op: str, bits: int, a: Nat, b: Nat,
     """Assert every available backend agrees with the bigint oracle.
 
     This runs at *every* measured point, for *all* backends the op can
-    execute — not just the two the tuned plan would pick — so a
-    mistuned crossover (or a disabled backend) can never mask a
-    backend that computes the wrong answer.
+    execute — not just the one ``auto`` would pick — so a disabled
+    backend can never mask a backend that computes the wrong answer.
     """
     truth = _oracle(op, a, b, seed)
     for backend, thunk in runners.items():
@@ -226,7 +236,7 @@ def _predicted_columns(op: str, bits: int, timings: Dict[str, int]
     """Learned-model predictions next to the measurements just taken.
 
     Empty maps when no fitted model is live (``REPRO_COST=0``, nothing
-    fitted, or the thresholds changed since the fit) — the bench then
+    fitted, or a fit under another policy fingerprint) — the bench then
     reports exactly its pre-model columns.  The relative errors feed
     the CI ``cost`` job's drift gate.
     """
@@ -253,7 +263,7 @@ def _ladder(op: str, quick: bool):
 def bench_kernels(quick: bool = False, repeats: int = 5,
                   seed: int = 2022, profile: bool = True) -> Dict:
     """Measure every (op, bits, backend) point and return the report."""
-    policy = tuned_policy()
+    policy = PYTHON_POLICY
     entries: List[Dict] = []
     for op in ("mul", "sqr", "div", "powmod"):
         for bits in _ladder(op, quick):

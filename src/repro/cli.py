@@ -165,27 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "key bits (rsa/he); 0 = default")
     price.set_defaults(handler=_cmd_price)
 
-    tune_parser = commands.add_parser(
-        "tune", help="measure and persist kernel thresholds for this host")
-    tune_parser.add_argument("--max-limbs", type=int, default=384)
-    tune_parser.add_argument("--repeats", type=int, default=3,
-                             help="best-of-N timing repetitions")
-    tune_parser.add_argument("--output", default=None,
-                             help="thresholds file (default: "
-                                  "$REPRO_THRESHOLDS or "
-                                  "~/.cache/repro/thresholds.json)")
-    tune_parser.add_argument("--dry-run", action="store_true",
-                             help="measure and print without persisting")
-    tune_parser.add_argument("--no-division", action="store_true",
-                             help="skip the division/Barrett crossovers")
-    tune_parser.add_argument("--no-packed", action="store_true",
-                             help="skip the packed-backend crossovers")
-    tune_parser.add_argument("--no-dataset", action="store_true",
-                             help="discard the raw timing probes "
-                                  "instead of appending them to the "
-                                  "cost dataset")
-    tune_parser.set_defaults(handler=_cmd_tune)
-
     cost_parser = commands.add_parser(
         "cost", help="learned wall-clock cost model: harvest "
                      "measurements, fit, evaluate")
@@ -377,29 +356,6 @@ def _cmd_price(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.mpn.tune import save_thresholds, tune
-    from repro.plan import select
-    result = tune(max_limbs=args.max_limbs, repeats=args.repeats,
-                  measure_division=not args.no_division,
-                  measure_packed=not args.no_packed)
-    print(result.report())
-    print("tuned policy:", result.policy)
-    if not args.dry_run and not args.no_dataset and result.raw_points:
-        from repro.cost import dataset
-        written = dataset.append_rows(result.raw_points)
-        print("appended %d measurement row(s) to %s"
-              % (written, dataset.dataset_path()))
-    if not args.dry_run:
-        output = Path(args.output) if args.output else None
-        target = save_thresholds(result.thresholds, output)
-        print("thresholds persisted to %s" % target)
-        select.reload()
-    return 0
-
-
 def _cmd_cost(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -480,7 +436,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     print("killswitch: REPRO_COST=%s (%s)"
           % ("0" if not model.enabled() else "on",
              "disabled" if not model.enabled() else "enabled"))
-    print("thresholds fingerprint: %s" % (tuple(fingerprint),))
+    print("policy fingerprint: %s" % (tuple(fingerprint),))
     active = model.active_model()
     if active is None:
         print("active model: none (analytic Plan.cost() everywhere)")

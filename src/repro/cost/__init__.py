@@ -1,10 +1,9 @@
 """``repro.cost`` — learned wall-clock pricing for plans and jobs.
 
 The package maps a plan fingerprint — (op, resolved backend, limb
-count) under the active tuned thresholds — to predicted nanoseconds,
-and feeds those predictions to the consumers of the analytic
-:meth:`Plan.cost` (backend selection itself stays on the tuned
-thresholds alone):
+count) — to predicted nanoseconds, and feeds those predictions to the
+consumers of the analytic :meth:`Plan.cost` (backend selection itself
+never reads them):
 
 * serve admission — ``estimated_wait`` prices pending work from
   predicted ns (:func:`predict_plan_ns`) and the queue's service rate
@@ -48,7 +47,7 @@ def selection_salt() -> Tuple[str, ...]:
     """The live model's identity, for run provenance.
 
     Empty whenever the killswitch is off or no fitted model matches
-    the active thresholds; otherwise ``("cost", digest)``, so two runs
+    the policy fingerprint; otherwise ``("cost", digest)``, so two runs
     can tell whether they priced admission under the same fit."""
     model = _model.active_model()
     if model is None:
@@ -60,7 +59,7 @@ def predict_plan_ns(plan) -> Optional[float]:
     """Predicted wall ns for one lowered plan, or ``None``.
 
     ``None`` — the analytic path's signal — when the killswitch is
-    off, no fitted model matches the active thresholds, or the plan is
+    off, no fitted model matches the policy fingerprint, or the plan is
     outside the fitted domain."""
     model = _model.active_model()
     if model is None:
@@ -83,7 +82,7 @@ def seed_rate_cycles_per_ms() -> Optional[float]:
     """A boot-time service-rate estimate (cycles/ms) for admission.
 
     The fitted model's observed cycles-per-ns rate, *measured on this
-    host*, when a fit matches the active thresholds; ``None``
+    host*, when a fit matches the policy fingerprint; ``None``
     otherwise — a modelless (or killswitched) boot must stay cold and
     fall back to the depth bound exactly like the analytic build, not
     inherit a made-up rate the wait gate would shed against."""

@@ -1,12 +1,8 @@
 """The measurement dataset: ``results/COST_dataset.jsonl``.
 
 One JSON object per line, schema-versioned, append-only.  Rows come
-from three producers the stack already runs for free:
+from the producers the stack already runs for free:
 
-* ``repro tune`` — every bisection probe is a clean best-of-N kernel
-  timing at a known (op, backend, limbs) point; the recorder context
-  below collects them instead of discarding everything but the chosen
-  crossover;
 * ``repro cost harvest`` — folds the checked-in benchmark JSONs
   (``BENCH_kernels.json`` per-backend points, ``BENCH_serve.json``
   per-(op, backend) latency aggregates) and ``REPRO_TRACE`` span dumps
@@ -22,12 +18,13 @@ Row schema (``schema`` = :data:`DATASET_SCHEMA_VERSION`)::
 (serve latency aggregates); :func:`load_rows` excludes them from
 kernel fitting by default.  Unknown or mismatched-schema lines are
 skipped on load — the dataset must never be able to break a fit.
+Rows whose ``source`` is ``"tune"`` are best-of-N probes from the
+retired per-host crossover search; they load like any other row.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -226,39 +223,3 @@ def harvest_trace(path) -> List[Dict]:
         if row is not None:
             rows.append(row)
     return rows
-
-
-# -- the tune recorder --------------------------------------------------------
-
-#: Active collector list, or ``None`` (recording off — the default, so
-#: a bare bisection in a test never grows hidden state).
-_RECORDER: Optional[List[Dict]] = None
-
-
-@contextmanager
-def recording():
-    """Collect every :func:`record_point` row inside the block.
-
-    Yields the (live) list of rows; nested recordings stack."""
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = rows = []
-    try:
-        yield rows
-    finally:
-        _RECORDER = previous
-        if previous is not None:
-            previous.extend(rows)
-
-
-def record_point(op: str, backend: Optional[str], limbs: int,
-                 ns: float, source: str = "tune") -> None:
-    """Record one measured point if a recorder is active (else no-op).
-
-    ``backend=None`` means the measured side has no single backend
-    (e.g. a mixed auto-dispatch arm) and is skipped."""
-    if _RECORDER is None or backend is None:
-        return
-    row = make_row(op, backend, limbs, ns, source)
-    if row is not None:
-        _RECORDER.append(row)

@@ -2,18 +2,17 @@
 
 The learned cost model (:mod:`repro.cost.model`) regresses measured
 nanoseconds against operand size per (op, backend) group, so every
-producer of training rows — ``repro tune`` bisections, ``repro
-bench-kernels`` points, ``REPRO_TRACE`` span dumps — and every
+producer of training rows — ``repro bench-kernels`` points, serve
+latency aggregates, ``REPRO_TRACE`` span dumps — and every
 consumer of predictions (plan selection, admission pricing) must agree
 on what "the size" of an operation is.  This module is that single
 agreement:
 
 * ``mul``/``sqr`` — the smaller operand's limb count (the quantity the
-  tuned crossovers compare, and the size both tune and bench generate
-  both operands at);
-* ``div``/``mod`` — the *divisor's* limb count (tune and bench both
-  time the 2n-by-n shape, and ``select.div_backend`` keys on the
-  divisor);
+  limb ladder's thresholds compare, and the size bench generates both
+  operands at);
+* ``div``/``mod`` — the *divisor's* limb count (bench times the
+  2n-by-n shape);
 * ``powmod`` — the modulus limb count (the width every ladder step
   multiplies and reduces at; the exponent scales the loop length, not
   the per-step kernel).

@@ -18,9 +18,8 @@ steep a fit is — properties the hypothesis suite asserts and the
 selection/admission consumers rely on.
 
 Fitted models persist in the version-salted disk cache under a key
-that includes the tuned-thresholds fingerprint: ``repro tune`` changes
-the fingerprint, which strands every stale fit exactly like it strands
-stale plans.
+that includes the policy fingerprint (:func:`repro.plan.select.
+fingerprint`), the same tuple that salts plan memo keys.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def _group_key(op: str, backend: str) -> str:
 def analytic_cycles(op: str, limbs: int) -> Optional[float]:
     """The analytic accelerator-cycle price of one modeled job shape.
 
-    Mirrors how each op's bench/tune measurements were taken: mul/sqr
+    Mirrors how each op's bench measurements were taken: mul/sqr
     are n-by-n, div is the 2n-by-n schoolbook shape, powmod uses the
     :data:`POWMOD_EXP_BITS` exponent convention."""
     from repro.mpn.nat import LIMB_BITS
@@ -282,7 +281,7 @@ def _cache_key(fingerprint: Tuple[int, ...]) -> str:
 
 
 def save(model: CostModel) -> None:
-    """Persist a fitted model under its thresholds fingerprint."""
+    """Persist a fitted model under its policy fingerprint."""
     cache = _model_cache()
     cache.put(_cache_key(model.fingerprint), model.to_payload())
     cache.save_if_dirty()
@@ -290,24 +289,22 @@ def save(model: CostModel) -> None:
 
 
 def load(fingerprint: Tuple[int, ...]) -> Optional[CostModel]:
-    """The persisted model for one thresholds fingerprint, if any."""
+    """The persisted model for one policy fingerprint, if any."""
     payload = _model_cache().get(_cache_key(fingerprint))
     if payload is None:
         return None
     return CostModel.from_payload(payload)
 
 
-#: Memoized (fingerprint, model-or-None) pair; the fingerprint part
-#: makes a retune (which changes the active thresholds) a cache miss.
+#: Memoized (fingerprint, model-or-None) pair.
 _ACTIVE: Optional[Tuple[Tuple[int, ...], Optional[CostModel]]] = None
 
 
 def active_model() -> Optional[CostModel]:
-    """The persisted model matching the *active* tuned thresholds.
+    """The persisted model matching the default policy's fingerprint.
 
     Returns ``None`` when the killswitch is off, no fit was persisted,
-    or the persisted fit was made under different thresholds (``repro
-    tune`` strands stale fits by changing the fingerprint)."""
+    or the persisted fit was made under a different fingerprint."""
     global _ACTIVE
     if not enabled():
         return None
@@ -321,6 +318,6 @@ def active_model() -> Optional[CostModel]:
 
 
 def invalidate_active() -> None:
-    """Drop the memoized active model (tests, post-save, retune)."""
+    """Drop the memoized active model (tests, post-save)."""
     global _ACTIVE
     _ACTIVE = None

@@ -48,13 +48,6 @@ def get_policy() -> MulPolicy:
     return _ACTIVE_POLICY
 
 
-def use_tuned_policy() -> MulPolicy:
-    """Activate the host-tuned thresholds (``repro tune`` output, or the
-    checked-in defaults when nothing was tuned); returns the old policy."""
-    from repro.mpn.tune import tuned_policy
-    return set_policy(tuned_policy())
-
-
 def _use_packed_linear(a: Nat, b: Nat = ()) -> bool:
     """Route O(n) kernels through the block-packed path when it wins.
 
@@ -63,8 +56,7 @@ def _use_packed_linear(a: Nat, b: Nat = ()) -> bool:
     """
     from repro.plan import select as _select
     return (max(len(a), len(b)) >= _packed.LINEAR_PACK_MIN_LIMBS
-            and _select.mul_backend(_packed.LINEAR_PACK_MIN_LIMBS)
-            == "packed")
+            and _select.auto_backend() == "packed")
 
 
 def add(a: Nat, b: Nat) -> Nat:
@@ -157,7 +149,7 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
            backend: str = "auto") -> Nat:
     """Profiled modular exponentiation.
 
-    ``backend="auto"`` asks :func:`repro.plan.select.powmod_backend`:
+    ``backend="auto"`` asks :func:`repro.plan.select.auto_backend`:
     the packed kernel (CPython ``pow``) at every modulus width, or the
     limb CIOS kernel under ``REPRO_PACKED=0``.  ``"packed"``/``"limb"``
     pin the choice explicitly.  Both kernels produce the unique
@@ -166,7 +158,7 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
     with kernel("powmod", bit_length(modulus), bit_length(exponent)):
         if backend == "auto":
             from repro.plan import select as _select
-            backend = _select.powmod_backend()
+            backend = _select.auto_backend()
         if backend == "packed":
             return _packed.powmod_packed(base, exponent, modulus)
         if backend != "limb":
@@ -199,5 +191,5 @@ __all__ = [
     "add", "bit_length", "cmp", "compare", "divexact", "divmod_nat", "gcd",
     "get_bit", "get_policy", "invmod", "iroot", "is_zero", "isqrt", "mod", "mul",
     "nat_from_int", "nat_to_int", "normalize", "powmod", "set_policy",
-    "shl", "shr", "sqr", "sqrtrem", "sub", "use_tuned_policy",
+    "shl", "shr", "sqr", "sqrtrem", "sub",
 ]

@@ -19,20 +19,8 @@ from typing import Callable, Optional
 from repro.mpn import nat
 from repro.mpn.div import divmod_nat
 from repro.mpn.nat import MpnError, Nat
-from repro.plan import select as _select
 
 MulFn = Callable[[Nat, Nat], Nat]
-
-
-def barrett_profitable(modulus: Nat,
-                       barrett_limbs: Optional[int] = None) -> bool:
-    """Whether precomputing a Barrett reducer beats repeated division.
-
-    The crossover lives with every other threshold in
-    :mod:`repro.plan.select` (tuned ``barrett_limbs``); pass an explicit
-    limb count to override the tuned value.
-    """
-    return _select.barrett_profitable(len(modulus), barrett_limbs)
 
 
 class BarrettContext:

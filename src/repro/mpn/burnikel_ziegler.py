@@ -39,7 +39,7 @@ def _div_2n1n(high: Nat, low: Nat, divisor: Nat, half_limbs: int,
     if n <= BZ_THRESHOLD_LIMBS:
         dividend = nat.add(nat.shl(high, n * LIMB_BITS), low)
         # Route through the dispatcher-level basecase so the packed
-        # kernels are picked up when the tuned crossover says they win.
+        # kernels are picked up whenever ``auto`` selects them.
         return basecase_divmod(dividend, divisor)
     low_padded = _pad(list(low), n)
     low_lo = nat.normalize(low_padded[:half_limbs])

@@ -213,10 +213,10 @@ def basecase_divmod(a: Nat, b: Nat) -> Tuple[Nat, Nat]:
 
     Burnikel-Ziegler (and anything else that reduces to quadratic
     division below its threshold) calls here instead of hard-coding
-    Algorithm D, so its basecases transparently pick up the packed
-    kernel when the tuned crossover says it wins.
+    Algorithm D, so its basecases run the packed kernel whenever
+    ``auto`` does (Algorithm D under ``REPRO_PACKED=0``).
     """
-    if _select.div_backend(len(b)) == "packed":
+    if _select.auto_backend() == "packed":
         return divmod_packed(a, b)
     return divmod_schoolbook(a, b)
 
@@ -226,15 +226,15 @@ def divmod_nat(a: Nat, b: Nat,
                backend: str = "auto") -> Tuple[Nat, Nat]:
     """Exact (quotient, remainder); picks the algorithm *and* backend.
 
-    ``backend="auto"`` consults the tuned packed-vs-limb crossover and
-    runs the whole division as the packed recursion over int products
-    (:func:`repro.mpn.packed.divmod_packed`) when the packed backend
-    wins — every step there is a C-level int product or ``divmod``,
-    which beats the limb Newton iteration across the practical range.
+    ``backend="auto"`` runs the whole division as the packed recursion
+    over int products (:func:`repro.mpn.packed.divmod_packed`) at every
+    width (the limb selection under ``REPRO_PACKED=0``) — every step
+    there is a C-level int product or ``divmod``, which beats the limb
+    Newton iteration across the practical range.
     ``backend="limb"`` forces the classic schoolbook/Newton selection.
     """
     if backend == "auto":
-        backend = _select.div_backend(len(b))
+        backend = _select.auto_backend()
     elif backend not in DIV_BACKENDS:
         raise MpnError("unknown div backend %r (expected one of %s)"
                        % (backend, ", ".join(DIV_BACKENDS)))

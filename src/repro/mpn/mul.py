@@ -29,10 +29,11 @@ from repro.mpn.toom import mul_toom
 from repro.mpn.nat import MpnError, Nat
 
 #: Backends the dispatcher understands.  ``auto`` resolves through
-#: :func:`repro.plan.select.mul_backend` against the tuned packed
-#: crossover; ``limb`` forces the per-limb algorithm ladder (what
-#: explicit-policy callers and differential tests exercise); ``packed``
-#: forces the block-packed kernels of :mod:`repro.mpn.packed`.
+#: :func:`repro.plan.select.auto_backend` (packed at every width,
+#: limb under ``REPRO_PACKED=0``); ``limb`` forces the per-limb
+#: algorithm ladder (what explicit-policy callers and differential
+#: tests exercise); ``packed`` forces the whole-int kernels of
+#: :mod:`repro.mpn.packed`.
 MUL_BACKENDS = ("auto", "limb", "packed")
 
 
@@ -87,8 +88,9 @@ MPAPCA_POLICY = MulPolicy(
     ssa_limbs=90000,
 )
 
-#: Pure-software thresholds tuned for this Python implementation's own
-#: constant factors (used when we want wall-clock speed, e.g. in apps).
+#: Pure-software thresholds fitted to this Python implementation's own
+#: constant factors: the limb ladder's default (``select.active()``),
+#: so what ``auto`` runs under ``REPRO_PACKED=0``.
 PYTHON_POLICY = MulPolicy(
     name="python",
     karatsuba_limbs=24,
@@ -99,9 +101,9 @@ PYTHON_POLICY = MulPolicy(
 )
 
 
-def _resolve_backend(backend: str, min_limbs: int) -> str:
+def _resolve_backend(backend: str) -> str:
     if backend == "auto":
-        return _select.mul_backend(min_limbs)
+        return _select.auto_backend()
     if backend not in MUL_BACKENDS:
         raise MpnError("unknown mul backend %r (expected one of %s)"
                        % (backend, ", ".join(MUL_BACKENDS)))
@@ -171,9 +173,9 @@ def mul(a: Nat, b: Nat, policy: MulPolicy = GMP_POLICY,
         backend: str = "auto") -> Nat:
     """Product of two naturals under the given selection policy.
 
-    ``backend="auto"`` consults the tuned packed-vs-limb crossover and
-    routes whole operands to :func:`repro.mpn.packed.mul_packed` when
-    the packed backend wins; that is one CPython int product, which
+    ``backend="auto"`` routes whole operands to
+    :func:`repro.mpn.packed.mul_packed` at every width (the limb ladder
+    under ``REPRO_PACKED=0``); that is one CPython int product, which
     carries its own Karatsuba in C, so the limb ladder below only runs
     for the limb backend.  The limb ladder is a
     *committed schedule*: the full recursion structure is derived once
@@ -181,11 +183,10 @@ def mul(a: Nat, b: Nat, policy: MulPolicy = GMP_POLICY,
     """
     if not a or not b:
         return []
-    min_limbs = min(len(a), len(b))
-    resolved = _resolve_backend(backend, min_limbs)
-    if resolved == "packed":
+    if _resolve_backend(backend) == "packed":
         return mul_packed(a, b)
-    return _walk_mul(_limb_schedule("mul", min_limbs, policy), a, b)
+    return _walk_mul(_limb_schedule("mul", min(len(a), len(b)), policy),
+                     a, b)
 
 
 def sqr(a: Nat, policy: MulPolicy = GMP_POLICY,
@@ -193,8 +194,7 @@ def sqr(a: Nat, policy: MulPolicy = GMP_POLICY,
     """Square of a natural; uses dedicated squaring paths where they exist."""
     if not a:
         return []
-    resolved = _resolve_backend(backend, len(a))
-    if resolved == "packed":
+    if _resolve_backend(backend) == "packed":
         return sqr_packed(a)
     return _walk_sqr(_limb_schedule("sqr", len(a), policy), a)
 

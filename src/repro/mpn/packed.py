@@ -35,7 +35,7 @@ limb sibling — ``tests/differential`` proves it against both the limb
 kernels and Python bigints.
 
 Reachability contract (lint rule RPR012): these kernels are selected by
-``repro.plan.select`` crossovers and invoked only through the mpn
+``repro.plan.select.auto_backend`` and invoked only through the mpn
 dispatchers (:func:`repro.mpn.mul.mul`, :func:`repro.mpn.div.
 divmod_nat`, :func:`repro.mpn.powmod`) or a lowered ``backend="packed"``
 Plan — never called directly by layers above mpn.

@@ -2,8 +2,8 @@
 
 One request, one lowering, one answer::
 
-    OpSpec -> select(Thresholds) -> Plan{kernel chain | ISA stream,
-                                         cost, compat key, memo key}
+    OpSpec -> select(MulPolicy) -> Plan{kernel chain | ISA stream,
+                                        cost, memo key}
 
 * :mod:`repro.plan.spec` — :class:`OpSpec`, the canonical request;
 * :mod:`repro.plan.select` — every threshold-crossover lookup (the

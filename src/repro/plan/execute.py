@@ -126,7 +126,7 @@ def model_query(model_op: str, bits_a: int, bits_b: int) -> float:
 
 
 def plan_for_job(op: str, params: Dict[str, Any],
-                 thresholds=None, backend: Optional[str] = None):
+                 policy=None, backend: Optional[str] = None):
     """Spec + lower in one call, honouring value-derived detail.
 
     The one extra over :meth:`OpSpec.for_job`: a library powmod records
@@ -144,4 +144,4 @@ def plan_for_job(op: str, params: Dict[str, Any],
     if op == "powmod" and not select.powmod_is_pow(spec.backend):
         spec = OpSpec("powmod", spec.bits_a, spec.bits_b, spec.backend,
                       (("mod_odd", int(params["mod"] & 1)),))
-    return lower(spec, thresholds)
+    return lower(spec, policy)

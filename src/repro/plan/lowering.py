@@ -1,16 +1,17 @@
-"""Lowering: OpSpec → select(Thresholds) → Plan.
+"""Lowering: OpSpec → select(MulPolicy) → Plan.
 
 A :class:`Plan` is the one execution IR every layer consumes:
 
 * the kernel chain (library backend) or ISA stream shape (device
   backend) the request will run as, chosen by :mod:`repro.plan.select`
-  against the tuned thresholds;
+  (``auto`` mul/div/powmod: packed at every width; the limb ladder
+  under the given or checked-in :class:`~repro.mpn.mul.MulPolicy`);
 * the cycle estimate, priced by the one
   :class:`~repro.core.model.CambriconPModel` through the MPApca
   composition rules (:mod:`repro.runtime.mpapca`);
-* the memo key — schema version + thresholds fingerprint + algorithm —
-  that salts every result cache downstream, so retuning can never
-  serve a stale cached result.
+* the memo key — schema version + policy fingerprint + algorithm +
+  backend — that salts every result cache downstream, so a plan under
+  another policy or backend can never serve a stale cached result.
 
 Lowered plans themselves memoize in a version-salted
 :func:`repro.parallel.cache.named_cache` ("plans"), so the admission
@@ -68,7 +69,10 @@ from repro.plan.spec import OpSpec, PlanError
 #: ``packed-basecase`` block chain; packed powmod lowers to one
 #: ``packed-pow`` step (CPython ``pow``) for either modulus parity, not
 #: ``packed-montgomery``/``packed-division``.
-PLAN_SCHEMA_VERSION = 15
+#: v16: ``auto`` mul/div/mod lower to packed at every width (the tuned
+#: 4-limb packed crossovers are gone), and the fingerprint is the
+#: policy's five ladder thresholds, not the 10-int thresholds record.
+PLAN_SCHEMA_VERSION = 16
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -104,10 +108,10 @@ class Plan:
     algorithm: str
     steps: Tuple[PlanStep, ...]
     cost_cycles: float
-    #: :func:`repro.plan.select.fingerprint` of the thresholds the plan
-    #: was selected under (all-zero past index 0 for ad-hoc policies).
+    #: :func:`repro.plan.select.fingerprint` of the policy the plan was
+    #: selected under (its five ladder thresholds).
     tuning: Tuple[int, ...]
-    policy_name: str = "tuned"
+    policy_name: str = "python"
 
     # -- keys ----------------------------------------------------------------
 
@@ -115,9 +119,9 @@ class Plan:
     def memo_key(self) -> Tuple:
         """Salt for downstream result caches.
 
-        Covers the lowering schema version, the thresholds fingerprint,
-        and the algorithm choice: any retune or selection change yields
-        a different memo key, invalidating cached results derived from
+        Covers the lowering schema version, the policy fingerprint, and
+        the algorithm and backend choice: any selection change yields a
+        different memo key, invalidating cached results derived from
         the old plan.
         """
         return (PLAN_SCHEMA_VERSION,) + tuple(self.tuning) \
@@ -139,11 +143,11 @@ class Plan:
         """The :class:`~repro.mpn.mul.MulPolicy` this plan selected under."""
         from repro.mpn.mul import MulPolicy
         return MulPolicy(name=self.policy_name,
-                         karatsuba_limbs=self.tuning[1],
-                         toom3_limbs=self.tuning[2],
-                         toom4_limbs=self.tuning[3],
-                         toom6_limbs=self.tuning[4],
-                         ssa_limbs=self.tuning[5])
+                         karatsuba_limbs=self.tuning[0],
+                         toom3_limbs=self.tuning[1],
+                         toom4_limbs=self.tuning[2],
+                         toom6_limbs=self.tuning[3],
+                         ssa_limbs=self.tuning[4])
 
     # -- display -------------------------------------------------------------
 
@@ -153,7 +157,7 @@ class Plan:
             "  backend:    %s" % self.backend,
             "  algorithm:  %s" % self.algorithm,
             "  policy:     %s %s" % (self.policy_name,
-                                     tuple(self.tuning[1:6])),
+                                     tuple(self.tuning)),
             "  cost:       %.0f cycles (%.3g s modeled)"
             % (self.cost_cycles, self.seconds()),
             "  memo key:   %s" % (self.memo_key,),
@@ -171,77 +175,49 @@ def plan_cache():
                        version=PLAN_SCHEMA_VERSION)
 
 
-def _tuning_for(thresholds) -> Tuple[Tuple[int, ...], str]:
-    """(fingerprint, policy name) for a Thresholds or MulPolicy."""
-    if hasattr(thresholds, "barrett_limbs"):       # Thresholds record
-        return select.fingerprint(thresholds), "tuned"
-    # A bare MulPolicy (e.g. the MPApca hardware policy): no division,
-    # Barrett, or packed crossovers; version slot 0 marks it as ad hoc.
-    return ((0, thresholds.karatsuba_limbs, thresholds.toom3_limbs,
-             thresholds.toom4_limbs, thresholds.toom6_limbs,
-             thresholds.ssa_limbs, 0, 0, 0, 0), thresholds.name)
+def lower(spec: OpSpec, policy=None, use_cache: bool = True) -> Plan:
+    """Lower one OpSpec to its Plan under the given (or default) policy.
 
-
-def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
-    """Lower one OpSpec to its Plan under the given (or active) tuning.
-
-    ``thresholds`` accepts a :class:`~repro.mpn.tune.Thresholds`
-    record, a bare :class:`~repro.mpn.mul.MulPolicy`, or ``None`` for
-    the host's active tuning (persisted ``repro tune`` output, else the
-    checked-in defaults).
+    ``policy`` is the :class:`~repro.mpn.mul.MulPolicy` the limb ladder
+    runs on, or ``None`` for the checked-in ``PYTHON_POLICY``.
     """
-    if thresholds is None:
-        thresholds = select.active()
-    tuning, policy_name = _tuning_for(thresholds)
+    if policy is None:
+        policy = select.active()
+    tuning = select.fingerprint(policy)
     if not use_cache:
-        return _lower_uncached(spec, thresholds, tuning, policy_name)
+        return _lower_uncached(spec, policy, tuning)
     cache = plan_cache()
-    key = cache.key(spec.key(), tuning, policy_name)
+    key = cache.key(spec.key(), tuning, policy.name)
     return cache.lookup(
-        key, lambda: _lower_uncached(spec, thresholds, tuning,
-                                     policy_name))
+        key, lambda: _lower_uncached(spec, policy, tuning))
 
 
 #: Ops the packed backend can execute.
 _PACKED_OPS = ("mul", "div", "mod", "powmod")
 
 
-def _resolve_backend(spec: OpSpec, thresholds) -> str:
-    from repro.mpn.nat import LIMB_BITS
-    from repro.plan import select as _select
+def _resolve_backend(spec: OpSpec) -> str:
     from repro.runtime import mpapca
     if spec.backend == "packed" and spec.op not in _PACKED_OPS:
         raise PlanError("backend=packed supports only %s; %r lowers to "
                         "the library" % ("/".join(_PACKED_OPS), spec.op))
-    if spec.op == "mul":
-        fits = max(spec.bits_a, spec.bits_b) <= mpapca.MONOLITHIC_MAX_BITS
-        if spec.backend == "device" and not fits:
+    if spec.backend == "device":
+        if spec.op != "mul":
+            raise PlanError("backend=device supports only mul streams; "
+                            "%r lowers to the library" % (spec.op,))
+        if max(spec.bits_a, spec.bits_b) > mpapca.MONOLITHIC_MAX_BITS:
             raise PlanError(
                 "mul at %d bits exceeds the %d-bit monolithic device "
                 "multiplier; request backend=library or auto"
                 % (max(spec.bits_a, spec.bits_b),
                    mpapca.MONOLITHIC_MAX_BITS))
-        if spec.backend == "auto":
-            min_limbs = -(-min(max(spec.bits_a, 1),
-                               max(spec.bits_b, 1)) // LIMB_BITS)
-            return "packed" if _select.mul_backend(
-                min_limbs, thresholds) == "packed" else "library"
-        return spec.backend
-    if spec.backend == "device":
-        raise PlanError("backend=device supports only mul streams; "
-                        "%r lowers to the library" % (spec.op,))
-    if spec.op in ("div", "mod"):
-        if spec.backend == "auto":
-            divisor_limbs = -(-max(spec.bits_b, 1) // LIMB_BITS)
-            return "packed" if _select.div_backend(
-                divisor_limbs, thresholds) == "packed" else "library"
-        return spec.backend
-    if spec.op == "powmod":
-        if spec.backend == "auto":
-            return "packed" if _select.powmod_backend() == "packed" \
-                else "library"
-        return spec.backend
-    return "library"
+        return "device"
+    if spec.op not in _PACKED_OPS:
+        return "library"
+    if spec.backend == "auto":
+        return "packed" if select.auto_backend() == "packed" \
+            else "library"
+    return spec.backend
 
 
 def _mul_kernel_steps(min_limbs: int, policy) -> List[PlanStep]:
@@ -249,14 +225,12 @@ def _mul_kernel_steps(min_limbs: int, policy) -> List[PlanStep]:
             for algorithm, limbs in select.mul_chain(min_limbs, policy)]
 
 
-def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
-                    policy_name: str) -> Plan:
+def _lower_uncached(spec: OpSpec, policy, tuning: Tuple[int, ...]
+                    ) -> Plan:
     from repro.mpn.nat import LIMB_BITS
     from repro.runtime import mpapca
 
-    backend = _resolve_backend(spec, thresholds)
-    policy = thresholds.policy() if hasattr(thresholds, "policy") \
-        else thresholds
+    backend = _resolve_backend(spec)
     op = spec.op
     steps: List[PlanStep]
 
@@ -351,4 +325,4 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
 
     return Plan(spec=spec, backend=backend, algorithm=algorithm,
                 steps=tuple(steps), cost_cycles=float(cost),
-                tuning=tuning, policy_name=policy_name)
+                tuning=tuning, policy_name=policy.name)

@@ -2,12 +2,11 @@
 
 The recursive mpn kernels used to re-decide their algorithm at every
 level of every call: ``mul`` asked ``policy.algorithm_for`` on the way
-down, division asked :func:`repro.plan.select.div_algorithm` and
-:func:`~repro.plan.select.div_backend` per call.  Those decisions are
-pure functions of the operand width and the tuned thresholds, so they
-can be made *once* — which is exactly how Cambricon-P itself wins:
-commit to a fixed bitflow schedule per operand width instead of
-re-deciding at every step.
+down, division asked :func:`repro.plan.select.div_algorithm` per
+call.  Those decisions are pure functions of the operand width and the
+:class:`~repro.mpn.mul.MulPolicy`, so they can be made *once* — which
+is exactly how Cambricon-P itself wins: commit to a fixed bitflow
+schedule per operand width instead of re-deciding at every step.
 
 A :class:`Schedule` is a small immutable tree describing that
 commitment: one node per recursion level with the algorithm, the split
@@ -118,12 +117,6 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _policy_of(thresholds):
-    """The MulPolicy view of a Thresholds record (or the policy itself)."""
-    return thresholds.policy() if hasattr(thresholds, "policy") \
-        else thresholds
-
-
 def _mul_floor(algorithm: str, policy) -> int:
     """The limb threshold ``algorithm`` switches on under ``policy``."""
     if algorithm == "basecase":
@@ -145,53 +138,42 @@ def _mul_ladder_schedule(op: str, limbs: int, policy) -> Schedule:
     return node
 
 
-def derive_schedule(op: str, limbs: int, thresholds=None,
+def derive_schedule(op: str, limbs: int, policy=None,
                     backend: str = "auto") -> Schedule:
     """Commit the full recursion plan for one (op, limbs) request.
 
-    ``backend="auto"`` commits the backend decision too (the schedule
-    roots in a ``packed`` leaf when the tuned crossover says the block
-    kernels win, as auto dispatch would); ``backend="limb"`` derives
-    the pure limb ladder (what the generic dispatchers walk).
-    ``thresholds`` accepts a
-    :class:`~repro.mpn.tune.Thresholds`, a bare
-    :class:`~repro.mpn.mul.MulPolicy` (no backend crossovers), or
-    ``None`` for the host's active tuning.
+    ``backend="auto"`` commits the backend decision too (a ``packed``
+    leaf at every width, as auto dispatch would; the limb ladder under
+    ``REPRO_PACKED=0``); ``backend="limb"`` derives the pure limb
+    ladder (what the generic dispatchers walk).  ``policy`` is the
+    :class:`~repro.mpn.mul.MulPolicy` the ladder runs on, or ``None``
+    for the checked-in ``PYTHON_POLICY``.
     """
-    if thresholds is None:
-        thresholds = select.active()
+    if policy is None:
+        policy = select.active()
     limbs = max(1, limbs)
     if backend not in ("auto", "limb"):
         raise ScheduleError("derive_schedule: backend must be auto or "
                             "limb, got %r" % (backend,))
-    policy = _policy_of(thresholds)
+    if op not in ("mul", "sqr", "div"):
+        raise ScheduleError("no schedule derivation for op %r" % (op,))
+    if backend == "auto" and select.auto_backend() == "packed":
+        return Schedule(op=op, limbs=limbs, algorithm="packed")
     if op in ("mul", "sqr"):
-        if backend == "auto" \
-                and select.mul_backend(limbs, thresholds) == "packed":
-            return Schedule(op=op, limbs=limbs, algorithm="packed",
-                            floor=getattr(thresholds,
-                                          "packed_mul_limbs", 0))
         return _mul_ladder_schedule(op, limbs, policy)
-    if op == "div":
-        if backend == "auto" \
-                and select.div_backend(limbs, thresholds) == "packed":
-            return Schedule(op="div", limbs=limbs, algorithm="packed",
-                            floor=getattr(thresholds,
-                                          "packed_div_limbs", 0))
-        from repro.mpn.nat import LIMB_BITS
-        algorithm = select.div_algorithm(limbs * LIMB_BITS)
-        if algorithm == "newton":
-            from repro.mpn.div import NEWTON_DIV_THRESHOLD_BITS
-            floor = -(-NEWTON_DIV_THRESHOLD_BITS // LIMB_BITS)
-            return Schedule(op="div", limbs=limbs, algorithm="newton",
-                            floor=floor,
-                            sub=derive_schedule("mul", limbs, thresholds,
-                                                backend="limb"))
-        return Schedule(op="div", limbs=limbs, algorithm="schoolbook")
-    raise ScheduleError("no schedule derivation for op %r" % (op,))
+    from repro.mpn.nat import LIMB_BITS
+    algorithm = select.div_algorithm(limbs * LIMB_BITS)
+    if algorithm == "newton":
+        from repro.mpn.div import NEWTON_DIV_THRESHOLD_BITS
+        floor = -(-NEWTON_DIV_THRESHOLD_BITS // LIMB_BITS)
+        return Schedule(op="div", limbs=limbs, algorithm="newton",
+                        floor=floor,
+                        sub=derive_schedule("mul", limbs, policy,
+                                            backend="limb"))
+    return Schedule(op="div", limbs=limbs, algorithm="schoolbook")
 
 
-def validate_schedule(schedule: Schedule, thresholds=None) -> List[str]:
+def validate_schedule(schedule: Schedule, policy=None) -> List[str]:
     """Structural checks; returns human-readable problems (empty = ok).
 
     The contract the dispatchers' descent relies on:
@@ -202,14 +184,13 @@ def validate_schedule(schedule: Schedule, thresholds=None) -> List[str]:
     * the recursion terminates in a leaf (basecase/packed/schoolbook/
       newton), and a basecase leaf sits *below* the first fast-regime
       threshold — a basecase at or above the Karatsuba floor means the
-      schedule was derived under different tuning than claimed;
+      schedule was derived under a different policy than claimed;
     * floors never increase on the way down (descent guards rely on
       it).
     """
     problems: List[str] = []
-    if thresholds is None:
-        thresholds = select.active()
-    policy = _policy_of(thresholds)
+    if policy is None:
+        policy = select.active()
     levels = schedule.levels()
     for node in levels:
         if node.split:
@@ -234,12 +215,12 @@ def validate_schedule(schedule: Schedule, thresholds=None) -> List[str]:
         problems.append(
             "basecase leaf at %d limbs is at or above the %d-limb "
             "karatsuba floor; the schedule was derived under "
-            "different thresholds" % (leaf.limbs,
+            "a different policy" % (leaf.limbs,
                                       policy.karatsuba_limbs))
     floors = [node.floor for node in levels]
     if any(late > early for early, late in zip(floors, floors[1:])):
         problems.append("floors increase along the descent %s; the "
                         "small-operand guard would loop" % (floors,))
     if schedule.sub is not None:
-        problems.extend(validate_schedule(schedule.sub, thresholds))
+        problems.extend(validate_schedule(schedule.sub, policy))
     return problems

@@ -3,10 +3,9 @@
 Before this module, three mpn files each re-derived "which algorithm
 runs at this size" from their own constants: the mul dispatcher walked
 its :class:`~repro.mpn.mul.MulPolicy` ladder, ``div`` compared divisor
-bits against ``NEWTON_DIV_THRESHOLD_BITS``, and Burnikel-Ziegler and
-Barrett kept private limb thresholds.  The planner needs the *same*
-answers to cost and cache a request, so the lookups live here and the
-kernels call in.
+bits against ``NEWTON_DIV_THRESHOLD_BITS``, and Burnikel-Ziegler kept a
+private limb threshold.  The planner needs the *same* answers to cost
+and cache a request, so the lookups live here and the kernels call in.
 
 Per-kernel overrides stay explicit parameters: callers that carry a
 module-level threshold (``repro.mpn.div`` does, and tests monkeypatch
@@ -14,11 +13,13 @@ it) pass the value they see at call time; when a parameter is omitted
 the default is read from the owning kernel module at call time, so a
 monkeypatched kernel and a freshly lowered plan can never disagree.
 
-The tuned :class:`~repro.mpn.tune.Thresholds` record is the single
-source of truth for policy-level selection; :func:`active` loads it
-(persisted file first, checked-in defaults otherwise) once per process,
-:func:`reload` re-reads it, and :func:`fingerprint` condenses it into
-the tuple that salts plan memo keys.
+Backend selection is size-free: :func:`auto_backend` answers
+``packed`` at every width (``limb`` under ``REPRO_PACKED=0``).  The
+limb ladder runs on a :class:`~repro.mpn.mul.MulPolicy`, the checked-in
+``PYTHON_POLICY`` (:func:`active`) unless a caller pins another, and
+:func:`fingerprint` condenses that policy into the tuple that salts
+plan memo keys.  Like MPApca's, the thresholds are fixed in the source
+(Section VII-B), not measured per host.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ PACKED_MUL_ALGORITHM = "packed-product"
 def mul_algorithm(min_limbs: int, policy) -> str:
     """The multiplication regime for operands of ``min_limbs`` limbs.
 
-    ``policy`` is anything with the five ``*_limbs`` thresholds — a
-    :class:`~repro.mpn.mul.MulPolicy` or a
-    :class:`~repro.mpn.tune.Thresholds` record.
+    ``policy`` is a :class:`~repro.mpn.mul.MulPolicy` (anything with
+    the five ``*_limbs`` thresholds).
     """
     for name in reversed(MUL_LADDER):
         if min_limbs >= getattr(policy, name + "_limbs"):
@@ -79,7 +79,7 @@ def mul_chain(min_limbs: int, policy) -> List[Tuple[str, int]]:
         split = MUL_SPLIT[algorithm]
         if split:
             # Strict descent: the +1 carry slack can stall at tiny
-            # sizes under degenerate tunings (karatsuba floor <= 3),
+            # sizes under degenerate policies (karatsuba floor <= 3),
             # where ceil(n/2)+1 == n would recurse forever.
             limbs = min(limbs - 1, -(-limbs // split) + 1)
         else:
@@ -92,43 +92,15 @@ def _packed_enabled() -> bool:
     return _env.enabled(_env.PACKED)
 
 
-def mul_backend(min_limbs: int, thresholds=None) -> str:
-    """``"packed"`` or ``"limb"`` for a product of this size.
+def auto_backend() -> str:
+    """``"packed"`` or ``"limb"``: what ``auto`` mul, sqr, div, mod and
+    powmod resolve to, at every operand width.
 
-    The packed backend (:mod:`repro.mpn.packed`) wins once the pack/
-    unpack round trip amortizes; the crossover is the tuned
-    ``packed_mul_limbs`` threshold (0 disables the backend, as does the
-    ``REPRO_PACKED=0`` kill switch).
-    """
-    if not _packed_enabled():
-        return "limb"
-    if thresholds is None:
-        thresholds = active()
-    crossover = getattr(thresholds, "packed_mul_limbs", 0)
-    if crossover and min_limbs >= crossover:
-        return "packed"
-    return "limb"
-
-
-def div_backend(divisor_limbs: int, thresholds=None) -> str:
-    """``"packed"`` or ``"limb"`` for a division by this divisor."""
-    if not _packed_enabled():
-        return "limb"
-    if thresholds is None:
-        thresholds = active()
-    crossover = getattr(thresholds, "packed_div_limbs", 0)
-    if crossover and divisor_limbs >= crossover:
-        return "packed"
-    return "limb"
-
-
-def powmod_backend() -> str:
-    """``"packed"`` or ``"limb"`` for every modular exponentiation.
-
-    The packed kernel, CPython's ``pow`` (:func:`repro.mpn.packed.
-    powmod_packed_int`), beats the limb CIOS kernel from 8-bit moduli
-    up, so there is no crossover: ``packed`` at every modulus width,
-    ``limb`` only under the ``REPRO_PACKED=0`` kill switch.
+    The packed kernels (:mod:`repro.mpn.packed`) are CPython int
+    arithmetic on the request's ints and undercut the limb ladder from
+    one limb up on the served path, so there is no crossover to look
+    up: ``packed`` everywhere, ``limb`` only under the
+    ``REPRO_PACKED=0`` kill switch.
     """
     return "packed" if _packed_enabled() else "limb"
 
@@ -137,7 +109,7 @@ def powmod_is_pow(backend: str) -> bool:
     """True when a powmod requested on ``backend`` runs as CPython
     ``pow``: the one packed step, the same for either modulus parity."""
     return backend == "packed" or (backend == "auto"
-                                   and powmod_backend() == "packed")
+                                   and auto_backend() == "packed")
 
 
 def div_algorithm(divisor_bits: int,
@@ -169,54 +141,22 @@ def bz_algorithm(divisor_limbs: int,
     return "burnikel-ziegler"
 
 
-def barrett_profitable(modulus_limbs: int,
-                       barrett_limbs: Optional[int] = None) -> bool:
-    """Whether a precomputed Barrett reducer beats repeated division."""
-    if barrett_limbs is None:
-        barrett_limbs = active().barrett_limbs
-    return modulus_limbs >= barrett_limbs
-
-
 def active():
-    """The tuned :class:`~repro.mpn.tune.Thresholds` for this host."""
-    from repro.mpn.tune import active_thresholds
-    return active_thresholds()
+    """The :class:`~repro.mpn.mul.MulPolicy` the limb ladder runs on
+    when no policy is given: the checked-in ``PYTHON_POLICY``."""
+    from repro.mpn.mul import PYTHON_POLICY
+    return PYTHON_POLICY
 
 
-def reload() -> None:
-    """Re-read the thresholds file and the ``REPRO_PACKED`` switch.
+def fingerprint(policy=None) -> Tuple[int, ...]:
+    """The ladder thresholds of ``policy`` (``PYTHON_POLICY`` when
+    ``None``), the tuple that salts plan memo keys.
 
-    Both are read once per process, so that no ``auto`` dispatch and
-    no :func:`~repro.plan.lowering.lower` touches the disk or the
-    environment; ``repro tune`` calls this after persisting, and tests
-    call it after retargeting either.  A running server keeps the
-    tuning it booted with until it restarts.
+    Nothing is tuned per host, so for the default policy this is a
+    constant; a plan lowered under another policy (e.g. MPApca's)
+    carries that policy's ladder and therefore a different memo key.
     """
-    from repro.mpn.tune import active_thresholds
-    active_thresholds.cache_clear()
-    _packed_enabled.cache_clear()
-
-
-def fingerprint(thresholds=None) -> Tuple[int, ...]:
-    """The tuple that identifies one tuning state (salts memo keys).
-
-    Covers the thresholds schema version plus every crossover that can
-    change an algorithm choice — including the packed-backend
-    crossovers, so moving them can never serve a result cached under
-    the other backend's plan; retuning with ``repro tune`` changes the
-    fingerprint and therefore every plan memo key derived from it.
-    """
-    if thresholds is None:
-        thresholds = active()
-    return (
-        getattr(thresholds, "version", 0),
-        thresholds.karatsuba_limbs,
-        thresholds.toom3_limbs,
-        thresholds.toom4_limbs,
-        thresholds.toom6_limbs,
-        thresholds.ssa_limbs,
-        getattr(thresholds, "bz_limbs", 0),
-        getattr(thresholds, "barrett_limbs", 0),
-        getattr(thresholds, "packed_mul_limbs", 0),
-        getattr(thresholds, "packed_div_limbs", 0),
-    )
+    if policy is None:
+        policy = active()
+    return (policy.karatsuba_limbs, policy.toom3_limbs,
+            policy.toom4_limbs, policy.toom6_limbs, policy.ssa_limbs)

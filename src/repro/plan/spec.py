@@ -27,9 +27,9 @@ PLAN_OPS = (
 )
 
 #: Requested execution backends.  ``auto`` resolves during lowering
-#: among host kernels only: packed (the block-packed kernels of
-#: :mod:`repro.mpn.packed`) or library by the tuned packed crossover
-#: for mul/div/mod, and packed at every modulus width for powmod.
+#: among host kernels only: packed (the whole-int kernels of
+#: :mod:`repro.mpn.packed`) at every width for mul/div/mod/powmod, or
+#: library under the ``REPRO_PACKED=0`` kill switch.
 #: ``packed`` may be requested explicitly for mul/div/mod/powmod.
 #: ``device`` (the PE simulator, for validation and the paper figures)
 #: is reached only by explicit request, for muls within the monolithic

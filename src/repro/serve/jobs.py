@@ -109,8 +109,8 @@ class Job:
     def cache_key(self) -> Optional[Tuple]:
         """Memo key for idempotent, parameter-pure job types.
 
-        Includes the plan's memo key (thresholds fingerprint +
-        algorithm choice), so a result is never served under a plan
+        Includes the plan's memo key (policy fingerprint + algorithm
+        and backend choice), so a result is never served under a plan
         other than the one it was computed under.
         """
         if self.op in CACHEABLE_OPS:

@@ -99,8 +99,8 @@ def annotate_plan(trace: Optional[RequestTrace], plan,
     feature, and the analytic/predicted prices — everything
     :func:`repro.cost.dataset.harvest_trace` needs to join a span dump
     into the training dataset without re-lowering the request (which,
-    after a retune, would not even reproduce the plan the span
-    actually measured).
+    under another ``REPRO_PACKED`` setting or lowering schema, would
+    not even reproduce the plan the span actually measured).
     """
     if trace is None:
         return

@@ -8,10 +8,10 @@ answer for every future client, whichever shard the router would
 have placed it on.
 
 The key *is* ``Job.cache_key()``, which embeds the plan's
-``memo_key`` (lowering schema version + thresholds fingerprint +
-algorithm) — the same salt every in-process memo cache uses — so a
-``repro tune`` retune changes every key and the cache can never serve
-a result computed under a stale plan.
+``memo_key`` (lowering schema version + policy fingerprint +
+algorithm + backend) — the same salt every in-process memo cache uses —
+so a change of lowering or backend changes every key and the cache can
+never serve a result computed under a stale plan.
 
 Storage is a :class:`repro.parallel.cache.MemoCache`: a bounded
 in-memory LRU with an atomic JSON spill under the cache root.  The

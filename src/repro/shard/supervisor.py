@@ -5,7 +5,7 @@ Each shard is one OS process running today's single-event-loop
 --port 0 --shards 0``) on an ephemeral port parsed from its announce
 line.  The supervisor owns the fleet lifecycle, reusing
 :mod:`repro.parallel`'s env conventions — the child environment is the
-parent's (killswitches and tuned thresholds propagate) with
+parent's (killswitches such as ``REPRO_PACKED`` propagate) with
 ``REPRO_SHARDS`` forced to ``0`` so a shard can never recursively boot
 its own router.
 

@@ -224,10 +224,9 @@ class TestEachRuleFires:
         assert "schedule-bypass" in rules_fired(
             src, "src/repro/plan/execute.py")
         # ...but not in the schedule layer itself: the walking
-        # dispatchers, the internals' defining modules, the tuner.
+        # dispatchers and the internals' defining modules.
         for sanctioned in ("src/repro/mpn/mul.py",
                            "src/repro/mpn/div.py",
-                           "src/repro/mpn/tune.py",
                            "src/repro/mpn/karatsuba.py"):
             assert "schedule-bypass" not in rules_fired(src, sanctioned)
         # Outside mpn/plan it is RPR012's jurisdiction, not RPR013's.

@@ -20,22 +20,22 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def reselect(monkeypatch):
-    """``reselect(name, value)`` sets ``REPRO_THRESHOLDS`` or
-    ``REPRO_PACKED`` and re-reads the selection (read once per process);
-    teardown restores and re-reads the process's own setting."""
-    def retarget(name: str, value: str) -> None:
-        monkeypatch.setenv(name, value)
-        select.reload()
+    """``reselect(value)`` sets ``REPRO_PACKED`` and re-reads it (the
+    switch is read once per process); teardown restores and re-reads
+    the process's own setting."""
+    def retarget(value: str) -> None:
+        monkeypatch.setenv(select.PACKED_ENV, value)
+        select._packed_enabled.cache_clear()
 
     yield retarget
     monkeypatch.undo()
-    select.reload()
+    select._packed_enabled.cache_clear()
 
 
 @pytest.fixture
 def fresh_plans():
     """An empty plan cache around a test that flips a kill switch (the
-    cache keys on the tuning, not on the environment)."""
+    cache keys on the policy, not on the environment)."""
     plan_cache().clear()
     yield
     plan_cache().clear()

@@ -1,4 +1,4 @@
-"""Dataset store, harvesters, and the tune-time recorder."""
+"""Dataset store and harvesters."""
 
 import json
 
@@ -137,34 +137,3 @@ class TestHarvesters:
         assert dataset.harvest_bench_kernels(missing) == []
         assert dataset.harvest_serve(missing) == []
         assert dataset.harvest_trace(missing) == []
-
-
-class TestRecorder:
-    def test_record_without_recorder_is_noop(self):
-        dataset.record_point("mul", "limb", 4, 10.0)  # must not raise
-
-    def test_recording_collects_rows(self):
-        with dataset.recording() as rows:
-            dataset.record_point("mul", "limb", 4, 10.0)
-            dataset.record_point("mul", None, 4, 10.0)  # unlabeled arm
-            dataset.record_point("powmod", "packed", 8, 5.0)
-        assert len(rows) == 2
-        assert rows[0]["source"] == "tune"
-
-    def test_nested_recordings_stack(self):
-        with dataset.recording() as outer:
-            dataset.record_point("mul", "limb", 2, 1.0)
-            with dataset.recording() as inner:
-                dataset.record_point("div", "limb", 3, 2.0)
-            assert len(inner) == 1
-        assert len(outer) == 2
-
-    def test_tune_bisection_records_points(self):
-        from repro.mpn import tune as tune_mod
-        with dataset.recording() as rows:
-            tune_mod.find_crossover(
-                tune_mod.mul_schoolbook, tune_mod.mul_schoolbook,
-                2, 8, repeats=1, labels=("mul", "limb", "limb"))
-        assert rows
-        assert all(row["op"] == "mul" and row["backend"] == "limb"
-                   for row in rows)

@@ -1,13 +1,12 @@
-"""Killswitch bit-identity, fingerprint stranding, and the consumers.
+"""Killswitch bit-identity and the consumers.
 
 The contract under test: with ``REPRO_COST=0`` — or simply no fitted
-model for the active thresholds — every cost-model entry point returns
+model for the policy fingerprint — every cost-model entry point returns
 its absent value and admission behaves exactly as the analytic build,
 even when a (deliberately biased) fit sits on disk; plan selection
 never consults the model at all.
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -45,7 +44,7 @@ def flat_group(ns_value):
 
 
 def save_model(groups, rate=1.0):
-    """Persist a crafted model under the *active* thresholds."""
+    """Persist a crafted model under the default policy fingerprint."""
     model = CostModel(fingerprint=tuple(select.fingerprint()),
                       rate_cycles_per_ns=rate, groups=dict(groups))
     model_mod.save(model)
@@ -76,28 +75,13 @@ class TestActivationAndSalt:
         assert cost.predict_ns("mul", "limb", 64) is None
         assert cost.seed_rate_cycles_per_ms() is None
 
-    def test_retune_strands_the_fit(self, tmp_path, reselect):
-        from repro.mpn import tune as tune_mod
-        save_model({"mul|limb": flat_group(100.0)})
-        assert model_mod.active_model() is not None
-        # A retune = different thresholds file = new fingerprint.
-        reselect(tune_mod.THRESHOLDS_ENV, str(tmp_path / "thresholds.json"))
-        retuned = dataclasses.replace(
-            select.active(),
-            karatsuba_limbs=select.active().karatsuba_limbs + 1)
-        tune_mod.save_thresholds(retuned)
-        select.reload()
-        cost.invalidate()
-        assert model_mod.active_model() is None
-        assert cost.selection_salt() == ()
-
 
 class TestLoweringBitIdentity:
     def test_killswitch_off_matches_modelless_baseline(self,
                                                        monkeypatch):
         """The first 2000 seed-7 serve jobs lower to the same backends
         with a model fitted from the committed dataset live and under
-        ``REPRO_COST=0``: only the tuned thresholds select."""
+        ``REPRO_COST=0``: the model never selects a backend."""
         jobs = [(job["op"], validate_params(job["op"], job["params"]))
                 for job in build_jobs(2000, seed=7)]
 

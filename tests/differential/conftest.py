@@ -5,7 +5,7 @@ against Python's bigints (and against the sibling implementations of
 the same operation).  Two knobs keep the suite schedulable:
 
 * ``REPRO_DIFF_MAX_LIMBS`` caps the operand sizes generated around
-  persisted crossovers (default 128 limbs; CI's nightly-style job may
+  live crossovers (default 128 limbs; CI's nightly-style job may
   raise it);
 * ``REPRO_DIFF_EXAMPLES`` scales the per-test hypothesis example count
   (default 25).

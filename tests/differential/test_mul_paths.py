@@ -18,7 +18,7 @@ from repro.mpn.mul import GMP_POLICY, MPAPCA_POLICY, PYTHON_POLICY, mul
 from repro.mpn.schoolbook import mul_schoolbook
 from repro.mpn.ssa import mul_ssa
 from repro.mpn.toom import mul_toom
-from repro.mpn.tune import _random_operand
+from repro.bench.kernels import _random_operand
 
 from tests.conftest import from_nat, naturals, to_nat
 from tests.differential.conftest import FORCED_POLICY, diff_examples

@@ -1,15 +1,13 @@
 """The packed backend is bit-identical to the limb backend.
 
 The packed kernels exist purely for speed, so the contract is strict:
-at every size — especially straddling the ``packed_mul_limbs`` /
-``packed_div_limbs`` crossovers where dispatch flips backends, across
-the figure-11 ladder, and for unbalanced or empty operands — the mpn
-dispatchers must return the same limbs whichever backend runs, and
-both must match Python's bigints.  The plan layer rides the same
-crossovers, so lowered ``packed`` plans are checked against ``library``
-plans and the memo-key salting is checked against threshold changes.
-powmod has no crossover (``auto`` runs packed at every width), so it is
-checked through every entry point against one oracle, ``pow``.  Packed
+at every size — from one limb up (``auto`` runs packed at every width,
+limb under ``REPRO_PACKED=0``), across the figure-11 ladder, and for
+unbalanced or empty operands — the mpn dispatchers must return the same
+limbs whichever backend runs, and both must match Python's bigints.
+Lowered ``packed`` plans are checked against ``library`` plans, and the
+memo key separates the two backends.  powmod is checked through every
+entry point against one oracle, ``pow``.  Packed
 mul/sqr/powmod run on whole ints, so :class:`TestIntBoundary` checks
 the int entries at the deleted block kernels' edges and the degenerate
 operands, from the dispatcher to the HTTP front door.
@@ -17,7 +15,6 @@ operands, from the dispatcher to the HTTP front door.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -78,18 +75,15 @@ def _operand(limbs: int, seed: int) -> int:
     return rng.getrandbits(32 * limbs) | (1 << (32 * limbs - 1))
 
 
-def _crossover_band(threshold: int, *extra: int):
-    """Limb counts straddling one backend crossover, plus deep sizes
-    and the figure-11 ladder."""
-    band = {1, max(1, threshold - 1), threshold, threshold + 1,
-            4 * threshold + 1, 64, 200, *FIG11_LIMBS, *extra}
-    return sorted(band)
+def _band(*extra: int):
+    """One to five limbs, deeper sizes and the figure-11 ladder."""
+    return sorted({1, 2, 3, 4, 5, 17, 64, 200, *FIG11_LIMBS, *extra})
 
 
 class TestMulCrossover:
     @pytest.mark.parametrize(
         "limbs",
-        _crossover_band(select.active().packed_mul_limbs) + UNBALANCED)
+        _band() + UNBALANCED)
     def test_backends_agree_at_boundary(self, limbs):
         la, lb = limbs if isinstance(limbs, tuple) else (limbs, limbs)
         a, b = _operand(la, 1), _operand(lb, 2)
@@ -101,7 +95,7 @@ class TestMulCrossover:
         assert from_nat(limb) == a * b
 
     @pytest.mark.parametrize(
-        "limbs", _crossover_band(select.active().packed_mul_limbs))
+        "limbs", _band())
     def test_sqr_backends_agree_at_boundary(self, limbs):
         a = _operand(limbs, 3)
         an = to_nat(a)
@@ -110,25 +104,9 @@ class TestMulCrossover:
             == sqr(an, GMP_POLICY)
         assert from_nat(sqr(an, GMP_POLICY)) == a * a
 
-    def test_auto_resolution_flips_exactly_at_threshold(self, reselect):
-        # Pin the killswitch on: CI runs this suite under REPRO_PACKED=0
-        # too, where auto legitimately never resolves to packed.
-        reselect(select.PACKED_ENV, "1")
-        threshold = select.active().packed_mul_limbs
-        assert threshold > 0, "container tuning should enable packed"
-        assert select.mul_backend(threshold - 1) == "limb"
-        assert select.mul_backend(threshold) == "packed"
-
     def test_kill_switch_forces_limb(self, reselect):
-        reselect(select.PACKED_ENV, "0")
-        threshold = select.active().packed_mul_limbs
-        assert select.mul_backend(threshold + 100) == "limb"
-        assert select.div_backend(threshold + 100) == "limb"
-
-    def test_zero_threshold_disables_backend(self):
-        disabled = dataclasses.replace(select.active(),
-                                       packed_mul_limbs=0)
-        assert select.mul_backend(10 ** 6, disabled) == "limb"
+        reselect("0")
+        assert select.auto_backend() == "limb"
 
     @given(a=naturals_of_bits(4096), b=naturals_of_bits(4096))
     @settings(max_examples=diff_examples(), deadline=None)
@@ -141,8 +119,7 @@ class TestMulCrossover:
 
 class TestDivCrossover:
     @pytest.mark.parametrize(
-        "divisor_limbs", _crossover_band(select.active().packed_div_limbs,
-                                         NEWTON_DIVISOR_LIMBS))
+        "divisor_limbs", _band(NEWTON_DIVISOR_LIMBS))
     def test_backends_agree_at_boundary(self, divisor_limbs):
         a = _operand(2 * divisor_limbs + 3, 4)
         b = _operand(divisor_limbs, 5)
@@ -157,15 +134,6 @@ class TestDivCrossover:
         assert limb == packed == auto
         quotient, remainder = packed
         assert (from_nat(quotient), from_nat(remainder)) == divmod(a, b)
-
-    def test_auto_resolution_flips_exactly_at_threshold(self, reselect):
-        # Pin the killswitch on: CI runs this suite under REPRO_PACKED=0
-        # too, where auto legitimately never resolves to packed.
-        reselect(select.PACKED_ENV, "1")
-        threshold = select.active().packed_div_limbs
-        assert threshold > 0, "container tuning should enable packed"
-        assert select.div_backend(threshold - 1) == "limb"
-        assert select.div_backend(threshold) == "packed"
 
     @given(a=naturals_of_bits(4096), b=naturals_of_bits(2048, 1))
     @settings(max_examples=diff_examples(), deadline=None)
@@ -242,9 +210,7 @@ class TestServeLargeServedPath:
             params = {name: int(value, 16)
                       for name, value in payload["params"].items()}
             plan = plan_for_job(payload["op"], params)
-            resolve = select.mul_backend if payload["op"] == "mul" \
-                else select.div_backend
-            kernel = resolve(-(-params["b"].bit_length() // LIMB_BITS))
+            kernel = select.auto_backend()
             assert plan.backend == {"packed": "packed",
                                     "limb": "library"}[kernel]
             got = {name: hex(value)
@@ -371,7 +337,7 @@ class TestIntBoundary:
 
     @pytest.mark.parametrize("killswitch", ("1", "0"))
     def test_dispatcher_matches_int(self, killswitch, reselect):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         for name, a, b in INT_BOUNDARY_PAIRS:
             an, bn = to_nat(a), to_nat(b)
             assert from_nat(mul(an, bn, GMP_POLICY, backend="packed")) \
@@ -390,7 +356,7 @@ class TestIntBoundary:
     @pytest.mark.parametrize("killswitch", ("1", "0"))
     def test_executor_matches_int(self, killswitch, reselect,
                                   fresh_plans):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         for name, a, b in INT_BOUNDARY_PAIRS:
             plan = plan_for_job("mul", {"a": a, "b": b})
             assert run(plan, {"a": a, "b": b}) == {"product": a * b}, name
@@ -414,7 +380,7 @@ class TestIntBoundary:
     @pytest.mark.parametrize("killswitch", ("1", "0"))
     def test_front_door_matches_int(self, killswitch, reselect,
                                     fresh_plans):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         payloads = [{"op": "mul", "id": "int-" + name,
                      "params": {"a": hex(a), "b": hex(b)}}
                     for name, a, b in INT_BOUNDARY_PAIRS]
@@ -487,7 +453,7 @@ class TestRecursiveDivisionEntryPoints:
 
     @pytest.mark.parametrize("killswitch", ("1", "0"))
     def test_dispatcher_matches_divmod(self, killswitch, reselect):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         for name, a, b in RECURSION_CASES:
             quotient, remainder = divmod_nat(to_nat(a), to_nat(b),
                                              backend="packed")
@@ -500,10 +466,10 @@ class TestRecursiveDivisionEntryPoints:
     @pytest.mark.parametrize("killswitch", ("1", "0"))
     def test_executor_matches_divmod(self, killswitch, reselect,
                                      fresh_plans):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         for name, a, b in _recursion_cases(killswitch):
             params = {"a": a, "b": b}
-            kernel = select.div_backend(-(-b.bit_length() // LIMB_BITS))
+            kernel = select.auto_backend()
             for op in ("div", "mod"):
                 plan = plan_for_job(op, params)
                 if kernel == "packed":
@@ -522,7 +488,7 @@ class TestRecursiveDivisionEntryPoints:
     @pytest.mark.parametrize("killswitch", ("1", "0"))
     def test_front_door_matches_divmod(self, killswitch, reselect,
                                        fresh_plans):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         config = ServeConfig(port=0, max_wait_ms=60_000.0)
         with ServerThread(config) as server:
             client = ServeClient(server.host, server.port)
@@ -585,18 +551,6 @@ class TestPlanLayer:
         assert (payload["quotient"], payload["remainder"]) \
             == divmod(a, b)
 
-    def test_memo_key_changes_with_packed_thresholds(self):
-        """Retuning the packed crossovers must invalidate cached plans:
-        the fingerprint inside the memo key covers them."""
-        spec = OpSpec.for_mul(64 * 32, 64 * 32)
-        active = select.active()
-        baseline = lower(spec, active, use_cache=False)
-        for field in ("packed_mul_limbs", "packed_div_limbs"):
-            moved = dataclasses.replace(
-                active, **{field: getattr(active, field) + 3})
-            assert lower(spec, moved, use_cache=False).memo_key \
-                != baseline.memo_key, field
-
     def test_memo_key_separates_backends(self):
         spec_args = (64 * 32, 64 * 32)
         packed = lower(OpSpec.for_mul(*spec_args, backend="packed"),
@@ -640,7 +594,7 @@ class TestPowmodEntryPoints:
     def test_plan_backend_is_what_auto_runs(self, killswitch, expected,
                                             monkeypatch, reselect,
                                             fresh_plans):
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         ran = []
 
         def recording(kernel, backend):
@@ -670,7 +624,7 @@ class TestPowmodEntryPoints:
         """At every modulus width, across the deleted ladder's 256-bit
         block edges, the packed plan is one ``packed-pow`` step, and
         every plan answers ``pow``."""
-        reselect(select.PACKED_ENV, "1")
+        reselect("1")
         for bits in (255, 256, 257, 512, 513, 4096):
             modulus = _bits_operand(bits, 23)
             modulus = modulus | 1 if parity == "odd" else modulus & ~1
@@ -688,7 +642,7 @@ class TestPowmodEntryPoints:
                                           fresh_plans):
         """``pow`` takes either parity, so odd and even moduli share one
         packed plan; a library plan still keys on the parity it runs."""
-        reselect(select.PACKED_ENV, killswitch)
+        reselect(killswitch)
         odd = {"base": 5, "exp": 0x10001, "mod": _bits_operand(2048, 25) | 1}
         even = dict(odd, mod=odd["mod"] - 1)
         auto = [plan_for_job("powmod", params) for params in (odd, even)]
@@ -713,7 +667,7 @@ class TestPowmodEntryPoints:
         # Packed is live, so an ``auto`` division of a 600-bit modulus
         # would run packed division; a library plan must reduce on the
         # limb kernels it priced.
-        reselect(select.PACKED_ENV, "1")
+        reselect("1")
         packed_divisions = []
 
         def recording(*args, **kwargs):

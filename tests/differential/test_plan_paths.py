@@ -59,31 +59,22 @@ class TestMulAcrossCrossovers:
         assert payload["product"] == a * b
 
     def test_auto_boundary_straddles_monolithic_limit(self):
-        import dataclasses
-
         from repro.plan import select
 
-        # Pin the packed crossover off so both sides resolve to the
-        # library backend regardless of host tuning: the monolithic
-        # limit bounds explicit device requests only, never what auto
-        # picks.
-        host_free = dataclasses.replace(select.active(),
-                                        packed_mul_limbs=0)
+        # The monolithic limit bounds explicit device requests only,
+        # never what auto picks: both sides resolve to the same host
+        # backend.
+        host = "packed" if select.auto_backend() == "packed" \
+            else "library"
         for bits in (MONOLITHIC_MAX_BITS, MONOLITHIC_MAX_BITS + 1):
-            plan = lower(OpSpec.for_mul(bits, 64), host_free,
-                         use_cache=False)
-            assert plan.backend == "library"
+            plan = lower(OpSpec.for_mul(bits, 64), use_cache=False)
+            assert plan.backend == host
 
     def test_auto_past_limit_prefers_packed(self, reselect):
-        import dataclasses
-
-        from repro.plan import select
-
         # Pinned on: CI also runs this suite under REPRO_PACKED=0.
-        reselect(select.PACKED_ENV, "1")
-        tuned = dataclasses.replace(select.active(), packed_mul_limbs=2)
+        reselect("1")
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
-                     tuned, use_cache=False)
+                     use_cache=False)
         assert plan.backend == "packed"
 
 
@@ -100,8 +91,8 @@ class TestDivAcrossCrossovers:
                                               small_newton):
         a = _operand(2 * divisor_limbs + 3, 5)
         b = _operand(divisor_limbs, 6)
-        plan = lower(OpSpec("div", a.bit_length(), b.bit_length()),
-                     FORCED_POLICY, use_cache=False)
+        plan = lower(OpSpec("div", a.bit_length(), b.bit_length(),
+                            "library"), FORCED_POLICY, use_cache=False)
         payload = run(plan, {"a": a, "b": b})
         assert (payload["quotient"], payload["remainder"]) \
             == divmod(a, b)
@@ -112,8 +103,8 @@ class TestDivAcrossCrossovers:
 
     def test_mod_plan_matches(self, small_newton):
         a, b = _operand(9, 7), _operand(3, 8)
-        plan = lower(OpSpec("mod", a.bit_length(), b.bit_length()),
-                     FORCED_POLICY, use_cache=False)
+        plan = lower(OpSpec("mod", a.bit_length(), b.bit_length(),
+                            "library"), FORCED_POLICY, use_cache=False)
         assert run(plan, {"a": a, "b": b})["remainder"] == a % b
 
 

@@ -16,7 +16,7 @@ from repro.core.accelerator import CambriconP
 from repro.core.isa import Driver, Instruction, Opcode
 from repro.mpn import nat_from_int, nat_to_int
 from repro.mpn.mul import GMP_POLICY, mul
-from repro.mpn.tune import _random_operand
+from repro.bench.kernels import _random_operand
 from repro.parallel import ParallelExecutor
 from repro.report import figure11_data, figure13_data
 from repro.runtime.scheduler import BatchingDriver

@@ -30,31 +30,17 @@ class TestBackendResolution:
         assert plan.algorithm.startswith("packed-")
 
     def test_big_mul_falls_back_to_packed(self):
-        # Too wide for the device; min_limbs = 2 sits exactly on a
-        # pinned packed crossover, so auto takes the packed kernel
-        # regardless of host tuning.
-        thresholds = dataclasses.replace(select.active(),
-                                         packed_mul_limbs=2)
-        plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
-                     thresholds, use_cache=False)
+        # Too wide for the device, and a 2-limb smaller operand: auto
+        # takes the packed kernel, which has no crossover.
+        plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64))
         assert plan.backend == "packed"
         assert plan.algorithm.startswith("packed-")
 
-    def test_big_mul_small_operand_falls_back_to_library(self):
-        # min_limbs = 2: pin the packed crossover above it so the
-        # fallback is visible regardless of host tuning.
-        thresholds = dataclasses.replace(select.active(),
-                                         packed_mul_limbs=4)
-        plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1, 64),
-                     thresholds, use_cache=False)
-        assert plan.backend == "library"
-
-    def test_big_mul_falls_back_to_library_when_packed_disabled(self):
-        thresholds = dataclasses.replace(select.active(),
-                                         packed_mul_limbs=0)
+    def test_big_mul_falls_back_to_library_when_packed_disabled(
+            self, reselect, fresh_plans):
+        reselect("0")
         plan = lower(OpSpec.for_mul(MONOLITHIC_MAX_BITS + 1,
-                                    MONOLITHIC_MAX_BITS + 1),
-                     thresholds)
+                                    MONOLITHIC_MAX_BITS + 1))
         assert plan.backend == "library"
 
     def test_explicit_packed_respected(self):
@@ -159,30 +145,27 @@ class TestKeys:
         assert tuple(plan.tuning) == \
             plan.memo_key[1:1 + len(plan.tuning)]
 
-    def test_retuning_changes_memo_key(self):
-        thresholds = select.active()
-        retuned = dataclasses.replace(thresholds, karatsuba_limbs=7)
-        before = lower(OpSpec.for_mul(1 << 20, 1 << 20), thresholds)
-        after = lower(OpSpec.for_mul(1 << 20, 1 << 20), retuned)
+    def test_other_policy_changes_memo_key(self):
+        policy = select.active()
+        other = dataclasses.replace(policy, karatsuba_limbs=7)
+        before = lower(OpSpec.for_mul(1 << 20, 1 << 20), policy)
+        after = lower(OpSpec.for_mul(1 << 20, 1 << 20), other)
         assert before.memo_key != after.memo_key
 
 
 class TestPolicyRoundTrip:
     def test_plan_policy_reproduces_thresholds(self):
-        thresholds = select.active()
-        plan = lower(OpSpec.for_mul(1 << 20, 1 << 20), thresholds)
-        policy = plan.policy()
-        assert policy.karatsuba_limbs == thresholds.karatsuba_limbs
-        assert policy.ssa_limbs == thresholds.ssa_limbs
+        policy = select.active()
+        plan = lower(OpSpec.for_mul(1 << 20, 1 << 20), policy)
+        assert plan.policy() == policy
 
     def test_library_algorithm_matches_policy_dispatch(self):
-        thresholds = select.active()
+        policy = select.active()
         for bits in (64, 4096, 1 << 17, 1 << 20):
             plan = lower(OpSpec.for_mul(bits, bits, backend="library"),
-                         thresholds)
+                         policy)
             limbs = -(-bits // 32)
-            assert plan.algorithm == \
-                thresholds.policy().algorithm_for(limbs)
+            assert plan.algorithm == policy.algorithm_for(limbs)
 
 
 class TestPlanCache:

@@ -12,7 +12,8 @@ from repro.plan.schedule import (Schedule, ScheduleError, derive_schedule,
                                  validate_schedule)
 
 #: Hypothesis strategy over plausible (monotone) threshold ladders, so
-#: derivation round-trips are checked under tunings far from the host's.
+#: derivation round-trips are checked under ladders far from the
+#: checked-in one.
 policies = st.builds(
     lambda k, d3, d4, d6, ds: MulPolicy(
         name="hyp", karatsuba_limbs=k, toom3_limbs=k + d3,
@@ -34,25 +35,21 @@ class TestDerivation:
         assert schedule.leaf() is schedule
 
     def test_limb_ladder_matches_policy_dispatch(self):
-        thresholds = select.active()
+        policy = select.active()
         for limbs in (1, 8, 64, 512, 4096):
-            schedule = derive_schedule("mul", limbs, thresholds,
+            schedule = derive_schedule("mul", limbs, policy,
                                        backend="limb")
-            assert schedule.algorithm == \
-                thresholds.policy().algorithm_for(limbs)
+            assert schedule.algorithm == policy.algorithm_for(limbs)
 
     def test_auto_commits_the_packed_backend(self):
-        thresholds = select.active()
-        limbs = max(16, thresholds.packed_mul_limbs)
-        assert select.mul_backend(limbs, thresholds) == "packed"
-        schedule = derive_schedule("mul", limbs, thresholds)
-        assert schedule.algorithm == "packed"
-        assert schedule.split == 0
+        assert select.auto_backend() == "packed"
+        for limbs in (1, 16):
+            schedule = derive_schedule("mul", limbs)
+            assert schedule.algorithm == "packed"
+            assert schedule.split == 0
 
     def test_div_newton_carries_a_mul_sub_schedule(self):
-        thresholds = dataclasses.replace(select.active(),
-                                         packed_div_limbs=0)
-        schedule = derive_schedule("div", 2048, thresholds)
+        schedule = derive_schedule("div", 2048, backend="limb")
         assert schedule.algorithm == "newton"
         assert schedule.sub is not None
         assert schedule.sub.op == "mul"
@@ -69,9 +66,8 @@ class TestDerivation:
         a = derive_schedule("mul", 512, backend="limb")
         b = derive_schedule("mul", 512, backend="limb")
         assert a.key() == b.key()
-        retuned = dataclasses.replace(select.active(),
-                                      karatsuba_limbs=7)
-        c = derive_schedule("mul", 512, retuned, backend="limb")
+        other = dataclasses.replace(select.active(), karatsuba_limbs=7)
+        c = derive_schedule("mul", 512, other, backend="limb")
         assert a.key() != c.key() or a == c
 
     def test_describe_and_render_cover_every_level(self):
@@ -118,7 +114,8 @@ class TestRoundTrips:
     @given(limbs=st.integers(min_value=1, max_value=5000))
     @settings(max_examples=40, deadline=None)
     def test_div_schedules_validate_under_host_tuning(self, limbs):
-        schedule = derive_schedule("div", limbs)
+        # The limb derivation: auto is one packed leaf at every width.
+        schedule = derive_schedule("div", limbs, backend="limb")
         assert validate_schedule(schedule) == []
 
 
@@ -138,11 +135,10 @@ class TestValidation:
         assert any("no child" in p for p in problems)
 
     def test_oversized_basecase_leaf_rejected(self):
-        thresholds = select.active()
-        bad = Schedule(op="mul",
-                       limbs=thresholds.karatsuba_limbs + 10,
+        policy = select.active()
+        bad = Schedule(op="mul", limbs=policy.karatsuba_limbs + 10,
                        algorithm="basecase")
-        problems = validate_schedule(bad, thresholds)
+        problems = validate_schedule(bad, policy)
         assert any("karatsuba floor" in p for p in problems)
 
     def test_increasing_floors_rejected(self):

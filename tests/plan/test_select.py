@@ -1,6 +1,8 @@
 """plan.select: the one crossover-lookup module, checked against the
-kernel-side constants and policies it replaced."""
+kernel-side constants and policies it replaced, and the size-free
+``auto`` backend choice."""
 
+import importlib
 import os
 
 import pytest
@@ -10,9 +12,10 @@ from repro.apps import pi
 from repro.mpn import burnikel_ziegler as bz_mod
 from repro.mpn import div as div_mod
 from repro.mpn.mul import GMP_POLICY, MPAPCA_POLICY, PYTHON_POLICY
-from repro.mpn.nat import nat_from_int
+from repro.mpn.nat import LIMB_BITS, nat_from_int, nat_to_int
 from repro.plan import OpSpec, select
 from repro.plan.lowering import lower
+from repro.plan.schedule import derive_schedule
 
 
 class TestMulLadder:
@@ -60,36 +63,25 @@ class TestDivisionCrossovers:
         assert select.bz_algorithm(threshold - 1) == "schoolbook"
         assert select.bz_algorithm(threshold) == "burnikel-ziegler"
 
-    def test_barrett_override(self):
-        assert select.barrett_profitable(10, barrett_limbs=8)
-        assert not select.barrett_profitable(7, barrett_limbs=8)
-
 
 class TestFingerprint:
     def test_covers_every_crossover(self):
-        thresholds = select.active()
-        fp = select.fingerprint(thresholds)
-        assert fp == (thresholds.version, thresholds.karatsuba_limbs,
-                      thresholds.toom3_limbs, thresholds.toom4_limbs,
-                      thresholds.toom6_limbs, thresholds.ssa_limbs,
-                      thresholds.bz_limbs, thresholds.barrett_limbs,
-                      thresholds.packed_mul_limbs,
-                      thresholds.packed_div_limbs)
-        assert len(fp) == 10
+        policy = select.active()
+        assert policy is PYTHON_POLICY
+        assert select.fingerprint(policy) == (
+            policy.karatsuba_limbs, policy.toom3_limbs,
+            policy.toom4_limbs, policy.toom6_limbs, policy.ssa_limbs)
+        assert select.fingerprint() == select.fingerprint(policy)
 
-    def test_thresholds_method_delegates(self):
-        thresholds = select.active()
-        assert thresholds.fingerprint() == select.fingerprint(thresholds)
-
-    def test_bare_policy_pads_with_zeroes(self):
+    def test_other_policy_fingerprints_its_own_ladder(self):
         fp = select.fingerprint(MPAPCA_POLICY)
-        assert fp[0] == 0 and fp[-2:] == (0, 0)
-        assert fp[1] == MPAPCA_POLICY.karatsuba_limbs
+        assert fp[0] == MPAPCA_POLICY.karatsuba_limbs
+        assert fp != select.fingerprint()
 
 
 class TestReadOncePerProcess:
-    """The thresholds file and ``REPRO_PACKED`` are read once per
-    process: the served path does no file or environment I/O."""
+    """``REPRO_PACKED`` is read once per process: the served path does
+    no file or environment I/O."""
 
     def test_no_stat_and_no_selection_env_read_per_call(self,
                                                         monkeypatch):
@@ -113,15 +105,60 @@ class TestReadOncePerProcess:
         served_path()
         monkeypatch.undo()
         assert stats == []
-        assert {"REPRO_PACKED", "REPRO_THRESHOLDS"}.isdisjoint(reads)
+        assert "REPRO_PACKED" not in reads
 
-    def test_killswitch_applies_only_after_reload(self, monkeypatch,
-                                                  reselect):
-        # The thresholds-file half: test_tune's active-prefers-persisted.
-        reselect(select.PACKED_ENV, "1")
-        crossover = select.active().packed_mul_limbs
-        assert select.mul_backend(crossover) == "packed"
+    def test_killswitch_is_read_once_per_process(self, monkeypatch,
+                                                 reselect):
+        reselect("1")
+        assert select.auto_backend() == "packed"
         monkeypatch.setenv(select.PACKED_ENV, "0")
-        assert select.mul_backend(crossover) == "packed"
-        select.reload()
-        assert select.mul_backend(crossover) == "limb"
+        assert select.auto_backend() == "packed"
+        reselect("0")
+        assert select.auto_backend() == "limb"
+
+
+#: Operand widths in bits: one bit, one full limb, one limb plus a
+#: bit, and four limbs (the old packed crossover).
+WIDTHS = (1, 32, 33, 128)
+
+
+def _operand(bits):
+    return nat_from_int((1 << bits) - 1)
+
+
+class TestPackedAtEveryWidth:
+    """``auto`` mul and div are packed from one bit up through all
+    three layers that resolve a backend — :func:`lower`,
+    :func:`derive_schedule` and the mpn dispatchers — and limb under
+    ``REPRO_PACKED=0``."""
+
+    @pytest.mark.parametrize("killswitch", ("1", "0"))
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_auto_backend_at_width(self, bits, killswitch, monkeypatch,
+                                   reselect, fresh_plans):
+        reselect(killswitch)
+        packed = killswitch == "1"
+        limbs = -(-bits // LIMB_BITS)
+        for spec in (OpSpec.for_mul(bits, bits),
+                     OpSpec("div", 2 * bits, bits, "auto")):
+            assert lower(spec).backend \
+                == ("packed" if packed else "library"), spec
+        for op in ("mul", "div"):
+            leaf = derive_schedule(op, limbs).leaf().algorithm
+            assert (leaf == "packed") == packed, (op, leaf)
+
+        ran = []
+        for module, name in (("repro.mpn.mul", "mul_packed"),
+                             ("repro.mpn.div", "divmod_packed")):
+            module = importlib.import_module(module)
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _k=kernel,
+                                _n=name: (ran.append(_n), _k(*args))[1])
+        a = _operand(bits)
+        b = _operand(bits)
+        dividend = _operand(2 * bits)
+        assert nat_to_int(mpn.mul(a, b)) == nat_to_int(a) * nat_to_int(b)
+        quotient, remainder = mpn.divmod_nat(dividend, b)
+        assert (nat_to_int(quotient), nat_to_int(remainder)) \
+            == divmod(nat_to_int(dividend), nat_to_int(b))
+        assert ran == (["mul_packed", "divmod_packed"] if packed else [])

@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.plan import select
 from repro.serve.client import (ServeClient, build_jobs, expected_result,
                                 run_load)
 from repro.serve.server import ServeConfig, ServerThread
@@ -279,14 +278,10 @@ class TestLabelIsTheKernelThatRan:
     def test_trace_backend_is_the_kernel_that_ran(
             self, killswitch, tmp_path, monkeypatch, reselect,
             fresh_plans):
-        """Served mul and div across the packed crossover (1-4 limbs,
-        where the limb kernels still win at the low end) and powmod at
-        odd and even moduli: each request's trace ``backend`` is the
-        one kernel family that computed it."""
-        # No thresholds file: the checked-in 4-limb packed crossovers,
-        # whatever this host tuned.
-        reselect("REPRO_THRESHOLDS", str(tmp_path / "thresholds.json"))
-        reselect(select.PACKED_ENV, killswitch)
+        """Served mul and div at 1-4 limbs (packed from 1 limb up) and
+        powmod at odd and even moduli: each request's trace ``backend``
+        is the one kernel family that computed it."""
+        reselect(killswitch)
         monkeypatch.setenv("REPRO_TRACE_FILE",
                            str(tmp_path / "drain.jsonl"))
         ran, kernels = set(), {}
@@ -324,7 +319,7 @@ class TestLabelIsTheKernelThatRan:
         for job_id, backend in labels.items():
             assert kernels[job_id] == {backend}, job_id
         assert set(labels.values()) == (
-            {"library", "packed"} if killswitch == "1" else {"library"})
+            {"packed"} if killswitch == "1" else {"library"})
 
 
 class TestTracing:

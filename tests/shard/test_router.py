@@ -146,17 +146,18 @@ class TestShardCache:
         assert len(cache) == 0
 
     def test_memo_key_salts_the_cache(self):
-        # A retune changes Plan.memo_key, which must invalidate every
-        # cached answer computed under the old plan.
+        # A lowering change (another policy, backend or plan schema)
+        # changes Plan.memo_key, which must invalidate every cached
+        # answer computed under the old plan.
         cache = self._cache()
         job = make_job({"op": "pi_digits", "params": {"digits": 25}})
         cache.put(job, {"digits": "old"})
 
-        class _RetunedPlan:
-            memo_key = tuple(job.plan.memo_key) + ("retuned",)
+        class _RelabeledPlan:
+            memo_key = tuple(job.plan.memo_key) + ("relabeled",)
 
         stale = make_job({"op": "pi_digits", "params": {"digits": 25}})
-        stale.plan = _RetunedPlan()
+        stale.plan = _RelabeledPlan()
         assert cache.get(stale) is None
 
     def test_killswitch_disables_everything(self):

@@ -109,13 +109,3 @@ class TestCliExtras:
     def test_info_selftest(self, capsys):
         assert main(["info", "--selftest"]) == 0
         assert "selftest: all passed" in capsys.readouterr().out
-
-    def test_tune(self, capsys, tmp_path, monkeypatch, reselect):
-        # Isolate the persisted outputs: without this, the test retunes
-        # the *host's* thresholds file — and appends its bisection
-        # probes to the checked-in cost dataset — on every suite run.
-        reselect("REPRO_THRESHOLDS", str(tmp_path / "thresholds.json"))
-        monkeypatch.setenv("REPRO_COST_DATASET",
-                           str(tmp_path / "cost.jsonl"))
-        assert main(["tune", "--max-limbs", "96"]) == 0
-        assert "schoolbook->karatsuba" in capsys.readouterr().out

@@ -43,14 +43,21 @@ def test_sub_matches_bigint(x, y):
 @settings(deadline=None)
 @given(naturals, naturals)
 def test_mul_matches_bigint(x, y):
-    assert from_nat(mpn.mul(to_nat(x), to_nat(y))) == x * y
+    # auto is packed at every width; pin limb too so the sanitizer
+    # still sees the limb ladder.
+    for backend in ("auto", "limb"):
+        assert from_nat(mpn.mul(to_nat(x), to_nat(y),
+                                backend=backend)) == x * y
 
 
 @settings(deadline=None, max_examples=60)
 @given(naturals, positive_naturals)
 def test_divmod_matches_bigint(x, y):
-    quotient, remainder = mpn.divmod_nat(to_nat(x), to_nat(y))
-    assert (from_nat(quotient), from_nat(remainder)) == divmod(x, y)
+    for backend in ("auto", "limb"):
+        quotient, remainder = mpn.divmod_nat(to_nat(x), to_nat(y),
+                                             backend=backend)
+        assert (from_nat(quotient), from_nat(remainder)) \
+            == divmod(x, y)
 
 
 @settings(deadline=None)
